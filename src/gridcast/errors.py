@@ -67,7 +67,8 @@ class LengthMismatchError(GridcastError):
 
 
 class NoCachedForwardError(GridcastError):
-    """backward() was called before forward() cached its inputs."""
+    """backward() was called before a train-mode forward() cached its
+    inputs; an eval-mode forward caches nothing."""
 
 
 class DivergedLossError(GridcastError):

@@ -5,10 +5,13 @@ the LSTM layer takes a whole window batch (B, L, F) and returns the final
 hidden state (B, H). backward() consumes the gradient of the loss with
 respect to a layer's output and returns the gradient with respect to its
 input, stashing parameter gradients on the layer for the optimizer.
+
+Only a train-mode forward (``train=True``) keeps what backward() needs.
+An eval-mode forward retains nothing: it drops any cache an earlier
+train-mode call left, so inference holds no per-step state and a
+backward() after it raises NoCachedForwardError.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,10 +19,13 @@ from gridcast.errors import NoCachedForwardError, ShapeMismatchError
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function (never exponentiates a
-    positive argument)."""
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    """Logistic function as 0.5 * tanh(z / 2) + 0.5.
+
+    The identity 1 / (1 + exp(-z)) = (1 + tanh(z / 2)) / 2 needs no
+    branch on the sign of z, and tanh saturates at +-1 instead of
+    overflowing, so the result stays in [0, 1] for any finite input.
+    """
+    return 0.5 * np.tanh(0.5 * z) + 0.5
 
 
 def relu(z: np.ndarray) -> np.ndarray:
@@ -34,34 +40,6 @@ def glorot_uniform(rng: np.random.Generator | None, shape: tuple[int, ...],
         return np.zeros(shape)
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape)
-
-
-@dataclass(frozen=True)
-class DropoutSpec:
-    """Inverted-dropout parameters: drop probability and mode."""
-
-    rate: float
-    train: bool = True
-
-    def __post_init__(self):
-        if not (0.0 <= self.rate < 1.0):
-            raise ValueError(f"dropout rate must be in [0, 1), got {self.rate}")
-
-
-def apply_dropout(x: np.ndarray, spec: DropoutSpec,
-                  rng: np.random.Generator | None) -> tuple[np.ndarray, np.ndarray]:
-    """Inverted dropout: zero units with probability rate and scale the
-    survivors by 1/(1-rate), so the expected activation is unchanged.
-
-    Returns (output, mask). In eval mode (or rate 0) it is the identity
-    with an all-ones mask.
-    """
-    if not spec.train or spec.rate == 0.0:
-        return x, np.ones_like(x)
-    if rng is None:
-        raise ValueError("dropout in train mode requires a random generator")
-    mask = (rng.random(x.shape) >= spec.rate).astype(np.float64)
-    return x * mask / (1.0 - spec.rate), mask
 
 
 class Dense:
@@ -91,12 +69,13 @@ class Dense:
                 f"dense layer expects (B, {self.n_in}), got {x.shape}"
             )
         z = x @ self.W.T + self.b
-        self._x, self._z = x, z
+        self._x, self._z = (x, z) if train else (None, None)
         return relu(z) if self.activation == "relu" else z
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         if self._x is None:
-            raise NoCachedForwardError("dense backward called before forward")
+            raise NoCachedForwardError(
+                "dense backward called before a train-mode forward")
         dz = dout * (self._z > 0.0) if self.activation == "relu" else dout
         self.dW = dz.T @ self._x
         self.db = dz.sum(axis=0)
@@ -114,25 +93,34 @@ class Dense:
 
 
 class Dropout:
-    """Inverted-dropout layer; identity outside training."""
+    """Inverted dropout: in train mode, zero units with probability rate
+    and scale the survivors by 1/(1-rate), so the expected activation is
+    unchanged. Eval mode is the identity."""
 
     def __init__(self, rate: float):
-        self.rate = DropoutSpec(rate).rate
+        if not (0.0 <= rate < 1.0):
+            raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
+        self.rate = rate
         self._mask = None
-        self._train = False
 
     def forward(self, x: np.ndarray, train: bool = False,
                 rng: np.random.Generator | None = None) -> np.ndarray:
-        self._train = train
-        out, mask = apply_dropout(x, DropoutSpec(self.rate, train=train), rng)
-        self._mask = mask
-        return out
+        self._mask = None
+        if not train:
+            return x
+        if self.rate == 0.0:
+            # Draws nothing from rng, so later shuffles see the same stream.
+            self._mask = 1.0
+            return x
+        if rng is None:
+            raise ValueError("dropout in train mode requires a random generator")
+        self._mask = (rng.random(x.shape) >= self.rate).astype(np.float64)
+        return x * self._mask / (1.0 - self.rate)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         if self._mask is None:
-            raise NoCachedForwardError("dropout backward called before forward")
-        if not self._train or self.rate == 0.0:
-            return dout
+            raise NoCachedForwardError(
+                "dropout backward called before a train-mode forward")
         return dout * self._mask / (1.0 - self.rate)
 
     def params(self):
@@ -257,8 +245,9 @@ class LSTM:
         caches = []
         for t in range(length):
             h, c, cache = self._step(x[:, t, :], h, c)
-            caches.append(cache)
-        self._cache = (x.shape, caches)
+            if train:
+                caches.append(cache)
+        self._cache = (x.shape, caches) if train else None
         return h
 
     def forward_sequence(self, seq: np.ndarray) -> np.ndarray:
@@ -273,7 +262,8 @@ class LSTM:
         recurrent h and c paths.
         """
         if self._cache is None:
-            raise NoCachedForwardError("lstm backward called before forward")
+            raise NoCachedForwardError(
+                "lstm backward called before a train-mode forward")
         (batch, length, _), caches = self._cache
         hsz = self.hidden
         self.dW = np.zeros_like(self.W)

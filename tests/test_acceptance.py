@@ -103,7 +103,7 @@ def _worst_relative_error(model, x, y) -> float:
     def loss_fn():
         return mse_loss(model.forward(x, train=False), y)[0]
 
-    _, grad = mse_loss(model.forward(x, train=False), y)
+    _, grad = mse_loss(model.forward(x, train=True), y)
     model.backward(grad)
     analytic = [g.copy() for g in model.grads()]
     numeric = _numeric_gradients(loss_fn, model.params())

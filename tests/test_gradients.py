@@ -70,11 +70,12 @@ def check_model_gradients(model, x, y, rng_for_dropout=None, dropout_seed=None):
             pred = model.forward(x, train=False)
         return mse_loss(pred, y)[0]
 
-    loss_fn()  # populate caches
     if dropout_seed is not None:
         pred = model.forward(x, train=True, rng=np.random.default_rng(dropout_seed))
     else:
-        pred = model.forward(x, train=False)
+        # Only a train-mode forward caches what backward() needs; without
+        # dropout it computes the same function as eval mode.
+        pred = model.forward(x, train=True)
     _, grad = mse_loss(pred, y)
     model.backward(grad)
     analytic = [g.copy() for g in model.grads()]
@@ -108,7 +109,7 @@ class TestMlpGradients:
         model = Network([Dense(2, 3, "relu", rng=rng), Dense(3, 1, rng=rng)])
         x = rng.normal(size=(6, 2))
         y = model.forward(x)  # targets equal predictions exactly
-        _, grad = mse_loss(model.forward(x), y)
+        _, grad = mse_loss(model.forward(x, train=True), y)
         model.backward(grad)
         for g in model.grads():
             assert np.array_equal(g, np.zeros_like(g))
@@ -146,7 +147,7 @@ class TestLstmGradients:
         x = rng.normal(size=(2, 4, 1))
         y = rng.normal(size=(2, 1))
 
-        pred = model.forward(x, train=False)
+        pred = model.forward(x, train=True)
         _, grad = mse_loss(pred, y)
         dx = model.backward(grad)
 

@@ -1,19 +1,22 @@
 """Layer-level tests: forward passes against brute-force oracles, cell
-arithmetic identities, dropout statistics, parameter counting."""
+arithmetic identities, dropout statistics, parameter counting, and the
+rule that an eval-mode forward retains nothing."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from gridcast.errors import NoCachedForwardError, ShapeMismatchError
+from gridcast.models import build_lstm
 from gridcast.nn.layers import (
     LSTM,
     Dense,
     Dropout,
-    DropoutSpec,
     Network,
-    apply_dropout,
     count_params,
     sigmoid,
 )
+from gridcast.nn.training import predict_batches
 
 
 class TestDense:
@@ -175,20 +178,21 @@ class TestLstmForward:
 class TestDropout:
     def test_eval_mode_is_identity(self):
         x = np.arange(12.0).reshape(3, 4)
-        out, mask = apply_dropout(x, DropoutSpec(0.5, train=False), None)
+        out = Dropout(0.5).forward(x, train=False)
         assert np.array_equal(out, x)
-        assert np.all(mask == 1.0)
+        # No mask is drawn or applied: the input comes back untouched.
+        assert out is x
 
     def test_rate_zero_is_identity_even_in_train(self):
         x = np.arange(12.0).reshape(3, 4)
-        out, _ = apply_dropout(x, DropoutSpec(0.0, train=True), np.random.default_rng(0))
+        out = Dropout(0.0).forward(x, train=True, rng=np.random.default_rng(0))
         assert np.array_equal(out, x)
 
     def test_survivors_scaled_to_preserve_expectation(self):
         rng = np.random.default_rng(12)
         x = np.ones((100_000,))
-        out, mask = apply_dropout(x, DropoutSpec(0.5, train=True), rng)
-        kept = mask.mean()
+        out = Dropout(0.5).forward(x, train=True, rng=rng)
+        kept = (out != 0.0).mean()
         assert abs(kept - 0.5) < 0.01
         assert abs(out.mean() - 1.0) < 0.02
         # Survivors carry exactly 1/(1-rate).
@@ -196,13 +200,13 @@ class TestDropout:
 
     def test_invalid_rate(self):
         with pytest.raises(ValueError):
-            DropoutSpec(1.0)
+            Dropout(1.0)
         with pytest.raises(ValueError):
-            DropoutSpec(-0.1)
+            Dropout(-0.1)
 
     def test_train_mode_requires_rng(self):
         with pytest.raises(ValueError):
-            apply_dropout(np.ones(3), DropoutSpec(0.5, train=True), None)
+            Dropout(0.5).forward(np.ones(3), train=True, rng=None)
 
     def test_layer_backward_masks_gradient(self):
         layer = Dropout(0.5)
@@ -253,6 +257,52 @@ class TestNetwork:
             net.set_weights([np.zeros((3, 4)), np.zeros(4)])
 
 
+class TestEvalRetainsNothing:
+    """Only a train-mode forward keeps what backward() needs."""
+
+    @pytest.mark.parametrize("layer, x", [
+        (LSTM(1, 4, rng=np.random.default_rng(15)), np.ones((2, 5, 1))),
+        (Dense(3, 2, "relu", rng=np.random.default_rng(16)), np.ones((4, 3))),
+        (Dropout(0.5), np.ones((4, 3))),
+        (Network([LSTM(1, 4), Dropout(0.2), Dense(4, 1)]), np.ones((2, 5, 1))),
+    ], ids=["lstm", "dense", "dropout", "network"])
+    def test_backward_after_eval_forward_raises(self, layer, x):
+        rng = np.random.default_rng(17)
+        out = layer.forward(x, train=True, rng=rng)
+        layer.backward(np.ones_like(out))
+        # The eval forward drops the cache the train forward left behind.
+        out = layer.forward(x, train=False)
+        with pytest.raises(NoCachedForwardError):
+            layer.backward(np.ones_like(out))
+
+    def test_eval_output_equals_train_output_without_dropout(self):
+        rng = np.random.default_rng(18)
+        net = Network([LSTM(1, 6, "tanh", rng=rng), Dense(6, 3, "relu", rng=rng),
+                       Dense(3, 1, rng=rng)])
+        x = rng.normal(size=(7, 9, 1))
+        evaluated = net.forward(x, train=False)
+        trained = net.forward(x, train=True, rng=np.random.default_rng(19))
+        assert np.array_equal(evaluated, trained)
+
+    def test_production_lstm_inference_memory(self):
+        # One predict_batches chunk of the production model: 4,096 windows
+        # of 24 steps. Caching all 24 steps would hold about 268 MiB.
+        model = build_lstm(rng=np.random.default_rng(20))
+        x = np.random.default_rng(21).normal(size=(4096, 24, 1))
+        mib = 2 ** 20
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            out = predict_batches(model, x)
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (4096, 1)
+        assert (peak - before) / mib < 64.0
+        assert (after - before) / mib < 8.0
+
+
 class TestSigmoid:
     def test_known_values(self):
         assert sigmoid(np.array([0.0]))[0] == 0.5
@@ -266,3 +316,8 @@ class TestSigmoid:
     def test_symmetry(self):
         z = np.linspace(-10, 10, 101)
         assert np.allclose(sigmoid(z) + sigmoid(-z), 1.0, atol=1e-15)
+
+    def test_matches_reference_formula(self):
+        z = np.linspace(-40, 40, 10001)
+        reference = 1.0 / (1.0 + np.exp(-z))
+        assert np.max(np.abs(sigmoid(z) - reference)) <= 1e-15
