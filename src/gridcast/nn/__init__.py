@@ -2,9 +2,11 @@
 analytic gradients, MSE loss, Adam, inverted dropout, early stopping,
 and a deterministic minibatch training loop.
 
-Everything is plain float64 numpy. There is no autograd: each layer
-implements its own backward pass, and the test suite checks every
-parameter gradient against central finite differences.
+Everything is plain numpy, computed in the dtype of each network's
+parameters: float64 unless a layer is built with another ``dtype`` (the
+production models in gridcast.models use float32). There is no autograd:
+each layer implements its own backward pass, and the test suite checks
+every parameter gradient, in float64, against central finite differences.
 """
 
 from gridcast.nn.layers import LSTM, Dense, Dropout, Network, count_params  # noqa: F401

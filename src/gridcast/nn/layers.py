@@ -10,6 +10,11 @@ Only a train-mode forward (``train=True``) keeps what backward() needs.
 An eval-mode forward retains nothing: it drops any cache an earlier
 train-mode call left, so inference holds no per-step state and a
 backward() after it raises NoCachedForwardError.
+
+A layer computes in the dtype of its parameters (``dtype``, float64
+unless the builder asks otherwise): every buffer, mask and state it
+creates follows that dtype, and inputs are expected in it already
+(train() and predict_batches() cast them once).
 """
 from __future__ import annotations
 
@@ -35,7 +40,10 @@ def relu(z: np.ndarray) -> np.ndarray:
 def glorot_uniform(rng: np.random.Generator | None, shape: tuple[int, ...],
                    fan_in: int, fan_out: int) -> np.ndarray:
     """Uniform init on [-sqrt(6/(fan_in+fan_out)), +sqrt(...)]; zeros
-    when no generator is supplied (handy for fixed-weight tests)."""
+    when no generator is supplied (handy for fixed-weight tests).
+
+    Always float64: layers cast the draws to their own dtype, so the
+    generator stream does not depend on it."""
     if rng is None:
         return np.zeros(shape)
     limit = np.sqrt(6.0 / (fan_in + fan_out))
@@ -46,17 +54,19 @@ class Dense:
     """Fully connected layer: activation(x @ W.T + b).
 
     W has shape (n_out, n_in). Supported activations: relu, identity.
+    ``dtype`` sets the parameters and their gradients.
     """
 
     def __init__(self, n_in: int, n_out: int, activation: str = "identity",
-                 rng: np.random.Generator | None = None):
+                 rng: np.random.Generator | None = None,
+                 dtype: np.dtype | type = np.float64):
         if activation not in ("identity", "relu"):
             raise ValueError(f"unsupported dense activation: {activation}")
         self.n_in = n_in
         self.n_out = n_out
         self.activation = activation
-        self.W = glorot_uniform(rng, (n_out, n_in), n_in, n_out)
-        self.b = np.zeros(n_out)
+        self.W = glorot_uniform(rng, (n_out, n_in), n_in, n_out).astype(dtype)
+        self.b = np.zeros(n_out, dtype=dtype)
         self.dW = np.zeros_like(self.W)
         self.db = np.zeros_like(self.b)
         self._x = None
@@ -114,7 +124,7 @@ class Dropout:
             return x
         if rng is None:
             raise ValueError("dropout in train mode requires a random generator")
-        self._mask = (rng.random(x.shape) >= self.rate).astype(np.float64)
+        self._mask = (rng.random(x.shape) >= self.rate).astype(x.dtype)
         return x * self._mask / (1.0 - self.rate)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
@@ -151,13 +161,15 @@ class LSTM:
 
     The four gate matrices live as row blocks of one (4H, H+F) array in
     the order f, i, c, o, so each step costs one matmul; W_f etc. are
-    views into it.
+    views into it. ``dtype`` sets the parameters, their gradients and
+    the recurrent state.
     """
 
     GATE_ORDER = ("f", "i", "c", "o")
 
     def __init__(self, n_in: int, hidden: int, activation: str = "tanh",
-                 rng: np.random.Generator | None = None):
+                 rng: np.random.Generator | None = None,
+                 dtype: np.dtype | type = np.float64):
         if activation not in ("tanh", "relu"):
             raise ValueError(f"unsupported cell activation: {activation}")
         self.n_in = n_in
@@ -167,8 +179,8 @@ class LSTM:
         # Each gate block is (H, H+F): fan_in = H+F, fan_out = H.
         self.W = np.vstack([
             glorot_uniform(rng, (h, h + n_in), h + n_in, h) for _ in self.GATE_ORDER
-        ])
-        self.b = np.zeros(4 * h)
+        ]).astype(dtype)
+        self.b = np.zeros(4 * h, dtype=dtype)
         self.dW = np.zeros_like(self.W)
         self.db = np.zeros_like(self.b)
         self._cache = None
@@ -203,7 +215,7 @@ class LSTM:
         # d act / d pre, expressed from whichever of (value, pre) is cheap.
         if self.activation == "tanh":
             return 1.0 - value * value
-        return (pre > 0.0).astype(np.float64)
+        return (pre > 0.0).astype(pre.dtype)
 
     def _step(self, x_t, h_prev, c_prev):
         """One batched cell update. Returns (h, c, cache)."""
@@ -240,8 +252,8 @@ class LSTM:
                 f"lstm layer expects (B, L, {self.n_in}), got {x.shape}"
             )
         batch, length, _ = x.shape
-        h = np.zeros((batch, self.hidden))
-        c = np.zeros((batch, self.hidden))
+        h = np.zeros((batch, self.hidden), dtype=self.W.dtype)
+        c = np.zeros_like(h)
         caches = []
         for t in range(length):
             h, c, cache = self._step(x[:, t, :], h, c)
@@ -268,9 +280,9 @@ class LSTM:
         hsz = self.hidden
         self.dW = np.zeros_like(self.W)
         self.db = np.zeros_like(self.b)
-        dx = np.zeros((batch, length, self.n_in))
+        dx = np.zeros((batch, length, self.n_in), dtype=self.W.dtype)
         dh = dout
-        dc = np.zeros((batch, hsz))
+        dc = np.zeros((batch, hsz), dtype=self.W.dtype)
         for t in range(length - 1, -1, -1):
             hx, f, i, g, o, c_prev, c, a = caches[t]
             do = dh * a

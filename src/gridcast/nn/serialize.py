@@ -2,7 +2,9 @@
 
 Format: a .npz archive holding a JSON layer specification under "spec"
 and the parameter arrays under "param_0", "param_1", ... in network
-order. float64 arrays round-trip bit-exactly.
+order. Arrays round-trip bit-exactly in their own dtype, and a loaded
+network is rebuilt in that dtype, so it predicts exactly as the saved
+one did (float32 for the production models, float64 for older files).
 """
 from __future__ import annotations
 
@@ -20,12 +22,14 @@ def save_model(model: Network, path: str | Path, metadata: dict | None = None) -
     np.savez(path, spec=np.array(json.dumps(payload)), **arrays)
 
 
-def _build_layer(entry: dict):
+def _build_layer(entry: dict, dtype: np.dtype):
     kind = entry["kind"]
     if kind == "dense":
-        return Dense(entry["n_in"], entry["n_out"], entry["activation"])
+        return Dense(entry["n_in"], entry["n_out"], entry["activation"],
+                     dtype=dtype)
     if kind == "lstm":
-        return LSTM(entry["n_in"], entry["hidden"], entry["activation"])
+        return LSTM(entry["n_in"], entry["hidden"], entry["activation"],
+                    dtype=dtype)
     if kind == "dropout":
         return Dropout(entry["rate"])
     raise ValueError(f"unknown layer kind in model file: {kind!r}")
@@ -35,7 +39,8 @@ def load_model(path: str | Path) -> tuple[Network, dict]:
     """Rebuild a saved network; returns (model, metadata)."""
     with np.load(path, allow_pickle=False) as archive:
         payload = json.loads(str(archive["spec"]))
-        model = Network([_build_layer(e) for e in payload["layers"]])
+        dtype = archive["param_0"].dtype if "param_0" in archive else np.float64
+        model = Network([_build_layer(e, dtype) for e in payload["layers"]])
         weights = [archive[f"param_{i}"] for i in range(len(model.params()))]
     model.set_weights(weights)
     return model, payload.get("metadata", {})

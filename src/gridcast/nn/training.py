@@ -82,8 +82,15 @@ class EarlyStopper:
             np.copyto(p, s)
 
 
+def _param_dtype(model) -> np.dtype:
+    """The dtype a model computes in: that of its parameters."""
+    return model.params()[0].dtype
+
+
 def predict_batches(model, x: np.ndarray, batch_size: int = 4096) -> np.ndarray:
-    """Eval-mode forward pass in memory-bounded chunks."""
+    """Eval-mode forward pass in memory-bounded chunks, in the model's
+    parameter dtype."""
+    x = np.asarray(x, dtype=_param_dtype(model))
     outputs = [
         model.forward(x[i:i + batch_size], train=False)
         for i in range(0, x.shape[0], batch_size)
@@ -105,15 +112,17 @@ def train(model, train_data, val_data, config: TrainConfig,
     """Fit the model with shuffled minibatches, Adam, and early stopping.
 
     train_data and val_data are (inputs, targets) pairs; targets are
-    one-dimensional. Validation loss is computed in eval mode after each
-    epoch, and the parameters that achieved the best validation loss are
-    restored before returning. Raises DivergedLossError the moment any
-    loss stops being finite.
+    one-dimensional. Both are cast once to the model's parameter dtype.
+    Validation loss is computed in eval mode after each epoch, and the
+    parameters that achieved the best validation loss are restored
+    before returning. Raises DivergedLossError the moment any loss stops
+    being finite.
     """
-    x_train, y_train = train_data
-    x_val, y_val = val_data
-    y_train = np.asarray(y_train, dtype=np.float64).reshape(-1, 1)
-    y_val = np.asarray(y_val, dtype=np.float64).reshape(-1, 1)
+    dtype = _param_dtype(model)
+    x_train = np.asarray(train_data[0], dtype=dtype)
+    y_train = np.asarray(train_data[1], dtype=dtype).reshape(-1, 1)
+    x_val = np.asarray(val_data[0], dtype=dtype)
+    y_val = np.asarray(val_data[1], dtype=dtype).reshape(-1, 1)
     _check_pair("training", x_train, y_train)
     _check_pair("validation", x_val, y_val)
 

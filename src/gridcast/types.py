@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -162,9 +162,6 @@ class WeatherDay:
 
     def is_complete(self) -> bool:
         return not self.missing_fields()
-
-    def with_field(self, name: str, value: float) -> "WeatherDay":
-        return replace(self, **{name: value})
 
 
 @dataclass(frozen=True)
