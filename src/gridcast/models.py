@@ -20,6 +20,7 @@ import numpy as np
 
 from gridcast.errors import ScalerNotFittedError, ShapeMismatchError
 from gridcast.nn import LSTM, Dense, Dropout, Network, predict_batches
+from gridcast.nn.training import EVAL_CHUNK
 from gridcast.preprocess import (
     ScalerParams,
     WindowBatch,
@@ -95,7 +96,7 @@ def _require_fitted(scaler: ScalerParams | None, name: str) -> ScalerParams:
 def mlp_predict(model: Network, features: np.ndarray,
                 feature_scaler: ScalerParams | None,
                 target_scaler: ScalerParams | None,
-                batch_size: int = 4096) -> np.ndarray:
+                batch_size: int = EVAL_CHUNK) -> np.ndarray:
     """Predict watts from raw (unscaled) feature rows.
 
     ``features`` is (M, F) in natural units; rows are scaled with
@@ -124,7 +125,7 @@ def mlp_predict(model: Network, features: np.ndarray,
 def lstm_predict(model: Network, windows: WindowBatch,
                  target_scaler: ScalerParams | None,
                  spec: LstmSpec = LstmSpec(),
-                 batch_size: int = 4096) -> np.ndarray:
+                 batch_size: int = EVAL_CHUNK) -> np.ndarray:
     """One-step-ahead watts for each already-scaled window.
 
     Windows hold the scaled series (scaling happens before windowing),

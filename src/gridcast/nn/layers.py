@@ -213,14 +213,18 @@ class LSTM:
 
     def _act_grad_from(self, value, pre):
         # d act / d pre, expressed from whichever of (value, pre) is cheap.
+        # The relu mask is bool: multiplying by it gives the same bits as
+        # multiplying by a 0/1 float mask, without the cast.
         if self.activation == "tanh":
             return 1.0 - value * value
-        return (pre > 0.0).astype(pre.dtype)
+        return pre > 0.0
 
     def _step(self, x_t, h_prev, c_prev):
-        """One batched cell update. Returns (h, c, cache)."""
+        """One batched cell update, shared by forward() and step().
+        Returns (h, c, cache)."""
         hx = np.concatenate([h_prev, x_t], axis=1)
-        z = hx @ self.W.T + self.b
+        z = hx @ self.W.T
+        z += self.b
         h = self.hidden
         f = sigmoid(z[:, 0 * h:1 * h])
         i = sigmoid(z[:, 1 * h:2 * h])
@@ -278,31 +282,28 @@ class LSTM:
                 "lstm backward called before a train-mode forward")
         (batch, length, _), caches = self._cache
         hsz = self.hidden
+        dtype = self.W.dtype
         self.dW = np.zeros_like(self.W)
         self.db = np.zeros_like(self.b)
-        dx = np.zeros((batch, length, self.n_in), dtype=self.W.dtype)
+        dx = np.zeros((batch, length, self.n_in), dtype=dtype)
         dh = dout
-        dc = np.zeros((batch, hsz), dtype=self.W.dtype)
+        dc = np.zeros((batch, hsz), dtype=dtype)
+        # Each step writes its four gate gradients into the column blocks
+        # f, i, c, o of this one array, in place of a concatenate.
+        dz = np.empty((batch, 4 * hsz), dtype=dtype)
         for t in range(length - 1, -1, -1):
             hx, f, i, g, o, c_prev, c, a = caches[t]
-            do = dh * a
             dc = dc + dh * o * self._act_grad_from(a, c)
-            df = dc * c_prev
-            di = dc * g
-            dg = dc * i
-            dc_prev = dc * f
-            dz = np.concatenate([
-                df * f * (1.0 - f),
-                di * i * (1.0 - i),
-                dg * self._act_grad_from(g, g),
-                do * o * (1.0 - o),
-            ], axis=1)
+            dz[:, 0 * hsz:1 * hsz] = dc * c_prev * f * (1.0 - f)
+            dz[:, 1 * hsz:2 * hsz] = dc * g * i * (1.0 - i)
+            dz[:, 2 * hsz:3 * hsz] = dc * i * self._act_grad_from(g, g)
+            dz[:, 3 * hsz:4 * hsz] = dh * a * o * (1.0 - o)
             self.dW += dz.T @ hx
             self.db += dz.sum(axis=0)
             dhx = dz @ self.W
             dh = dhx[:, :hsz]
             dx[:, t, :] = dhx[:, hsz:]
-            dc = dc_prev
+            dc = dc * f
         return dx
 
     def params(self):

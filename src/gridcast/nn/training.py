@@ -87,7 +87,16 @@ def _param_dtype(model) -> np.dtype:
     return model.params()[0].dtype
 
 
-def predict_batches(model, x: np.ndarray, batch_size: int = 4096) -> np.ndarray:
+# Rows per eval-mode chunk, the default of every prediction path. At 1,024
+# windows the LSTM's per-step arrays stay in cache: on one BLAS thread the
+# production LSTM scored 51,600 windows/s against 43,500 at 4,096 (2-core
+# Xeon). The chunk size can change the last bits of a prediction when the
+# final chunk is only a few rows long, because OpenBLAS computes small
+# products with other kernels.
+EVAL_CHUNK = 1024
+
+
+def predict_batches(model, x: np.ndarray, batch_size: int = EVAL_CHUNK) -> np.ndarray:
     """Eval-mode forward pass in memory-bounded chunks, in the model's
     parameter dtype."""
     x = np.asarray(x, dtype=_param_dtype(model))

@@ -285,8 +285,10 @@ class TestEvalRetainsNothing:
         assert np.array_equal(evaluated, trained)
 
     def test_production_lstm_inference_memory(self):
-        # One predict_batches chunk of the production model: 4,096 windows
-        # of 24 steps. Caching all 24 steps would hold about 268 MiB.
+        # One 4,096-window chunk of the production model, 24 steps each.
+        # Caching all 24 steps in float32 would hold about 150 MiB. The
+        # chunk is named, not left to the default: at EVAL_CHUNK = 1,024 a
+        # cached chunk would hold about 38 MiB and pass the peak bound.
         model = build_lstm(rng=np.random.default_rng(20))
         x = np.random.default_rng(21).normal(size=(4096, 24, 1))
         mib = 2 ** 20
@@ -294,7 +296,7 @@ class TestEvalRetainsNothing:
         try:
             before, _ = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
-            out = predict_batches(model, x)
+            out = predict_batches(model, x, batch_size=4096)
             after, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
