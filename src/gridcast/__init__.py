@@ -30,11 +30,14 @@ finally:
 del _choose_threads
 
 from gridcast.types import (  # noqa: F401
+    SEASONS,
     MergedFrame,
-    MeterRecord,
+    MeterRecords,
     Season,
-    TimePoint,
     WeatherDay,
-    season_of,
+    format_timestamps,
+    parse_timestamps,
+    season_codes,
+    slot_index,
     time_decimal,
 )

@@ -23,11 +23,12 @@ from gridcast.errors import (
     ZeroVarianceError,
 )
 from gridcast.types import (
+    SEASONS,
     SLOTS_PER_DAY,
     WEATHER_FIELDS,
     MergedFrame,
     Season,
-    season_of,
+    season_codes,
 )
 
 METRIC_NAMES = ("rmse", "mae", "r2")
@@ -120,20 +121,20 @@ def compute_metrics(pred, actual, units: str = "watts") -> MetricSet:
 
 def stratify_by_season(pred, actual, times, units: str = "watts"
                        ) -> dict[Season, MetricSet]:
-    """Partition pairs by the season of their TimePoint and score each.
+    """Partition pairs by the season of their slot index and score each.
 
     Empty strata are omitted; present strata always partition the input,
     so the per-season counts sum to the total pair count.
     """
     p, a = _paired(pred, actual)
-    times = tuple(times)
-    if len(times) != a.size:
+    times = np.asarray(times, dtype=np.int64).ravel()
+    if times.size != a.size:
         raise LengthMismatchError(
-            f"{a.size} pairs but {len(times)} timestamps")
-    seasons = np.array([season_of(t).value for t in times])
+            f"{a.size} pairs but {times.size} timestamps")
+    codes = season_codes(times)
     out: dict[Season, MetricSet] = {}
-    for season in Season:
-        mask = seasons == season.value
+    for code, season in enumerate(SEASONS):
+        mask = codes == code
         if mask.any():
             out[season] = compute_metrics(p[mask], a[mask], units=units)
     return out
@@ -144,23 +145,27 @@ def diurnal_profile(frame: MergedFrame, statistic: str = "median"
     """Per-season typical day: one value per 5-minute slot.
 
     Returns a 288-long array per season present in the frame; slots a
-    season never observes hold NaN.
+    season never observes hold NaN.  Each slot's values are reduced in
+    frame order.
     """
     if statistic not in ("median", "mean"):
         raise ValueError(f"statistic must be median or mean, got {statistic!r}")
     reduce = np.median if statistic == "median" else np.mean
-    slots = np.array([t.slot for t in frame.times])
-    seasons = np.array([season_of(t).value for t in frame.times])
+    slots = frame.times % SLOTS_PER_DAY
+    codes = season_codes(frame.times)
     out: dict[Season, np.ndarray] = {}
-    for season in Season:
-        season_mask = seasons == season.value
+    for code, season in enumerate(SEASONS):
+        season_mask = codes == code
         if not season_mask.any():
             continue
         profile = np.full(SLOTS_PER_DAY, np.nan)
         season_slots = slots[season_mask]
-        season_values = frame.consumption[season_mask]
-        for slot in np.unique(season_slots):
-            profile[slot] = reduce(season_values[season_slots == slot])
+        # A stable sort groups each slot's values and keeps their order.
+        order = np.argsort(season_slots, kind="stable")
+        present, starts = np.unique(season_slots[order], return_index=True)
+        groups = np.split(frame.consumption[season_mask][order], starts[1:])
+        for slot, values in zip(present, groups):
+            profile[slot] = reduce(values)
         out[season] = profile
     return out
 

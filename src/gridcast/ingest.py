@@ -4,6 +4,10 @@ Parsers are forgiving row by row but strict about structure: a missing
 column or an empty file is an error, while individual bad rows are
 dropped and counted so callers can assert exactly what was discarded.
 
+Meter streams are columnar: a parse returns one MeterRecords, an int64
+array of slot indices (see gridcast.types) beside a float64 array of
+watts, and merging and frame building work on those arrays whole.
+
 File schemas (UTF-8, LF or CRLF, header row required):
 
 * meter:   ``timestamp,watts`` with timestamps like ``2023-03-01 00:05``
@@ -16,9 +20,9 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
-import math
 import re
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -35,14 +39,17 @@ from gridcast.errors import (
     NoOverlapError,
 )
 from gridcast.types import (
+    BAD_TIME,
+    SLOTS_PER_DAY,
     TIMESTAMP_FORMAT,
     WEATHER_CSV_COLUMNS,
     WEATHER_FIELDS,
     MergedFrame,
-    MeterRecord,
-    TimePoint,
+    MeterRecords,
     WeatherDay,
     build_merged_frame,
+    format_timestamps,
+    parse_timestamps,
     weather_value_ok,
 )
 
@@ -150,7 +157,7 @@ class WeatherDrops:
 
 @dataclass(frozen=True)
 class MeterParseResult:
-    records: tuple[MeterRecord, ...]
+    records: MeterRecords
     drops: MeterDrops
 
 
@@ -169,7 +176,7 @@ class WeatherDirResult:
 
 @dataclass(frozen=True)
 class MergeResult:
-    records: tuple[MeterRecord, ...]
+    records: MeterRecords
     grid_only: int
     solar_only: int
 
@@ -194,51 +201,80 @@ def _read_csv_rows(path, required_columns: Sequence[str]) -> list[dict]:
     return rows
 
 
+def _column_index(header: list[str], name: str) -> int:
+    """Position of a column; a repeated name means its last copy, as a
+    csv.DictReader row would map it."""
+    return len(header) - 1 - header[::-1].index(name)
+
+
+def _meter_columns(spec: MeterCsvSpec) -> tuple[list[str], list[str]]:
+    """Stripped timestamp and watts texts of every data row.
+
+    Follows csv.DictReader: blank lines are no rows, and a cell missing
+    from a short row reads as empty.
+    """
+    with open(spec.path, newline="", encoding="utf-8-sig") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None:
+            raise EmptyFileError(f"{spec.path}: no header row")
+        required = [spec.timestamp_column, spec.watts_column]
+        missing = [c for c in required if c not in header]
+        if missing:
+            raise MissingColumnError(f"{spec.path}: missing column(s) {missing}")
+        columns = [_column_index(header, c) for c in required]
+        rows = list(filter(None, reader))
+    if not rows:
+        raise EmptyFileError(f"{spec.path}: header but no data rows")
+    width = max(columns) + 1
+    if min(map(len, rows)) < width:
+        rows = [row + [""] * (width - len(row)) for row in rows]
+    ts_texts, watts_texts = (list(map(str.strip, map(itemgetter(c), rows)))
+                             for c in columns)
+    return ts_texts, watts_texts
+
+
+def _parse_watts(texts: list[str]) -> np.ndarray:
+    """float() of each text; NaN where float() refuses it."""
+    watts = np.empty(len(texts), dtype=np.float64)
+    for i, text in enumerate(texts):
+        try:
+            watts[i] = float(text)
+        except ValueError:
+            watts[i] = np.nan
+    return watts
+
+
 def parse_meter_csv(spec: MeterCsvSpec) -> MeterParseResult:
     """Read one meter stream; returns records sorted by time plus drops.
 
     Rows with unreadable timestamps or watts are dropped and counted; a
     repeated timestamp keeps its first row.  If over half the rows have
     unreadable timestamps the format string is presumed wrong and the
-    whole parse fails instead of silently discarding the file.
+    whole parse fails instead of silently discarding the file.  Each
+    row feeds at most one counter, checked in the order bad timestamp,
+    blank or non-finite watts, negative watts, duplicate.
     """
-    rows = _read_csv_rows(spec.path, [spec.timestamp_column, spec.watts_column])
-    bad_ts = blank = negative = duplicates = 0
-    seen: set[TimePoint] = set()
-    records: list[MeterRecord] = []
-    for row in rows:
-        ts_text = (row.get(spec.timestamp_column) or "").strip()
-        try:
-            t = TimePoint.parse(ts_text, spec.timestamp_format)
-        except ValueError:
-            bad_ts += 1
-            continue
-        watts_text = (row.get(spec.watts_column) or "").strip()
-        try:
-            watts = float(watts_text)
-        except ValueError:
-            blank += 1
-            continue
-        if not math.isfinite(watts):
-            blank += 1
-            continue
-        if watts < 0 and spec.kind != "grid":
-            negative += 1
-            continue
-        if t in seen:
-            duplicates += 1
-            continue
-        seen.add(t)
-        records.append(MeterRecord(t, watts))
-    if bad_ts > len(rows) / 2:
+    ts_texts, watts_texts = _meter_columns(spec)
+    times = parse_timestamps(ts_texts, spec.timestamp_format)
+    watts = _parse_watts(watts_texts)
+    readable = times != BAD_TIME
+    bad_ts = len(times) - int(readable.sum())
+    if bad_ts > len(times) / 2:
         raise MalformedTimestampError(
-            f"{spec.path}: {bad_ts} of {len(rows)} timestamps unreadable; "
+            f"{spec.path}: {bad_ts} of {len(times)} timestamps unreadable; "
             f"is the format string {spec.timestamp_format!r} right?")
-    records.sort(key=lambda r: r.t)
+    finite = readable & np.isfinite(watts)
+    negative = finite & (watts < 0) & (spec.kind != "grid")
+    kept = np.flatnonzero(finite & ~negative)
+    # np.unique sorts and, with return_index, points at first occurrences.
+    unique_times, first = np.unique(times[kept], return_index=True)
     return MeterParseResult(
-        records=tuple(records),
-        drops=MeterDrops(bad_timestamps=bad_ts, blank_watts=blank,
-                         negative_watts=negative, duplicates=duplicates),
+        records=MeterRecords(unique_times, watts[kept[first]]),
+        drops=MeterDrops(bad_timestamps=bad_ts,
+                         blank_watts=int(readable.sum() - finite.sum()),
+                         negative_watts=int(negative.sum()),
+                         duplicates=len(kept) - len(unique_times)),
     )
 
 
@@ -377,73 +413,61 @@ def interpolate_weather(days: Iterable[WeatherDay]) -> tuple[WeatherDay, ...]:
     )
 
 
-def _require_sorted_records(records: Sequence[MeterRecord], label: str) -> None:
-    for prev, cur in zip(records, records[1:]):
-        if not prev.t < cur.t:
-            raise ValueError(
-                f"{label} records must be strictly sorted by time; "
-                f"{cur.t.isoformat()} follows {prev.t.isoformat()}")
+def _require_sorted_records(records: MeterRecords, label: str) -> None:
+    unordered = np.flatnonzero(np.diff(records.times) <= 0)
+    if unordered.size:
+        i = int(unordered[0])
+        cur, prev = format_timestamps(records.times[[i + 1, i]])
+        raise ValueError(
+            f"{label} records must be strictly sorted by time; "
+            f"{cur} follows {prev}")
 
 
-def merge_solar(grid: Sequence[MeterRecord],
-                solar: Sequence[MeterRecord]) -> MergeResult:
+def merge_solar(grid: MeterRecords, solar: MeterRecords) -> MergeResult:
     """Add generation back onto net grid draw, per matching timestamp.
 
     Total consumption = grid watts + solar watts.  Timestamps present in
     only one stream are dropped and counted per side; an empty
     intersection is an error.
     """
-    grid = tuple(grid)
-    solar = tuple(solar)
     _require_sorted_records(grid, "grid")
     _require_sorted_records(solar, "solar")
-    solar_by_time = {rec.t: rec.watts for rec in solar}
-    merged: list[MeterRecord] = []
-    grid_only = 0
-    for rec in grid:
-        solar_watts = solar_by_time.get(rec.t)
-        if solar_watts is None:
-            grid_only += 1
-            continue
-        merged.append(MeterRecord(rec.t, rec.watts + solar_watts))
-    if not merged:
+    times, in_grid, in_solar = np.intersect1d(
+        grid.times, solar.times, assume_unique=True, return_indices=True)
+    if not len(times):
         raise EmptyIntersectionError(
             "grid and solar streams share no timestamps")
-    return MergeResult(records=tuple(merged), grid_only=grid_only,
+    merged = MeterRecords(times, grid.watts[in_grid] + solar.watts[in_solar])
+    return MergeResult(records=merged, grid_only=len(grid) - len(merged),
                        solar_only=len(solar) - len(merged))
 
 
-def build_frame(meter: Sequence[MeterRecord],
+def build_frame(meter: MeterRecords,
                 weather: Sequence[WeatherDay]) -> FrameResult:
     """Broadcast each day's weather onto its 5-minute meter rows.
 
     Meter rows on dates with no weather are dropped and counted; if
     nothing remains the date ranges are disjoint and that is an error.
-    Weather must already be fully interpolated.
+    Weather must already be fully interpolated; should a date repeat,
+    its last day wins.
     """
-    meter = tuple(meter)
-    if not meter:
+    if not len(meter):
         raise EmptyInputError("no meter records")
     for day in weather:
         if not day.is_complete():
             raise ValueError(
                 f"weather for {day.date} still has missing fields "
                 f"{day.missing_fields()}; interpolate first")
-    by_date = {day.date: day for day in weather}
-    times: list[TimePoint] = []
-    consumption: list[float] = []
-    weather_rows: list[tuple[float, ...]] = []
-    dropped = 0
-    for rec in meter:
-        day = by_date.get(rec.t.date)
-        if day is None:
-            dropped += 1
-            continue
-        times.append(rec.t)
-        consumption.append(rec.watts)
-        weather_rows.append(day.field_values())
-    if not times:
+    by_date = {day.date.toordinal(): day.field_values() for day in weather}
+    ordinals = np.array(sorted(by_date), dtype=np.int64)
+    meter_days = meter.times // SLOTS_PER_DAY
+    covered = np.isin(meter_days, ordinals)
+    if not covered.any():
         raise NoOverlapError("no meter dates fall inside the weather range")
-    frame = build_merged_frame(times, consumption, weather_rows)
+    table = np.array([by_date[o] for o in ordinals.tolist()], dtype=np.float64)
+    rows = np.searchsorted(ordinals, meter_days[covered])
+    frame = build_merged_frame(meter.times[covered], meter.watts[covered],
+                               table[rows])
     frame.validate()
-    return FrameResult(frame=frame, dropped_no_weather=dropped)
+    return FrameResult(frame=frame,
+                       dropped_no_weather=len(meter) - int(covered.sum()))

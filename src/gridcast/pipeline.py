@@ -9,6 +9,8 @@ Artifacts land in one directory per run:
 
     config_resolved.json        the fully-defaulted config, echoed back
     report.json / report.csv    metric cells for every model and season
+    run.json                    what differs between identical runs: when
+                                the run was made
     correlation.csv             weather/consumption correlation matrix
     diurnal.csv                 per-season median daily profile
     scalers.json                train-fitted feature and target scalers
@@ -71,7 +73,7 @@ from gridcast.preprocess import (
     transform,
 )
 from gridcast.synth import generate
-from gridcast.types import MergedFrame
+from gridcast.types import MergedFrame, format_timestamps
 
 
 @dataclass(frozen=True)
@@ -217,7 +219,7 @@ def run_experiment(config: ExperimentConfig,
     # --- evaluate ------------------------------------------------------------
     try:
         actual = y[targets]
-        target_times = [frame.times[int(j)] for j in targets]
+        target_times = frame.times[targets]
         cells = []
         for name in config.models:
             pred = predictions[name]
@@ -234,7 +236,6 @@ def run_experiment(config: ExperimentConfig,
             "config": to_flat_dict(config),
             "config_hash": config_hash(config),
             "seed": config.seed,
-            "created": dt.datetime.now(dt.timezone.utc).isoformat(),
             "rows": n,
             "train_rows": boundary,
             "test_rows": n - boundary,
@@ -250,6 +251,10 @@ def run_experiment(config: ExperimentConfig,
     try:
         out.mkdir(parents=True, exist_ok=True)
         save_config(config, out / "config_resolved.json")
+        run_info = {"created": dt.datetime.now(dt.timezone.utc).isoformat()}
+        (out / "run.json").write_text(
+            json.dumps(run_info, indent=2, sort_keys=True) + "\n",
+            encoding="utf-8")
         write_report_json(report, out / "report.json")
         write_report_csv(report, out / "report.csv")
         write_correlation_csv(correlation_matrix(frame), out / "correlation.csv")
@@ -261,13 +266,15 @@ def run_experiment(config: ExperimentConfig,
             encoding="utf-8")
         predictions_dir = out / "predictions"
         predictions_dir.mkdir(exist_ok=True)
+        # Every file shares its timestamp and actual columns.
+        prefixes = list(map("{},{!r},".format,
+                            format_timestamps(target_times), actual.tolist()))
         for name, pred in predictions.items():
             with open(predictions_dir / f"{name}.csv", "w",
                       encoding="utf-8", newline="") as handle:
                 handle.write("timestamp,actual,predicted\n")
-                for t, a, p in zip(target_times, actual, pred):
-                    handle.write(
-                        f"{t.isoformat()},{float(a)!r},{float(p)!r}\n")
+                handle.writelines(map("{}{!r}\n".format, prefixes,
+                                      pred.tolist()))
         if trained:
             models_dir = out / "models"
             models_dir.mkdir(exist_ok=True)

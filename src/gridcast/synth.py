@@ -38,8 +38,8 @@ from gridcast.types import (
     SLOTS_PER_DAY,
     WEATHER_CSV_COLUMNS,
     MergedFrame,
-    TimePoint,
     build_merged_frame,
+    format_timestamps,
 )
 
 _DAYS_PER_YEAR = 365.25
@@ -251,8 +251,7 @@ def generate(config: SynthConfig) -> tuple[MergedFrame, SynthTruth]:
     total = np.maximum(config.floor_w, raw + selfuse)
     grid = total - generation
 
-    times = [TimePoint(date, slot // 12, (slot % 12) * 5)
-             for date in dates for slot in range(SLOTS_PER_DAY)]
+    times = config.start_date.toordinal() * SLOTS_PER_DAY + np.arange(n)
     weather_rows = np.repeat(weather_daily, SLOTS_PER_DAY, axis=0)
     frame = build_merged_frame(times, total, weather_rows)
     frame.validate()
@@ -307,21 +306,21 @@ def write_csvs(frame: MergedFrame, truth: SynthTruth, out_dir) -> WrittenFiles:
         specs = [("grid.csv", truth.grid), ("solar.csv", truth.generation)]
     else:
         specs = [("meter.csv", truth.total)]
+    stamps = format_timestamps(frame.times)
     for name, series in specs:
         path = out_dir / name
         with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write("timestamp,watts\n")
-            for t, watts in zip(frame.times, series):
-                handle.write(f"{t.isoformat()},{float(watts)!r}\n")
+            handle.writelines(map("{},{!r}\n".format, stamps, series.tolist()))
         meter_paths.append(path)
 
     header = "date," + ",".join(WEATHER_CSV_COLUMNS)
     by_month: dict[str, list[str]] = {}
     for index in range(0, len(frame.times), SLOTS_PER_DAY):
-        t = frame.times[index]
+        date = dt.date.fromordinal(int(frame.times[index]) // SLOTS_PER_DAY)
         row = frame.weather[index]
-        line = t.date.isoformat() + "," + ",".join(repr(float(v)) for v in row)
-        by_month.setdefault(t.date.strftime("%Y%m"), []).append(line)
+        line = date.isoformat() + "," + ",".join(repr(float(v)) for v in row)
+        by_month.setdefault(date.strftime("%Y%m"), []).append(line)
     weather_paths = []
     for label in sorted(by_month):
         path = weather_dir / f"{label}.csv"

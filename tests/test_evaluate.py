@@ -32,11 +32,11 @@ from gridcast.evaluate import (
     write_report_csv,
     write_report_json,
 )
-from gridcast.types import Season, TimePoint, build_merged_frame
+from gridcast.types import SLOTS_PER_DAY, Season, build_merged_frame, slot_index
 
 
 def day_of_times(date, n=288):
-    return [TimePoint(date, slot // 12, (slot % 12) * 5) for slot in range(n)]
+    return [slot_index(date) + slot for slot in range(n)]
 
 
 class TestRmse:
@@ -165,7 +165,7 @@ class TestComputeMetrics:
 
 class TestStratifyBySeason:
     def test_single_month_yields_single_stratum(self):
-        times = [TimePoint(dt.date(2024, 1, d), 10, 0) for d in range(1, 11)]
+        times = [slot_index(dt.date(2024, 1, d), 10, 0) for d in range(1, 11)]
         rng = np.random.default_rng(5)
         actual = rng.uniform(100, 500, size=10)
         pred = actual + rng.normal(size=10)
@@ -176,7 +176,7 @@ class TestStratifyBySeason:
     def test_counts_partition_total(self):
         times = []
         for month in (1, 4, 7, 10, 12):
-            times += [TimePoint(dt.date(2023, month, d), 0, 0) for d in range(1, 8)]
+            times += [slot_index(dt.date(2023, month, d), 0, 0) for d in range(1, 8)]
         rng = np.random.default_rng(6)
         actual = rng.uniform(size=len(times))
         pred = rng.uniform(size=len(times))
@@ -185,8 +185,8 @@ class TestStratifyBySeason:
         assert set(strata) == set(Season)
 
     def test_per_stratum_rmse_matches_filter_oracle(self):
-        times = [TimePoint(dt.date(2023, 3, 1), 0, 0)] * 4 + \
-                [TimePoint(dt.date(2023, 7, 1), 0, 0)] * 3
+        times = [slot_index(dt.date(2023, 3, 1), 0, 0)] * 4 + \
+                [slot_index(dt.date(2023, 7, 1), 0, 0)] * 3
         actual = np.array([1.0, 2.0, 3.0, 4.0, 10.0, 20.0, 30.0])
         pred = actual + np.array([1.0, -1.0, 1.0, -1.0, 2.0, 2.0, -2.0])
         strata = stratify_by_season(pred, actual, times)
@@ -219,14 +219,15 @@ class TestDiurnalProfile:
         peak_slot = 100
         frame = self.frame_for(
             [dt.date(2023, 6, d) for d in (1, 2, 3)],
-            lambda t: 2000.0 if t.slot == peak_slot else 200.0)
+            lambda t: 2000.0 if t % SLOTS_PER_DAY == peak_slot else 200.0)
         profiles = diurnal_profile(frame)
         assert int(np.argmax(profiles[Season.JJA])) == peak_slot
 
     def test_median_resists_one_outlier_day(self):
         # 3 calm days and 1 day with a spike at slot 10: median stays calm.
         def load(t):
-            return 5000.0 if (t.date.day == 4 and t.slot == 10) else 100.0
+            day = dt.date.fromordinal(t // SLOTS_PER_DAY).day
+            return 5000.0 if (day == 4 and t % SLOTS_PER_DAY == 10) else 100.0
         frame = self.frame_for([dt.date(2023, 6, d) for d in (1, 2, 3, 4)], load)
         profiles = diurnal_profile(frame, statistic="median")
         assert profiles[Season.JJA][10] == pytest.approx(100.0)
@@ -246,6 +247,58 @@ class TestDiurnalProfile:
         frame = self.frame_for([dt.date(2023, 6, 1)], lambda t: 1.0)
         with pytest.raises(ValueError):
             diurnal_profile(frame, statistic="mode")
+
+
+class TestSeasonalReference:
+    """stratify_by_season and diurnal_profile against per-row loops."""
+
+    MONTH_SEASON = {12: Season.DJF, 1: Season.DJF, 2: Season.DJF,
+                    3: Season.MAM, 4: Season.MAM, 5: Season.MAM,
+                    6: Season.JJA, 7: Season.JJA, 8: Season.JJA,
+                    9: Season.SON, 10: Season.SON, 11: Season.SON}
+
+    def season(self, t):
+        return self.MONTH_SEASON[dt.date.fromordinal(int(t) // SLOTS_PER_DAY).month]
+
+    def frame(self):
+        # 15 months from late November, with a random tenth of the rows
+        # missing, so some slots of some seasons hold fewer values.
+        rng = np.random.default_rng(21)
+        start = slot_index(dt.date(2023, 11, 20))
+        times = start + np.arange(460 * SLOTS_PER_DAY)
+        times = times[rng.random(times.size) > 0.1]
+        cons = rng.gamma(2.0, 300.0, size=times.size)
+        weather = np.tile([20.0, 0.0, 15.0, 60.0, 19.0, 50.0], (times.size, 1))
+        return build_merged_frame(times, cons, weather)
+
+    @pytest.mark.parametrize("statistic", ["median", "mean"])
+    def test_diurnal_profile(self, statistic):
+        frame = self.frame()
+        reduce = np.median if statistic == "median" else np.mean
+        groups = {}
+        for t, value in zip(frame.times.tolist(), frame.consumption.tolist()):
+            key = (self.season(t), t % SLOTS_PER_DAY)
+            groups.setdefault(key, []).append(value)
+        expected = {}
+        for (season, slot), values in groups.items():
+            profile = expected.setdefault(season, np.full(SLOTS_PER_DAY, np.nan))
+            profile[slot] = reduce(np.array(values))
+        got = diurnal_profile(frame, statistic=statistic)
+        assert list(got) == [s for s in Season if s in expected]
+        for season, profile in expected.items():
+            assert np.array_equal(got[season], profile, equal_nan=True)
+
+    def test_stratify_by_season(self):
+        frame = self.frame()
+        rng = np.random.default_rng(22)
+        actual = frame.consumption
+        pred = actual + rng.normal(0.0, 50.0, size=actual.size)
+        seasons = [self.season(t) for t in frame.times.tolist()]
+        expected = {}
+        for season in Season:
+            rows = [i for i, s in enumerate(seasons) if s is season]
+            expected[season] = compute_metrics(pred[rows], actual[rows])
+        assert stratify_by_season(pred, actual, frame.times) == expected
 
 
 class TestCorrelationMatrix:

@@ -24,7 +24,7 @@ from gridcast.ingest import (
     parse_meter_csv,
     parse_weather_csv,
 )
-from gridcast.types import MeterRecord, TimePoint, WeatherDay
+from gridcast.types import MeterRecords, WeatherDay, format_timestamps, slot_index
 
 WEATHER_HEADER = ("date,max_temp_c,rainfall_mm,temp_9am_c,rh_9am_pct,"
                   "temp_3pm_c,rh_3pm_pct")
@@ -54,8 +54,8 @@ class TestParseMeterCsv:
         result = parse_meter_csv(MeterCsvSpec(path))
         assert len(result.records) == 3
         assert result.drops.total == 0
-        assert result.records[1].watts == 410.5
-        assert result.records[0].t == TimePoint(dt.date(2023, 3, 1), 0, 0)
+        assert result.records.watts[1] == 410.5
+        assert result.records.times[0] == slot_index(dt.date(2023, 3, 1), 0, 0)
 
     def test_blank_watts_dropped_and_counted(self, tmp_path):
         rows = [f"2023-03-01 {h:02d}:{m:02d},500"
@@ -73,7 +73,7 @@ class TestParseMeterCsv:
         path = write_meter(tmp_path / "m.csv",
                            [f"{s},100" for s in shuffled])
         result = parse_meter_csv(MeterCsvSpec(path))
-        got = [r.t.isoformat() for r in result.records]
+        got = format_timestamps(result.records.times)
         assert got == sorted(stamps)
 
     def test_duplicate_timestamp_keeps_first(self, tmp_path):
@@ -83,7 +83,7 @@ class TestParseMeterCsv:
             "2023-03-01 00:05,333",
         ])
         result = parse_meter_csv(MeterCsvSpec(path))
-        assert [r.watts for r in result.records] == [111.0, 333.0]
+        assert result.records.watts.tolist() == [111.0, 333.0]
         assert result.drops.duplicates == 1
 
     def test_minority_bad_timestamps_dropped(self, tmp_path):
@@ -135,11 +135,11 @@ class TestParseMeterCsv:
         rows = ["2023-03-01 12:00,-250", "2023-03-01 12:05,600"]
         path = write_meter(tmp_path / "m.csv", rows)
         grid = parse_meter_csv(MeterCsvSpec(path, kind="grid"))
-        assert [r.watts for r in grid.records] == [-250.0, 600.0]
+        assert grid.records.watts.tolist() == [-250.0, 600.0]
         assert grid.drops.negative_watts == 0
         for kind in ("plain", "solar"):
             result = parse_meter_csv(MeterCsvSpec(path, kind=kind))
-            assert [r.watts for r in result.records] == [600.0]
+            assert result.records.watts.tolist() == [600.0]
             assert result.drops.negative_watts == 1
 
     def test_non_finite_watts_dropped(self, tmp_path):
@@ -160,8 +160,8 @@ class TestParseMeterCsv:
                             watts_column="power_w",
                             timestamp_format="%d/%m/%Y %H:%M")
         result = parse_meter_csv(spec)
-        assert result.records[0].watts == 820.0
-        assert result.records[0].t.minute == 5
+        assert result.records.watts[0] == 820.0
+        assert result.records.times[0] == slot_index(dt.date(2023, 3, 1), 0, 5)
 
     def test_unknown_stream_kind_rejected(self, tmp_path):
         with pytest.raises(ValueError):
@@ -373,47 +373,54 @@ class TestInterpolateWeather:
 
 
 def record(day, hour, minute, watts):
-    return MeterRecord(TimePoint(dt.date(2023, 3, day), hour, minute), watts)
+    """One reading, as a (slot index, watts) pair."""
+    return slot_index(dt.date(2023, 3, day), hour, minute), watts
+
+
+def records(*readings):
+    """MeterRecords of (slot index, watts) pairs, in the order given."""
+    return MeterRecords([t for t, _ in readings], [w for _, w in readings])
 
 
 class TestMergeSolar:
     def test_export_case(self):
-        merged = merge_solar([record(1, 12, 0, -200.0)],
-                             [record(1, 12, 0, 1500.0)])
-        assert merged.records[0].watts == 1300.0
+        merged = merge_solar(records(record(1, 12, 0, -200.0)),
+                             records(record(1, 12, 0, 1500.0)))
+        assert merged.records.watts[0] == 1300.0
         assert merged.grid_only == 0 and merged.solar_only == 0
 
     def test_zero_solar_is_identity(self):
-        grid = [record(1, 2, m, 400.0 + m) for m in range(0, 30, 5)]
-        solar = [record(1, 2, m, 0.0) for m in range(0, 30, 5)]
+        grid = records(*[record(1, 2, m, 400.0 + m) for m in range(0, 30, 5)])
+        solar = records(*[record(1, 2, m, 0.0) for m in range(0, 30, 5)])
         merged = merge_solar(grid, solar)
-        assert [r.watts for r in merged.records] == [r.watts for r in grid]
+        assert merged.records.watts.tolist() == grid.watts.tolist()
 
     def test_one_sided_timestamps_counted(self):
-        grid = [record(1, 0, 0, 100.0), record(1, 0, 5, 110.0),
-                record(1, 0, 10, 120.0)]
-        solar = [record(1, 0, 5, 50.0), record(1, 0, 15, 60.0),
-                 record(1, 0, 20, 70.0)]
+        grid = records(record(1, 0, 0, 100.0), record(1, 0, 5, 110.0),
+                       record(1, 0, 10, 120.0))
+        solar = records(record(1, 0, 5, 50.0), record(1, 0, 15, 60.0),
+                        record(1, 0, 20, 70.0))
         merged = merge_solar(grid, solar)
         assert len(merged.records) == 1
-        assert merged.records[0].watts == 160.0
+        assert merged.records.watts[0] == 160.0
         assert merged.grid_only == 2
         assert merged.solar_only == 2
 
     def test_empty_intersection_raises(self):
         with pytest.raises(EmptyIntersectionError):
-            merge_solar([record(1, 0, 0, 1.0)], [record(2, 0, 0, 1.0)])
+            merge_solar(records(record(1, 0, 0, 1.0)),
+                        records(record(2, 0, 0, 1.0)))
 
     def test_watt_contributions_commute(self):
-        a = [record(1, 5, 0, 321.0)]
-        b = [record(1, 5, 0, 123.0)]
-        assert (merge_solar(a, b).records[0].watts
-                == merge_solar(b, a).records[0].watts)
+        a = records(record(1, 5, 0, 321.0))
+        b = records(record(1, 5, 0, 123.0))
+        assert (merge_solar(a, b).records.watts[0]
+                == merge_solar(b, a).records.watts[0])
 
     def test_unsorted_input_rejected(self):
-        out_of_order = [record(1, 0, 5, 1.0), record(1, 0, 0, 1.0)]
+        out_of_order = records(record(1, 0, 5, 1.0), record(1, 0, 0, 1.0))
         with pytest.raises(ValueError):
-            merge_solar(out_of_order, [record(1, 0, 0, 1.0)])
+            merge_solar(out_of_order, records(record(1, 0, 0, 1.0)))
 
 
 class TestBuildFrame:
@@ -423,8 +430,8 @@ class TestBuildFrame:
                           temp_3pm=22.0, rh_3pm=45.0)
 
     def test_weather_broadcast_to_all_day_rows(self):
-        meter = [MeterRecord(TimePoint(dt.date(2023, 3, 1), s // 12, (s % 12) * 5), 500.0)
-                 for s in range(288)]
+        meter = records(*[record(1, s // 12, (s % 12) * 5, 500.0)
+                          for s in range(288)])
         result = build_frame(meter, [self.complete_day(1)])
         assert len(result.frame.times) == 288
         assert result.dropped_no_weather == 0
@@ -432,21 +439,21 @@ class TestBuildFrame:
         assert np.unique(result.frame.weather, axis=0).shape[0] == 1
 
     def test_uncovered_dates_dropped_and_counted(self):
-        meter = [record(1, 10, 0, 100.0), record(1, 10, 5, 110.0),
-                 record(2, 10, 0, 120.0)]
+        meter = records(record(1, 10, 0, 100.0), record(1, 10, 5, 110.0),
+                        record(2, 10, 0, 120.0))
         result = build_frame(meter, [self.complete_day(1)])
         assert len(result.frame.times) == 2
         assert result.dropped_no_weather == 1
 
     def test_disjoint_ranges_raise(self):
-        meter = [record(5, 0, 0, 100.0)]
+        meter = records(record(5, 0, 0, 100.0))
         with pytest.raises(NoOverlapError):
             build_frame(meter, [self.complete_day(1)])
         with pytest.raises(NoOverlapError):
             build_frame(meter, [])
 
     def test_row_count_bounded_by_meter_count(self):
-        meter = [record(1, 0, 0, 1.0), record(2, 0, 0, 2.0)]
+        meter = records(record(1, 0, 0, 1.0), record(2, 0, 0, 2.0))
         both = build_frame(meter, [self.complete_day(1), self.complete_day(2)])
         assert len(both.frame.times) == len(meter)
         one = build_frame(meter, [self.complete_day(1)])
@@ -455,15 +462,15 @@ class TestBuildFrame:
     def test_incomplete_weather_rejected(self):
         incomplete = WeatherDay(dt.date(2023, 3, 1), max_temp=20.0)
         with pytest.raises(ValueError):
-            build_frame([record(1, 0, 0, 1.0)], [incomplete])
+            build_frame(records(record(1, 0, 0, 1.0)), [incomplete])
 
     def test_empty_meter_rejected(self):
         with pytest.raises(EmptyInputError):
-            build_frame([], [self.complete_day(1)])
+            build_frame(records(), [self.complete_day(1)])
 
     def test_frame_passes_validator(self):
-        meter = [record(1, h, m, 200.0 + h)
-                 for h in range(3) for m in range(0, 60, 5)]
+        meter = records(*[record(1, h, m, 200.0 + h)
+                          for h in range(3) for m in range(0, 60, 5)])
         result = build_frame(meter, [self.complete_day(1)])
         result.frame.validate()  # raises on any invariant breach
         assert result.frame.time_decimal[13] == pytest.approx(1 + 5 / 60)

@@ -120,10 +120,20 @@ def test_report_metadata_provenance(tmp_path):
     assert meta["train_rows"] == int(0.8 * 8 * 288)
     assert meta["scored_targets"] == len(result.target_indices)
     assert len(meta["config_hash"]) == 64
-    assert "created" in meta
+    run_info = json.loads((tmp_path / "run.json").read_text(encoding="utf-8"))
+    assert "created" in run_info
     resolved = json.loads((tmp_path / "config_resolved.json").read_text(
         encoding="utf-8"))
     assert resolved == meta["config"]
+
+
+def test_repeat_run_writes_byte_identical_report_json(tmp_path):
+    config = small_config(tmp_path, models=["naive", "seasonal-naive"])
+    run_experiment(config, tmp_path / "a")
+    run_experiment(config, tmp_path / "b")
+    first = (tmp_path / "a" / "report.json").read_bytes()
+    assert first == (tmp_path / "b" / "report.json").read_bytes()
+    assert b"created" not in first
 
 
 def test_same_config_and_seed_reproduce_metrics_exactly(tmp_path):

@@ -25,7 +25,7 @@ from gridcast.preprocess import (
     save_scaler,
     transform,
 )
-from gridcast.types import TimePoint, build_merged_frame
+from gridcast.types import build_merged_frame, slot_index
 
 
 class TestScaler:
@@ -213,7 +213,7 @@ class TestFeatureMatrix:
         )
 
     def test_features_pair_weather_with_decimal_hour(self):
-        times = [TimePoint(dt.date(2023, 3, 1), 19, 15), TimePoint(dt.date(2023, 3, 1), 19, 20)]
+        times = [slot_index(dt.date(2023, 3, 1), 19, 15), slot_index(dt.date(2023, 3, 1), 19, 20)]
         weather = [[21.0, 0.0, 15.0, 70.0, 20.0, 50.0]] * 2
         frame = build_merged_frame(times, [400.0, 410.0], weather)
         fm = feature_matrix(frame)

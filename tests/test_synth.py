@@ -22,7 +22,7 @@ from gridcast.synth import (
     lag_autocorrelation,
     write_csvs,
 )
-from gridcast.types import SLOTS_PER_DAY
+from gridcast.types import SLOTS_PER_DAY, slot_index
 
 
 def quiet_config(**overrides):
@@ -42,9 +42,10 @@ def test_row_count_and_time_grid():
     assert frame.consumption.shape == (4 * SLOTS_PER_DAY,)
     assert frame.weather.shape == (4 * SLOTS_PER_DAY, 6)
     first, second = frame.times[0], frame.times[1]
-    assert (first.hour, first.minute) == (0, 0)
-    assert (second.hour, second.minute) == (0, 5)
-    assert frame.times[SLOTS_PER_DAY].date == first.date + dt.timedelta(days=1)
+    assert first == slot_index(SynthConfig().start_date, 0, 0)
+    assert second == slot_index(SynthConfig().start_date, 0, 5)
+    assert (frame.times[SLOTS_PER_DAY] // SLOTS_PER_DAY
+            == first // SLOTS_PER_DAY + 1)
 
 
 def test_weather_constant_within_each_day():
@@ -66,7 +67,7 @@ def test_same_seed_is_bit_identical():
     b_frame, b_truth = generate(SynthConfig(days=6, seed=42))
     assert np.array_equal(a_frame.consumption, b_frame.consumption)
     assert np.array_equal(a_frame.weather, b_frame.weather)
-    assert a_frame.times == b_frame.times
+    assert np.array_equal(a_frame.times, b_frame.times)
     assert np.array_equal(a_truth.spikes, b_truth.spikes)
     assert np.array_equal(a_truth.noise, b_truth.noise)
 
@@ -233,7 +234,7 @@ def test_solar_generation_shape():
     gen = truth.generation
     assert np.all(gen >= 0.0)
     assert gen.max() <= config.solar_capacity_w
-    hours = np.array([t.hour for t in frame.times])
+    hours = frame.times % SLOTS_PER_DAY // 12
     assert np.all(gen[hours < 5] == 0.0)
     assert np.all(gen[hours >= 20] == 0.0)
     assert gen[(hours >= 11) & (hours < 14)].mean() > 0.3 * config.solar_capacity_w
@@ -254,7 +255,7 @@ def test_solar_strengthens_temperature_correlation():
     frame, truth = generate(SynthConfig(solar=True))
     max_temp = frame.weather[:, 0]
     assert pearson(max_temp, truth.total) > pearson(max_temp, truth.grid)
-    hours = np.array([t.hour for t in frame.times])
+    hours = frame.times % SLOTS_PER_DAY // 12
     midday = (hours >= 10) & (hours < 15)
     assert (pearson(max_temp[midday], truth.total[midday])
             > pearson(max_temp[midday], truth.grid[midday]))
@@ -297,7 +298,7 @@ def test_csv_round_trip_plain(tmp_path):
     complete = interpolate_weather(loaded.days)
     rebuilt = build_frame(parsed.records, complete)
     assert rebuilt.dropped_no_weather == 0
-    assert rebuilt.frame.times == frame.times
+    assert np.array_equal(rebuilt.frame.times, frame.times)
     assert np.array_equal(rebuilt.frame.consumption, frame.consumption)
     assert np.array_equal(rebuilt.frame.weather, frame.weather)
 
@@ -309,7 +310,7 @@ def test_csv_round_trip_solar(tmp_path):
     grid = parse_meter_csv(MeterCsvSpec(path=files.meter[0], kind="grid"))
     solar = parse_meter_csv(MeterCsvSpec(path=files.meter[1], kind="solar"))
     assert grid.drops.total == 0 and solar.drops.total == 0
-    assert min(r.watts for r in grid.records) < 0.0
+    assert grid.records.watts.min() < 0.0
     merged = merge_solar(grid.records, solar.records)
     assert merged.grid_only == 0 and merged.solar_only == 0
     complete = interpolate_weather(load_weather_dir(tmp_path / "weather").days)

@@ -1,24 +1,34 @@
-"""Tests for the core vocabulary: time points, seasons, records, frames."""
+"""Tests for the core vocabulary: slot indices, seasons, meter records,
+frames."""
 import datetime as dt
 
 import numpy as np
 import pytest
 
 from gridcast.types import (
+    BAD_TIME,
     MERGED_CSV_COLUMNS,
+    SEASONS,
+    SLOTS_PER_DAY,
     MergedFrame,
-    MeterRecord,
+    MeterRecords,
     Season,
-    TimePoint,
     WeatherDay,
     build_merged_frame,
-    season_of,
+    format_timestamps,
+    parse_timestamps,
+    season_codes,
+    slot_index,
     time_decimal,
 )
 
 
 def tp(y, m, d, hh, mm):
-    return TimePoint(dt.date(y, m, d), hh, mm)
+    return slot_index(dt.date(y, m, d), hh, mm)
+
+
+def season_of(t):
+    return SEASONS[int(season_codes(np.array([t]))[0])]
 
 
 class TestTimePoint:
@@ -54,14 +64,15 @@ class TestTimePoint:
             assert ordered[i][0] == ordered[i + 1][0]
 
     def test_parse_round_trip(self):
-        t = TimePoint.parse("2023-03-01 19:15")
-        assert t == tp(2023, 3, 1, 19, 15)
-        assert t.isoformat() == "2023-03-01 19:15"
+        t = parse_timestamps(["2023-03-01 19:15"])
+        assert t.tolist() == [tp(2023, 3, 1, 19, 15)]
+        assert format_timestamps(t) == ["2023-03-01 19:15"]
 
     def test_slot_index(self):
-        assert tp(2023, 1, 1, 0, 0).slot == 0
-        assert tp(2023, 1, 1, 23, 55).slot == 287
-        assert tp(2023, 1, 1, 7, 30).slot == 90
+        assert tp(2023, 1, 1, 0, 0) % SLOTS_PER_DAY == 0
+        assert tp(2023, 1, 1, 23, 55) % SLOTS_PER_DAY == 287
+        assert tp(2023, 1, 1, 7, 30) % SLOTS_PER_DAY == 90
+        assert tp(2023, 1, 1, 7, 30) // SLOTS_PER_DAY == dt.date(2023, 1, 1).toordinal()
 
 
 class TestTimeDecimal:
@@ -71,9 +82,9 @@ class TestTimeDecimal:
         assert abs(time_decimal(tp(2023, 1, 1, 23, 55)) - 23.9167) < 1e-4
 
     def test_range_over_all_slots(self):
-        values = [
-            time_decimal(tp(2023, 1, 1, h, m)) for h in range(24) for m in range(0, 60, 5)
-        ]
+        values = time_decimal(
+            [tp(2023, 1, 1, h, m) for h in range(24) for m in range(0, 60, 5)]
+        ).tolist()
         assert min(values) == 0.0
         assert max(values) < 24.0
         assert values == sorted(values)
@@ -103,16 +114,16 @@ class TestSeason:
 
 class TestMeterRecord:
     def test_rejects_non_finite_watts(self):
-        t = tp(2023, 3, 1, 0, 0)
+        t = [tp(2023, 3, 1, 0, 0)]
         with pytest.raises(ValueError):
-            MeterRecord(t, float("nan"))
+            MeterRecords(t, [float("nan")])
         with pytest.raises(ValueError):
-            MeterRecord(t, float("inf"))
+            MeterRecords(t, [float("inf")])
 
     def test_negative_watts_representable(self):
-        # Net-grid streams may export; the record itself allows it.
-        r = MeterRecord(tp(2023, 3, 1, 12, 0), -200.0)
-        assert r.watts == -200.0
+        # Net-grid streams may export; the records themselves allow it.
+        r = MeterRecords([tp(2023, 3, 1, 12, 0)], [-200.0])
+        assert r.watts.tolist() == [-200.0]
 
 
 class TestWeatherDay:
@@ -136,8 +147,7 @@ class TestWeatherDay:
 
 
 def _small_frame(n=6):
-    start = dt.datetime(2023, 3, 1, 0, 0)
-    times = [TimePoint.from_datetime(start + dt.timedelta(minutes=5 * i)) for i in range(n)]
+    times = tp(2023, 3, 1, 0, 0) + np.arange(n)
     weather = [[21.0, 0.0, 15.0, 70.0, 20.0, 50.0]] * n
     return build_merged_frame(times, [400.0 + i for i in range(n)], weather)
 
@@ -148,17 +158,17 @@ class TestMergedFrame:
 
     def test_validate_rejects_unsorted_times(self):
         frame = _small_frame()
-        times = list(frame.times)
-        times[0], times[1] = times[1], times[0]
-        bad = MergedFrame(tuple(times), frame.consumption, frame.weather, frame.time_decimal)
+        times = frame.times.copy()
+        times[[0, 1]] = times[[1, 0]]
+        bad = MergedFrame(times, frame.consumption, frame.weather, frame.time_decimal)
         with pytest.raises(ValueError, match="strictly increasing"):
             bad.validate()
 
     def test_validate_rejects_duplicate_times(self):
         frame = _small_frame()
-        times = list(frame.times)
+        times = frame.times.copy()
         times[1] = times[0]
-        bad = MergedFrame(tuple(times), frame.consumption, frame.weather, frame.time_decimal)
+        bad = MergedFrame(times, frame.consumption, frame.weather, frame.time_decimal)
         with pytest.raises(ValueError, match="strictly increasing"):
             bad.validate()
 
@@ -193,7 +203,8 @@ class TestMergedFrame:
         path = tmp_path / "merged.csv"
         frame.to_csv(path)
         loaded = MergedFrame.from_csv(path)
-        assert loaded.times == frame.times
+        assert loaded.times.dtype == np.int64
+        assert np.array_equal(loaded.times, frame.times)
         assert np.array_equal(loaded.consumption, frame.consumption)
         assert np.array_equal(loaded.weather, frame.weather)
         assert np.array_equal(loaded.time_decimal, frame.time_decimal)
@@ -205,3 +216,45 @@ class TestMergedFrame:
         header = path.read_text().splitlines()[0]
         assert header == ",".join(MERGED_CSV_COLUMNS)
         assert header.split(",")[:2] == ["timestamp", "consumption_w"]
+
+
+def _boundary_slots():
+    """Every slot of the days around month, year and leap-day boundaries."""
+    days = []
+    for year in (1, 999, 1000, 1900, 1999, 2000, 2023, 2024, 2100, 9999):
+        for month in range(1, 13):
+            first = dt.date(year, month, 1)
+            days += [first, first + dt.timedelta(days=27)]
+            if first > dt.date.min:
+                days.append(first - dt.timedelta(days=1))
+        if year < 9999:
+            days.append(dt.date(year, 12, 31))
+    days += [dt.date(2024, 2, 29), dt.date(2000, 2, 29), dt.date(9999, 12, 31)]
+    return np.array(sorted({d.toordinal() * SLOTS_PER_DAY + s
+                            for d in days for s in range(SLOTS_PER_DAY)}))
+
+
+class TestFormatTimestamps:
+    def test_equals_strftime_across_boundaries(self):
+        times = _boundary_slots()
+        expected = [
+            (dt.datetime.combine(dt.date.fromordinal(int(t) // SLOTS_PER_DAY),
+                                 dt.time())
+             + dt.timedelta(minutes=5 * (int(t) % SLOTS_PER_DAY))
+             ).strftime("%Y-%m-%d %H:%M")
+            for t in times
+        ]
+        got = format_timestamps(times)
+        # strftime leaves years below 1000 unpadded on glibc; the formatter
+        # always writes four digits, so compare those years zero-padded.
+        assert got == [e if len(e) == 16 else e.zfill(16) for e in expected]
+        assert all(len(g) == 16 for g in got)
+
+    def test_parse_inverts_format(self):
+        times = _boundary_slots()
+        assert np.array_equal(parse_timestamps(format_timestamps(times)), times)
+
+    def test_unreadable_texts_are_marked(self):
+        texts = ["2023-02-29 10:00", "2023-03-01 10:03", "", "2023-03-01 10:05"]
+        assert parse_timestamps(texts).tolist() == [
+            BAD_TIME, BAD_TIME, BAD_TIME, tp(2023, 3, 1, 10, 5)]
