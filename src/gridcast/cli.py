@@ -36,7 +36,12 @@ from gridcast.config import (
     ExperimentConfig,
     load_config,
 )
-from gridcast.errors import GridcastError, InvalidConfigError
+from gridcast.errors import (
+    CorruptArtifactError,
+    GridcastError,
+    InvalidConfigError,
+    PipelineError,
+)
 from gridcast.evaluate import compute_metrics, read_report_json, write_report_csv
 from gridcast.ingest import (
     MeterCsvSpec,
@@ -178,40 +183,55 @@ def _cmd_report(args, config: ExperimentConfig, out: Path) -> int:
     return 0
 
 
+def _read_scalers(path: Path) -> dict:
+    """The stored scalers, by name, as written by the pipeline."""
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        return {key: scaler_from_dict(payload[key])
+                for key in ("features", "target")}
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CorruptArtifactError(f"cannot read scalers file {path}: {exc}") from exc
+
+
 def _cmd_evaluate(args, config: ExperimentConfig, out: Path) -> int:
     run_dir = Path(args.run_dir) if args.run_dir is not None else out
     frame = load_frame(config)
-    y = frame.consumption
-    align = alignment(config, len(y))
-    targets = align.targets
-    actual = y[targets]
     name = args.model
-    if name in ("naive", "seasonal-naive"):
-        spec = NAIVE if name == "naive" else SEASONAL_NAIVE
-        pairs = persistence_forecast(y, spec).tail_from(align.boundary
-                                                        + align.window)
-        predicted = pairs.predictions
-    else:
-        scaler_path = run_dir / "scalers.json"
-        model_path = run_dir / "models" / f"{name}.npz"
+    scaler_path = run_dir / "scalers.json"
+    model_path = run_dir / "models" / f"{name}.npz"
+    if name not in ("naive", "seasonal-naive"):
         for path in (scaler_path, model_path):
             if not path.exists():
                 raise InvalidConfigError(f"missing artifact: {path}")
-        payload = json.loads(scaler_path.read_text(encoding="utf-8"))
-        target_scaler = scaler_from_dict(payload["target"])
-        model, _ = load_model(model_path)
-        if name == "mlp":
-            feature_scaler = scaler_from_dict(payload["features"])
+        # Errors carry their stage label, as in run_experiment.
+        try:
+            scalers = _read_scalers(scaler_path)
+            model, _ = load_model(model_path)
+        except GridcastError as exc:
+            raise PipelineError(stage="load", cause=exc) from exc
+    try:
+        y = frame.consumption
+        align = alignment(config, len(y))
+        targets = align.targets
+        actual = y[targets]
+        if name in ("naive", "seasonal-naive"):
+            spec = NAIVE if name == "naive" else SEASONAL_NAIVE
+            pairs = persistence_forecast(y, spec).tail_from(align.boundary
+                                                            + align.window)
+            predicted = pairs.predictions
+        elif name == "mlp":
             features = feature_matrix(frame).features
             predicted = mlp_predict(model, features[targets],
-                                    feature_scaler, target_scaler)
+                                    scalers["features"], scalers["target"])
         else:
-            y_scaled = transform(y.reshape(-1, 1), target_scaler).ravel()
+            y_scaled = transform(y.reshape(-1, 1), scalers["target"]).ravel()
             windows = make_windows(y_scaled[align.boundary:], align.window)
             predicted = lstm_predict(
-                model, windows, target_scaler,
+                model, windows, scalers["target"],
                 spec=LstmSpec(window_length=align.window))
-    metrics = compute_metrics(predicted, actual, units="watts")
+        metrics = compute_metrics(predicted, actual, units="watts")
+    except GridcastError as exc:
+        raise PipelineError(stage="evaluate", cause=exc) from exc
     out.mkdir(parents=True, exist_ok=True)
     payload = {"model": name, "slice": "test",
                "metrics": {"rmse": metrics.rmse, "mae": metrics.mae,

@@ -83,6 +83,11 @@ class ZeroVarianceError(GridcastError):
     """A metric that divides by variance received a constant vector."""
 
 
+class CorruptArtifactError(GridcastError):
+    """A stored artifact (model, scalers or report) exists but cannot be
+    read; the message names the file."""
+
+
 class InvalidConfigError(GridcastError):
     """A configuration value is missing, unknown, or out of range."""
 

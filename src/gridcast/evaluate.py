@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from gridcast.errors import (
+    CorruptArtifactError,
     DimensionMismatchError,
     EmptyInputError,
     LengthMismatchError,
@@ -274,7 +275,13 @@ def write_report_json(report: EvalReport, path) -> None:
 
 
 def read_report_json(path) -> EvalReport:
-    return EvalReport.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    """Reload a report written by write_report_json; raises
+    CorruptArtifactError, naming the file, when it is not one."""
+    try:
+        return EvalReport.from_dict(
+            json.loads(Path(path).read_text(encoding="utf-8")))
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CorruptArtifactError(f"cannot read report {path}: {exc}") from exc
 
 
 def write_report_csv(report: EvalReport, path) -> None:

@@ -11,6 +11,15 @@ An eval-mode forward retains nothing: it drops any cache an earlier
 train-mode call left, so inference holds no per-step state and a
 backward() after it raises NoCachedForwardError.
 
+An eval-mode LSTM forward scores its rows in fixed ``EVAL_CHUNK``-row
+blocks, on up to two threads: the calling thread takes the even blocks
+and, when the process may run on at least two CPUs, one helper thread
+takes the odd ones. Each block is computed alone, with the same
+operations in the same order whichever thread runs it, so the bits do
+not depend on the number of workers or on the BLAS thread count. At
+most two blocks are in flight, each in a workspace the calling thread
+allocates.
+
 A layer computes in the dtype of its parameters (``dtype``, float64
 unless the builder asks otherwise): every buffer, mask and state it
 creates follows that dtype, and inputs are expected in it already
@@ -18,23 +27,46 @@ creates follows that dtype, and inputs are expected in it already
 """
 from __future__ import annotations
 
+import os
+import threading
+
 import numpy as np
 
 from gridcast.errors import NoCachedForwardError, ShapeMismatchError
 
 
-def sigmoid(z: np.ndarray) -> np.ndarray:
-    """Logistic function as 0.5 * tanh(z / 2) + 0.5.
+# Rows per eval-mode block, and the default chunk of every prediction
+# path. At 1,024 windows the LSTM's per-step arrays stay in cache: on one
+# BLAS thread the production LSTM scored 51,600 windows/s against 43,500
+# at 4,096 (2-core Xeon). The block size can change the last bits of a
+# prediction when the final block is only a few rows long, because
+# OpenBLAS computes small products with other kernels.
+EVAL_CHUNK = 1024
+
+
+def sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Logistic function as 0.5 * tanh(z / 2) + 0.5, written into ``out``
+    when one is given.
 
     The identity 1 / (1 + exp(-z)) = (1 + tanh(z / 2)) / 2 needs no
     branch on the sign of z, and tanh saturates at +-1 instead of
     overflowing, so the result stays in [0, 1] for any finite input.
     """
-    return 0.5 * np.tanh(0.5 * z) + 0.5
+    out = np.multiply(z, 0.5, out=out)
+    np.tanh(out, out=out)
+    np.multiply(out, 0.5, out=out)
+    return np.add(out, 0.5, out=out)
 
 
-def relu(z: np.ndarray) -> np.ndarray:
-    return np.maximum(z, 0.0)
+def relu(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    return np.maximum(z, 0.0, out=out)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def glorot_uniform(rng: np.random.Generator | None, shape: tuple[int, ...],
@@ -208,8 +240,8 @@ class LSTM:
     @property
     def b_o(self): return self._block(self.b, "o")
 
-    def _act(self, z):
-        return np.tanh(z) if self.activation == "tanh" else relu(z)
+    def _act(self, z, out=None):
+        return np.tanh(z, out=out) if self.activation == "tanh" else relu(z, out=out)
 
     def _act_grad_from(self, value, pre):
         # d act / d pre, expressed from whichever of (value, pre) is cheap.
@@ -255,16 +287,89 @@ class LSTM:
             raise ShapeMismatchError(
                 f"lstm layer expects (B, L, {self.n_in}), got {x.shape}"
             )
+        if not train:
+            self._cache = None
+            return self._forward_eval(x)
         batch, length, _ = x.shape
         h = np.zeros((batch, self.hidden), dtype=self.W.dtype)
         c = np.zeros_like(h)
         caches = []
         for t in range(length):
             h, c, cache = self._step(x[:, t, :], h, c)
-            if train:
-                caches.append(cache)
-        self._cache = (x.shape, caches) if train else None
+            caches.append(cache)
+        self._cache = (x.shape, caches)
         return h
+
+    def _workspace(self, rows: int) -> tuple[np.ndarray, ...]:
+        """Buffers for one thread's blocks: hx, z, c and the four gates."""
+        hsz, dtype = self.hidden, self.W.dtype
+        return (np.empty((rows, hsz + self.n_in), dtype=dtype),
+                np.empty((rows, 4 * hsz), dtype=dtype),
+                *(np.empty((rows, hsz), dtype=dtype) for _ in range(5)))
+
+    def _forward_eval(self, x: np.ndarray) -> np.ndarray:
+        """Final hidden states of an eval batch, scored block by block.
+
+        The helper thread gets its workspace from here, so it allocates
+        no array. It runs only _score_blocks: a tracer may wrap forward()
+        and is not thread-safe.
+        """
+        batch = x.shape[0]
+        out = np.zeros((batch, self.hidden), dtype=self.W.dtype)
+        starts = range(0, batch, EVAL_CHUNK)
+        rows = min(batch, EVAL_CHUNK)
+        if len(starts) < 2 or _usable_cpus() < 2:
+            self._score_blocks(x, out, starts, self._workspace(rows))
+            return out
+        spare = self._workspace(rows)
+        failures = []
+
+        def score_odd_blocks():
+            try:
+                self._score_blocks(x, out, starts[1::2], spare)
+            except Exception as exc:  # re-raised on the calling thread
+                failures.append(exc)
+
+        helper = threading.Thread(target=score_odd_blocks, daemon=True)
+        helper.start()
+        try:
+            self._score_blocks(x, out, starts[0::2], self._workspace(rows))
+        finally:
+            helper.join()
+        if failures:
+            raise failures[0]
+        return out
+
+    def _score_blocks(self, x, out, starts, workspace) -> None:
+        """Write the final hidden state of each block starting at one of
+        ``starts`` into ``out``.
+
+        The operations and their order are those of _step, so the bits
+        are too, but every result lands in ``workspace``: the loop
+        allocates no array.
+        """
+        hsz = self.hidden
+        length = x.shape[1]
+        w_t = self.W.T
+        for start in starts:
+            stop = min(start + EVAL_CHUNK, x.shape[0])
+            hx, z, c, f, i, g, o = (a[:stop - start] for a in workspace)
+            h = hx[:, :hsz]
+            h.fill(0.0)
+            c.fill(0.0)
+            for t in range(length):
+                hx[:, hsz:] = x[start:stop, t, :]
+                np.matmul(hx, w_t, out=z)
+                z += self.b
+                sigmoid(z[:, 0 * hsz:1 * hsz], out=f)
+                sigmoid(z[:, 1 * hsz:2 * hsz], out=i)
+                self._act(z[:, 2 * hsz:3 * hsz], out=g)
+                sigmoid(z[:, 3 * hsz:4 * hsz], out=o)
+                np.multiply(f, c, out=c)
+                np.multiply(i, g, out=g)
+                c += g
+                a = self._act(c, out=f)
+                np.multiply(o, a, out=out[start:stop] if t == length - 1 else h)
 
     def forward_sequence(self, seq: np.ndarray) -> np.ndarray:
         """Run a single (L, F) sequence; returns the final hidden (H,)."""

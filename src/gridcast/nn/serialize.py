@@ -9,10 +9,12 @@ one did (float32 for the production models, float64 for older files).
 from __future__ import annotations
 
 import json
+import zipfile
 from pathlib import Path
 
 import numpy as np
 
+from gridcast.errors import CorruptArtifactError, ShapeMismatchError
 from gridcast.nn.layers import LSTM, Dense, Dropout, Network
 
 
@@ -36,11 +38,19 @@ def _build_layer(entry: dict, dtype: np.dtype):
 
 
 def load_model(path: str | Path) -> tuple[Network, dict]:
-    """Rebuild a saved network; returns (model, metadata)."""
-    with np.load(path, allow_pickle=False) as archive:
-        payload = json.loads(str(archive["spec"]))
-        dtype = archive["param_0"].dtype if "param_0" in archive else np.float64
-        model = Network([_build_layer(e, dtype) for e in payload["layers"]])
-        weights = [archive[f"param_{i}"] for i in range(len(model.params()))]
-    model.set_weights(weights)
+    """Rebuild a saved network; returns (model, metadata).
+
+    Raises CorruptArtifactError, naming the file, when it is not a model
+    file in this format: truncated, not an archive, or missing entries.
+    """
+    try:
+        with np.load(path, allow_pickle=False) as archive:
+            payload = json.loads(str(archive["spec"]))
+            dtype = archive["param_0"].dtype if "param_0" in archive else np.float64
+            model = Network([_build_layer(e, dtype) for e in payload["layers"]])
+            weights = [archive[f"param_{i}"] for i in range(len(model.params()))]
+        model.set_weights(weights)
+    except (zipfile.BadZipFile, EOFError, ValueError, KeyError, TypeError,
+            ShapeMismatchError) as exc:
+        raise CorruptArtifactError(f"cannot read model file {path}: {exc}") from exc
     return model, payload.get("metadata", {})

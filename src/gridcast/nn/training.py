@@ -3,6 +3,9 @@
 Determinism contract: given the same model weights, data, config, and
 generator state, train() reproduces the same shuffles, the same dropout
 masks, and therefore bit-identical final parameters on one platform.
+predict_batches() scores fixed EVAL_CHUNK-row blocks, at most two in
+flight on up to two threads; its bits depend neither on the number of
+threads that ran nor on the BLAS thread count.
 """
 from __future__ import annotations
 
@@ -12,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from gridcast.errors import DivergedLossError, EmptyInputError, LengthMismatchError
+from gridcast.nn.layers import EVAL_CHUNK
 from gridcast.nn.losses import mse_loss
 from gridcast.nn.optim import Adam
 
@@ -87,23 +91,31 @@ def _param_dtype(model) -> np.dtype:
     return model.params()[0].dtype
 
 
-# Rows per eval-mode chunk, the default of every prediction path. At 1,024
-# windows the LSTM's per-step arrays stay in cache: on one BLAS thread the
-# production LSTM scored 51,600 windows/s against 43,500 at 4,096 (2-core
-# Xeon). The chunk size can change the last bits of a prediction when the
-# final chunk is only a few rows long, because OpenBLAS computes small
-# products with other kernels.
-EVAL_CHUNK = 1024
-
-
 def predict_batches(model, x: np.ndarray, batch_size: int = EVAL_CHUNK) -> np.ndarray:
     """Eval-mode forward pass in memory-bounded chunks, in the model's
-    parameter dtype."""
+    parameter dtype.
+
+    Each network call takes two chunks of ``batch_size`` rows, which an
+    LSTM scores on up to two threads (see ``LSTM.forward``). With the
+    default chunk every LSTM block then has the rows and matrix shapes
+    of one chunk, and a prediction has the bits that scoring each chunk
+    by its own call would give. The one exception is kept out: a last
+    chunk of one row gets its own call, because OpenBLAS computes a
+    one-row product with another kernel than a wider one. Raises
+    EmptyInputError on zero rows.
+    """
     x = np.asarray(x, dtype=_param_dtype(model))
-    outputs = [
-        model.forward(x[i:i + batch_size], train=False)
-        for i in range(0, x.shape[0], batch_size)
-    ]
+    n = x.shape[0]
+    if n == 0:
+        raise EmptyInputError("prediction input is empty")
+    outputs = []
+    start = 0
+    while start < n:
+        stop = min(start + 2 * batch_size, n)
+        if stop - start == batch_size + 1:
+            stop -= 1
+        outputs.append(model.forward(x[start:stop], train=False))
+        start = stop
     return np.concatenate(outputs, axis=0)
 
 

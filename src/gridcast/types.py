@@ -330,7 +330,10 @@ class MergedFrame:
     def to_csv(self, path: str | Path) -> None:
         """Write the frame with full float precision (repr round-trips).
 
-        Lines end in CRLF, as the csv module's default dialect writes them.
+        Lines end in CRLF, as the csv module's default dialect writes them;
+        this is the documented format of merged.csv, the only artifact
+        whose lines do not end in LF. A csv reader takes either; a reader
+        that splits lines on LF must strip the CR from the last column.
         """
         columns = [format_timestamps(self.times)]
         for values in (self.consumption, *self.weather.T, self.time_decimal):

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 import json
+import shutil
 import subprocess
 import sys
 
@@ -248,3 +249,49 @@ def test_default_config_literal(tmp_path, monkeypatch):
     monkeypatch.setenv("GRIDCAST_OUT", str(tmp_path / "o"))
     config_error = main(["report", "--config", "default"])
     assert config_error == 2  # nothing stored yet, flagged as usage
+
+@pytest.fixture(scope="module")
+def stored_lstm_run(tmp_path_factory):
+    """A finished lstm run, copied per test before it is damaged."""
+    root = tmp_path_factory.mktemp("stored")
+    config = write_config(root, **small_flat(root, models=["lstm"]))
+    assert main(["compare", "--config", str(config)]) == 0
+    return root / "out"
+
+
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[:100])
+
+
+def _garbage(path):
+    path.write_bytes(b"this is not a model archive\n" * 8)
+
+
+def _bad_json(path):
+    path.write_text('{"target": ', encoding="utf-8")
+
+
+@pytest.mark.parametrize("command, damaged, damage", [
+    ("evaluate", "models/lstm.npz", _truncate),
+    ("evaluate", "models/lstm.npz", _garbage),
+    ("evaluate", "scalers.json", _bad_json),
+    ("report", "report.json", _bad_json),
+], ids=["truncated-model", "garbage-model", "bad-scalers", "bad-report"])
+def test_corrupt_artifact_is_a_one_line_runtime_error(
+        tmp_path, stored_lstm_run, command, damaged, damage):
+    out = tmp_path / "out"
+    shutil.copytree(stored_lstm_run, out)
+    damage(out / damaged)
+    config = write_config(tmp_path, **small_flat(tmp_path, models=["lstm"]))
+    argv = [command, "--config", str(config)]
+    if command == "evaluate":
+        argv += ["--model", "lstm"]
+    done = subprocess.run([sys.executable, "-m", "gridcast.cli", *argv],
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 1
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and "Traceback" not in done.stderr
+    assert lines[0].startswith("gridcast: ")
+    assert str(out / damaged) in lines[0]
+    if command == "evaluate":
+        assert lines[0].startswith("gridcast: [load] ")

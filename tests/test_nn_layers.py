@@ -1,6 +1,8 @@
 """Layer-level tests: forward passes against brute-force oracles, cell
-arithmetic identities, dropout statistics, parameter counting, and the
-rule that an eval-mode forward retains nothing."""
+arithmetic identities, dropout statistics, parameter counting, the rule
+that an eval-mode forward retains nothing, and how the eval-mode LSTM
+shares its blocks with a helper thread."""
+import threading
 import tracemalloc
 
 import numpy as np
@@ -8,7 +10,9 @@ import pytest
 
 from gridcast.errors import NoCachedForwardError, ShapeMismatchError
 from gridcast.models import build_lstm
+from gridcast.nn import layers
 from gridcast.nn.layers import (
+    EVAL_CHUNK,
     LSTM,
     Dense,
     Dropout,
@@ -303,6 +307,85 @@ class TestEvalRetainsNothing:
         assert out.shape == (4096, 1)
         assert (peak - before) / mib < 64.0
         assert (after - before) / mib < 8.0
+
+
+class TestEvalBlocks:
+    """An eval-mode LSTM forward scores EVAL_CHUNK-row blocks, the odd
+    ones on one helper thread when two CPUs are usable."""
+
+    def record_threads(self, monkeypatch, methods):
+        """Patch each (class, name) to log the thread of every call."""
+        calls = []
+        for cls, name in methods:
+            def logged(*args, _inner=getattr(cls, name),
+                       _label=f"{cls.__name__}.{name}", **kwargs):
+                calls.append((_label, threading.get_ident()))
+                return _inner(*args, **kwargs)
+            monkeypatch.setattr(cls, name, logged)
+        return calls
+
+    def test_helper_runs_only_the_cell_loop(self, monkeypatch):
+        # A tracer wraps forward() and is not thread-safe: the helper may
+        # enter nothing but _score_blocks.
+        monkeypatch.setattr(layers, "_usable_cpus", lambda: 2)
+        calls = self.record_threads(monkeypatch, [
+            (LSTM, "forward"), (Dense, "forward"), (Dropout, "forward"),
+            (LSTM, "_score_blocks")])
+        model = build_lstm(rng=np.random.default_rng(22))
+        x = np.random.default_rng(23).normal(size=(3 * EVAL_CHUNK, 24, 1))
+        predict_batches(model, x)
+        main = threading.get_ident()
+        assert {t for label, t in calls if label != "LSTM._score_blocks"} == {main}
+        cell_threads = [t for label, t in calls if label == "LSTM._score_blocks"]
+        # Calls of 2 and 1 blocks: the helper takes one block of the first.
+        assert len(set(cell_threads)) == 2 and cell_threads.count(main) == 2
+
+    @pytest.mark.parametrize("cpus, rows", [(1, 3 * EVAL_CHUNK), (2, EVAL_CHUNK)],
+                             ids=["one-cpu", "one-block"])
+    def test_no_helper_without_two_cpus_and_two_blocks(self, monkeypatch,
+                                                       cpus, rows):
+        monkeypatch.setattr(layers, "_usable_cpus", lambda: cpus)
+        calls = self.record_threads(monkeypatch, [(LSTM, "_score_blocks")])
+        LSTM(1, 4, rng=np.random.default_rng(24)).forward(np.ones((rows, 3, 1)))
+        assert calls == [("LSTM._score_blocks", threading.get_ident())]
+
+    def test_helper_failure_is_raised_on_the_calling_thread(self, monkeypatch):
+        monkeypatch.setattr(layers, "_usable_cpus", lambda: 2)
+        main = threading.get_ident()
+        score = LSTM._score_blocks
+
+        def failing_off_main(self, *args):
+            if threading.get_ident() != main:
+                raise RuntimeError("helper failed")
+            return score(self, *args)
+
+        monkeypatch.setattr(LSTM, "_score_blocks", failing_off_main)
+        lstm = LSTM(1, 4, rng=np.random.default_rng(25))
+        with pytest.raises(RuntimeError, match="helper failed"):
+            lstm.forward(np.ones((EVAL_CHUNK + 1, 3, 1)))
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_cell_loop_allocates_no_array(self, activation):
+        # One (1,024, 50) float32 gate is 200 KiB. With the workspace given
+        # the loop allocates no such array; what remains is the 32 KiB
+        # buffer numpy's iterator takes for an operation on strided views.
+        lstm = LSTM(1, 50, activation, rng=np.random.default_rng(26),
+                    dtype=np.float32)
+        x = np.random.default_rng(27).normal(
+            size=(EVAL_CHUNK, 24, 1)).astype(np.float32)
+        out = np.zeros((EVAL_CHUNK, 50), dtype=np.float32)
+        workspace = lstm._workspace(EVAL_CHUNK)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            lstm._score_blocks(x, out, range(0, EVAL_CHUNK, EVAL_CHUNK),
+                               workspace)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 64 * 1024
+        assert np.array_equal(out, lstm.forward(x))
 
 
 class TestSigmoid:

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from gridcast.errors import DivergedLossError, EmptyInputError
-from gridcast.nn.layers import Dense, Dropout, Network
+from gridcast.nn import layers
+from gridcast.nn.layers import LSTM, Dense, Dropout, Network
 from gridcast.nn.losses import mse_loss
 from gridcast.nn.training import (
+    EVAL_CHUNK,
     EarlyStopper,
     TrainConfig,
     TrainingHistory,
@@ -181,3 +183,57 @@ class TestPredictBatches:
         model = Network([Dense(2, 4, "relu", rng=rng), Dense(4, 1, rng=rng)])
         x = rng.normal(size=(37, 2))
         assert predict_batches(model, x, batch_size=10).shape == (37, 1)
+
+
+def production_layout(kind, dtype):
+    """The layer stacks of gridcast.models in any dtype: kind is "mlp" or
+    the LSTM's cell activation."""
+    rng = np.random.default_rng(32)
+    if kind == "mlp":
+        return Network([
+            Dense(7, 64, "relu", rng=rng, dtype=dtype), Dropout(0.2),
+            Dense(64, 32, "relu", rng=rng, dtype=dtype), Dropout(0.1),
+            Dense(32, 1, rng=rng, dtype=dtype)])
+    return Network([LSTM(1, 50, kind, rng=rng, dtype=dtype), Dropout(0.2),
+                    Dense(50, 1, rng=rng, dtype=dtype)])
+
+
+def serial_reference(model, x):
+    """One eval forward per EVAL_CHUNK slice, in order, on the calling
+    thread alone."""
+    x = x.astype(model.params()[0].dtype)
+    return np.concatenate([model.forward(x[i:i + EVAL_CHUNK], train=False)
+                           for i in range(0, x.shape[0], EVAL_CHUNK)])
+
+
+class TestPredictBatchesBlocks:
+    """predict_batches pairs EVAL_CHUNK chunks per network call, and the
+    LSTM scores a call's blocks on up to two threads: no prediction may
+    change a bit. 1025 and 3073 leave a one-row last chunk; 12936, the
+    test windows of a 90-day household split in half, is 13 blocks with a
+    short last one."""
+
+    ROWS = (1, 2, 1023, 1024, 1025, 2047, 2048, 2049, 3073, 12936)
+
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["helper-off", "helper-on"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64],
+                             ids=["float32", "float64"])
+    @pytest.mark.parametrize("kind", ["relu", "tanh", "mlp"])
+    def test_equals_serial_reference_bitwise(self, monkeypatch, kind, dtype,
+                                             cpus):
+        monkeypatch.setattr(layers, "_usable_cpus", lambda: cpus)
+        model = production_layout(kind, dtype)
+        shape = (7,) if kind == "mlp" else (24, 1)
+        x = np.random.default_rng(33).normal(size=(max(self.ROWS), *shape))
+        for n in self.ROWS:
+            got = predict_batches(model, x[:n])
+            want = serial_reference(model, x[:n])
+            assert got.dtype == want.dtype == dtype
+            assert np.array_equal(got, want), n
+
+    @pytest.mark.parametrize("kind", ["relu", "mlp"])
+    def test_zero_rows_raise_empty_input(self, kind):
+        model = production_layout(kind, np.float32)
+        x = np.empty((0, 7) if kind == "mlp" else (0, 24, 1))
+        with pytest.raises(EmptyInputError):
+            predict_batches(model, x)
