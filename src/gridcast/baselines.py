@@ -7,70 +7,20 @@ nothing to fit and anchor the comparison for the learned models.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from gridcast.errors import SeriesTooShortError
 from gridcast.types import SLOTS_PER_DAY
 
-
-@dataclass(frozen=True)
-class LagSpec:
-    """Forecast rule: predict the value seen ``lag`` steps before."""
-
-    lag: int
-
-    def __post_init__(self):
-        if self.lag < 1:
-            raise ValueError(f"lag must be at least 1, got {self.lag}")
+# The roster's baselines and the lag, in rows, each one repeats.
+BASELINE_LAGS = {"naive": 1, "seasonal-naive": SLOTS_PER_DAY}
 
 
-NAIVE = LagSpec(1)
-SEASONAL_NAIVE = LagSpec(SLOTS_PER_DAY)
+def persistence_forecast(series, lag: int, targets) -> np.ndarray:
+    """The lag forecast at each target row: ``series[targets - lag]``.
 
-
-@dataclass(frozen=True)
-class ForecastPairs:
-    """Aligned predictions and actuals, tagged with target positions.
-
-    ``target_indices[i]`` is the index into the source series of
-    ``actuals[i]``, which lets callers restrict the pairs to a chosen
-    evaluation range (for example, only test-set rows).
+    Every target must lie at least ``lag`` rows into the series; the
+    caller checks that, since a negative row would wrap to the end.
     """
-
-    predictions: np.ndarray
-    actuals: np.ndarray
-    target_indices: np.ndarray
-
-    def __post_init__(self):
-        if not (len(self.predictions) == len(self.actuals)
-                == len(self.target_indices)):
-            raise ValueError("pair arrays must share one length")
-
-    def __len__(self) -> int:
-        return len(self.predictions)
-
-    def tail_from(self, start_index: int) -> "ForecastPairs":
-        """Keep only pairs whose target index is >= start_index."""
-        keep = self.target_indices >= start_index
-        return ForecastPairs(self.predictions[keep], self.actuals[keep],
-                             self.target_indices[keep])
-
-
-def persistence_forecast(series, spec: LagSpec) -> ForecastPairs:
-    """Lag forecast over a full series.
-
-    For every index j in [lag, N) the prediction is series[j - lag] and
-    the actual is series[j], giving exactly N - lag pairs.
-    """
-    values = np.asarray(series, dtype=np.float64).ravel()
-    k = spec.lag
-    if len(values) <= k:
-        raise SeriesTooShortError(
-            f"need more than lag={k} values, got {len(values)}")
-    return ForecastPairs(
-        predictions=values[:-k].copy(),
-        actuals=values[k:].copy(),
-        target_indices=np.arange(k, len(values)),
-    )
+    if lag < 1:
+        raise ValueError(f"lag must be at least 1, got {lag}")
+    return np.asarray(series, dtype=np.float64)[np.asarray(targets) - lag]

@@ -30,37 +30,36 @@ import os
 import sys
 from pathlib import Path
 
-from gridcast.baselines import NAIVE, SEASONAL_NAIVE, persistence_forecast
+from gridcast.baselines import BASELINE_LAGS
 from gridcast.config import (
     MODEL_NAMES,
     ExperimentConfig,
     load_config,
 )
-from gridcast.errors import (
-    CorruptArtifactError,
-    GridcastError,
-    InvalidConfigError,
-    PipelineError,
-)
+from gridcast.errors import GridcastError, InvalidConfigError, PipelineError
 from gridcast.evaluate import compute_metrics, read_report_json, write_report_csv
-from gridcast.ingest import (
-    MeterCsvSpec,
+from gridcast.nn.serialize import load_model
+from gridcast.pipeline import alignment, load_frame, predict, run_experiment
+from gridcast.preprocess import load_scalers
+from gridcast.synth import generate, write_csvs
+
+# Not called here: perfbench/probes.py patches these names on this module
+# as well as on gridcast.pipeline, so they must stay bound.
+from gridcast.baselines import persistence_forecast  # noqa: F401
+from gridcast.ingest import (  # noqa: F401
     build_frame,
     interpolate_weather,
     load_weather_dir,
     merge_solar,
     parse_meter_csv,
 )
-from gridcast.models import LstmSpec, lstm_predict, mlp_predict
-from gridcast.nn.serialize import load_model
-from gridcast.pipeline import alignment, load_frame, run_experiment
-from gridcast.preprocess import (
+from gridcast.models import lstm_predict, mlp_predict  # noqa: F401
+from gridcast.preprocess import (  # noqa: F401
     feature_matrix,
     make_windows,
     scaler_from_dict,
     transform,
 )
-from gridcast.synth import generate, write_csvs
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -128,30 +127,21 @@ def _cmd_synth(args, config: ExperimentConfig, out: Path) -> int:
 def _cmd_ingest(args, config: ExperimentConfig, out: Path) -> int:
     if config.source != "files":
         raise InvalidConfigError("ingest subcommand needs source 'files'")
-    files = config.files
-    if files.meter is not None:
-        parsed = parse_meter_csv(MeterCsvSpec(path=files.meter))
-        records = parsed.records
-        print(f"meter rows {len(records)} dropped {parsed.drops.total}")
-    else:
-        grid = parse_meter_csv(MeterCsvSpec(path=files.grid, kind="grid"))
-        solar = parse_meter_csv(MeterCsvSpec(path=files.solar, kind="solar"))
-        merged = merge_solar(grid.records, solar.records)
-        records = merged.records
-        print(f"grid rows {len(grid.records)} dropped {grid.drops.total}")
-        print(f"solar rows {len(solar.records)} dropped {solar.drops.total}")
-        print(f"merged rows {len(records)} grid-only {merged.grid_only} "
-              f"solar-only {merged.solar_only}")
-    loaded = load_weather_dir(files.weather_dir)
-    print(f"weather days {len(loaded.days)} from {len(loaded.files)} files "
-          f"dropped {loaded.drops.total_rows}")
-    complete = interpolate_weather(loaded.days)
-    built = build_frame(records, complete)
+    frame, counts = load_frame(config)
+    for stream in ("meter", "grid", "solar"):
+        if f"{stream}_rows" in counts:
+            rows, dropped = counts[f"{stream}_rows"], counts[f"{stream}_dropped"]
+            print(f"{stream} rows {rows} dropped {dropped}")
+    if "merged_rows" in counts:
+        print(f"merged rows {counts['merged_rows']} grid-only "
+              f"{counts['grid_only']} solar-only {counts['solar_only']}")
+    print(f"weather days {counts['weather_days']} from "
+          f"{counts['weather_files']} files dropped {counts['weather_dropped']}")
     out.mkdir(parents=True, exist_ok=True)
     target = out / "merged.csv"
-    built.frame.to_csv(target)
-    print(f"frame rows {len(built.frame.times)} "
-          f"dropped-no-weather {built.dropped_no_weather}")
+    frame.to_csv(target)
+    print(f"frame rows {len(frame)} "
+          f"dropped-no-weather {counts['dropped_no_weather']}")
     print(target)
     return 0
 
@@ -183,53 +173,28 @@ def _cmd_report(args, config: ExperimentConfig, out: Path) -> int:
     return 0
 
 
-def _read_scalers(path: Path) -> dict:
-    """The stored scalers, by name, as written by the pipeline."""
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        return {key: scaler_from_dict(payload[key])
-                for key in ("features", "target")}
-    except (ValueError, KeyError, TypeError) as exc:
-        raise CorruptArtifactError(f"cannot read scalers file {path}: {exc}") from exc
-
-
 def _cmd_evaluate(args, config: ExperimentConfig, out: Path) -> int:
     run_dir = Path(args.run_dir) if args.run_dir is not None else out
-    frame = load_frame(config)
+    frame, _ = load_frame(config)
     name = args.model
-    scaler_path = run_dir / "scalers.json"
-    model_path = run_dir / "models" / f"{name}.npz"
-    if name not in ("naive", "seasonal-naive"):
+    model = scalers = None
+    if name not in BASELINE_LAGS:
+        scaler_path = run_dir / "scalers.json"
+        model_path = run_dir / "models" / f"{name}.npz"
         for path in (scaler_path, model_path):
             if not path.exists():
                 raise InvalidConfigError(f"missing artifact: {path}")
         # Errors carry their stage label, as in run_experiment.
         try:
-            scalers = _read_scalers(scaler_path)
+            scalers = load_scalers(scaler_path)
             model, _ = load_model(model_path)
         except GridcastError as exc:
             raise PipelineError(stage="load", cause=exc) from exc
     try:
-        y = frame.consumption
-        align = alignment(config, len(y))
-        targets = align.targets
-        actual = y[targets]
-        if name in ("naive", "seasonal-naive"):
-            spec = NAIVE if name == "naive" else SEASONAL_NAIVE
-            pairs = persistence_forecast(y, spec).tail_from(align.boundary
-                                                            + align.window)
-            predicted = pairs.predictions
-        elif name == "mlp":
-            features = feature_matrix(frame).features
-            predicted = mlp_predict(model, features[targets],
-                                    scalers["features"], scalers["target"])
-        else:
-            y_scaled = transform(y.reshape(-1, 1), scalers["target"]).ravel()
-            windows = make_windows(y_scaled[align.boundary:], align.window)
-            predicted = lstm_predict(
-                model, windows, scalers["target"],
-                spec=LstmSpec(window_length=align.window))
-        metrics = compute_metrics(predicted, actual, units="watts")
+        align = alignment(config, len(frame))
+        predicted = predict(name, model, frame, align, scalers)
+        metrics = compute_metrics(predicted, frame.consumption[align.targets],
+                                  units="watts")
     except GridcastError as exc:
         raise PipelineError(stage="evaluate", cause=exc) from exc
     out.mkdir(parents=True, exist_ok=True)

@@ -445,9 +445,6 @@ class Network:
     def grads(self):
         return [g for layer in self.layers for g in layer.grads()]
 
-    def get_weights(self):
-        return [p.copy() for p in self.params()]
-
     def set_weights(self, weights):
         params = self.params()
         if len(weights) != len(params):

