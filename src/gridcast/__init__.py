@@ -34,7 +34,7 @@ from gridcast.types import (  # noqa: F401
     MergedFrame,
     MeterRecords,
     Season,
-    WeatherDay,
+    Weather,
     format_timestamps,
     parse_timestamps,
     season_codes,

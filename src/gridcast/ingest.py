@@ -4,27 +4,31 @@ Parsers are forgiving row by row but strict about structure: a missing
 column or an empty file is an error, while individual bad rows are
 dropped and counted so callers can assert exactly what was discarded.
 
-Meter streams are columnar: a parse returns one MeterRecords, an int64
-array of slot indices (see gridcast.types) beside a float64 array of
-watts, and merging and frame building work on those arrays whole.
+Both file kinds are read as columns by one reader, and both parse into
+columnar tables (see gridcast.types): a meter stream is one MeterRecords,
+an int64 array of slot indices beside a float64 array of watts, and a
+weather directory is one Weather, an int64 array of date ordinals beside
+a (D, 6) float64 array with NaN for a missing cell. Gap filling, merging
+and frame building work on those arrays whole.
 
-File schemas (UTF-8, LF or CRLF, header row required):
+File schemas (UTF-8, optional BOM, LF or CRLF, header row required):
 
 * meter:   ``timestamp,watts`` with timestamps like ``2023-03-01 00:05``
 * weather: ``date,max_temp_c,rainfall_mm,temp_9am_c,rh_9am_pct,
   temp_3pm_c,rh_3pm_pct`` with ISO dates; an empty cell means missing
 
-Monthly weather files are named ``YYYYMM.csv``.
+Monthly weather files are named ``YYYYMM.csv`` for a real month (01-12)
+and hold only that month's days.
 """
 from __future__ import annotations
 
 import csv
 import datetime as dt
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -46,21 +50,19 @@ from gridcast.types import (
     WEATHER_FIELDS,
     MergedFrame,
     MeterRecords,
-    WeatherDay,
+    Weather,
     build_merged_frame,
     format_timestamps,
     parse_timestamps,
-    weather_value_ok,
+    weather_plausible,
 )
 
 STREAM_KINDS = ("grid", "solar", "plain")
 
-# File header -> in-memory field name for the canonical weather schema.
-DEFAULT_WEATHER_COLUMN_MAP: Mapping[str, str] = dict(
-    zip(WEATHER_CSV_COLUMNS, WEATHER_FIELDS))
-
-_MONTH_LABEL = re.compile(r"^(\d{4})(\d{2})$")
-_MONTH_FILE = re.compile(r"^\d{6}\.csv$")
+_MONTH_FILE = re.compile(r"^\d{4}(0[1-9]|1[0-2])\.csv$")
+# Date ordinals of weather rows that are dropped; real ordinals are >= 1.
+_BAD_DATE = -1
+_MISFILED = -2
 
 
 @dataclass(frozen=True)
@@ -85,35 +87,6 @@ class MeterCsvSpec:
 
 
 @dataclass(frozen=True)
-class WeatherCsvSpec:
-    """One monthly weather file plus the header adaptation map."""
-
-    path: str | Path
-    month_label: str
-    date_column: str = "date"
-    column_map: Mapping[str, str] = field(
-        default_factory=lambda: dict(DEFAULT_WEATHER_COLUMN_MAP))
-
-    def __post_init__(self):
-        match = _MONTH_LABEL.match(self.month_label)
-        if not match or not (1 <= int(match.group(2)) <= 12):
-            raise ValueError(
-                f"month label must look like 202303, got {self.month_label!r}")
-        mapped = sorted(self.column_map.values())
-        if mapped != sorted(WEATHER_FIELDS):
-            raise ValueError(
-                f"column map must cover exactly the fields {WEATHER_FIELDS}")
-
-    @property
-    def year(self) -> int:
-        return int(self.month_label[:4])
-
-    @property
-    def month(self) -> int:
-        return int(self.month_label[4:])
-
-
-@dataclass(frozen=True)
 class MeterDrops:
     """Row-level discards from one meter file."""
 
@@ -132,9 +105,9 @@ class MeterDrops:
 class WeatherDrops:
     """Discards and demotions from weather files.
 
-    ``invalid_cells`` counts unparseable or out-of-range values demoted
-    to missing (the row itself survives); the other counters are whole
-    dropped rows.
+    ``invalid_cells`` counts unparseable, non-finite or out-of-range
+    values demoted to missing (the row itself survives); the other
+    counters are whole dropped rows.
     """
 
     bad_dates: int = 0
@@ -146,59 +119,11 @@ class WeatherDrops:
     def total_rows(self) -> int:
         return self.bad_dates + self.duplicates + self.misfiled
 
-    def merged_with(self, other: "WeatherDrops") -> "WeatherDrops":
-        return WeatherDrops(
-            bad_dates=self.bad_dates + other.bad_dates,
-            duplicates=self.duplicates + other.duplicates,
-            misfiled=self.misfiled + other.misfiled,
-            invalid_cells=self.invalid_cells + other.invalid_cells,
-        )
-
 
 @dataclass(frozen=True)
 class MeterParseResult:
     records: MeterRecords
     drops: MeterDrops
-
-
-@dataclass(frozen=True)
-class WeatherParseResult:
-    days: tuple[WeatherDay, ...]
-    drops: WeatherDrops
-
-
-@dataclass(frozen=True)
-class WeatherDirResult:
-    days: tuple[WeatherDay, ...]
-    drops: WeatherDrops
-    files: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class MergeResult:
-    records: MeterRecords
-    grid_only: int
-    solar_only: int
-
-
-@dataclass(frozen=True)
-class FrameResult:
-    frame: MergedFrame
-    dropped_no_weather: int
-
-
-def _read_csv_rows(path, required_columns: Sequence[str]) -> list[dict]:
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
-            raise EmptyFileError(f"{path}: no header row")
-        missing = [c for c in required_columns if c not in reader.fieldnames]
-        if missing:
-            raise MissingColumnError(f"{path}: missing column(s) {missing}")
-        rows = list(reader)
-    if not rows:
-        raise EmptyFileError(f"{path}: header but no data rows")
-    return rows
 
 
 def _column_index(header: list[str], name: str) -> int:
@@ -207,42 +132,40 @@ def _column_index(header: list[str], name: str) -> int:
     return len(header) - 1 - header[::-1].index(name)
 
 
-def _meter_columns(spec: MeterCsvSpec) -> tuple[list[str], list[str]]:
-    """Stripped timestamp and watts texts of every data row.
+def _read_columns(path, names: Sequence[str]) -> list[list[str]]:
+    """Stripped texts of the named columns, one list per name, each with
+    one text per data row.
 
     Follows csv.DictReader: blank lines are no rows, and a cell missing
     from a short row reads as empty.
     """
-    with open(spec.path, newline="", encoding="utf-8-sig") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is None:
-            raise EmptyFileError(f"{spec.path}: no header row")
-        required = [spec.timestamp_column, spec.watts_column]
-        missing = [c for c in required if c not in header]
+            raise EmptyFileError(f"{path}: no header row")
+        missing = [c for c in names if c not in header]
         if missing:
-            raise MissingColumnError(f"{spec.path}: missing column(s) {missing}")
-        columns = [_column_index(header, c) for c in required]
+            raise MissingColumnError(f"{path}: missing column(s) {missing}")
+        columns = [_column_index(header, c) for c in names]
         rows = list(filter(None, reader))
     if not rows:
-        raise EmptyFileError(f"{spec.path}: header but no data rows")
+        raise EmptyFileError(f"{path}: header but no data rows")
     width = max(columns) + 1
     if min(map(len, rows)) < width:
         rows = [row + [""] * (width - len(row)) for row in rows]
-    ts_texts, watts_texts = (list(map(str.strip, map(itemgetter(c), rows)))
-                             for c in columns)
-    return ts_texts, watts_texts
+    return [list(map(str.strip, map(itemgetter(c), rows))) for c in columns]
 
 
-def _parse_watts(texts: list[str]) -> np.ndarray:
+def _parse_floats(texts: list[str]) -> np.ndarray:
     """float() of each text; NaN where float() refuses it."""
-    watts = np.empty(len(texts), dtype=np.float64)
+    values = np.empty(len(texts), dtype=np.float64)
     for i, text in enumerate(texts):
         try:
-            watts[i] = float(text)
+            values[i] = float(text)
         except ValueError:
-            watts[i] = np.nan
-    return watts
+            values[i] = np.nan
+    return values
 
 
 def parse_meter_csv(spec: MeterCsvSpec) -> MeterParseResult:
@@ -255,9 +178,10 @@ def parse_meter_csv(spec: MeterCsvSpec) -> MeterParseResult:
     row feeds at most one counter, checked in the order bad timestamp,
     blank or non-finite watts, negative watts, duplicate.
     """
-    ts_texts, watts_texts = _meter_columns(spec)
+    ts_texts, watts_texts = _read_columns(
+        spec.path, [spec.timestamp_column, spec.watts_column])
     times = parse_timestamps(ts_texts, spec.timestamp_format)
-    watts = _parse_watts(watts_texts)
+    watts = _parse_floats(watts_texts)
     readable = times != BAD_TIME
     bad_ts = len(times) - int(readable.sum())
     if bad_ts > len(times) / 2:
@@ -278,102 +202,59 @@ def parse_meter_csv(spec: MeterCsvSpec) -> MeterParseResult:
     )
 
 
-def parse_weather_csv(spec: WeatherCsvSpec) -> WeatherParseResult:
-    """Read one monthly weather file into per-day records.
+def _parse_weather_csv(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Date ordinals, values and drop counts of one monthly weather file.
 
-    Blank cells become missing markers.  Unparseable or implausible
-    values are demoted to missing and counted; rows with unreadable
-    dates, repeated dates, or dates outside the file's labelled month
-    are dropped and counted.
+    The counts follow WeatherDrops' field order. A row is dropped for an
+    unreadable date, then for a date outside the file's month, then for
+    a date an earlier row already has. In the rows kept, a blank cell is
+    missing and an unparseable or implausible one is demoted to missing.
     """
-    required = [spec.date_column] + list(spec.column_map.keys())
-    rows = _read_csv_rows(spec.path, required)
-    bad_dates = duplicates = misfiled = invalid = 0
-    seen: set[dt.date] = set()
-    days: list[WeatherDay] = []
-    for row in rows:
-        date_text = (row.get(spec.date_column) or "").strip()
+    month = (int(path.name[:4]), int(path.name[4:6]))
+    date_texts, *cell_texts = _read_columns(path, ("date",) + WEATHER_CSV_COLUMNS)
+    ordinals = np.empty(len(date_texts), dtype=np.int64)
+    for i, text in enumerate(date_texts):
         try:
-            date = dt.date.fromisoformat(date_text)
+            date = dt.date.fromisoformat(text)
         except ValueError:
-            bad_dates += 1
+            ordinals[i] = _BAD_DATE
             continue
-        if (date.year, date.month) != (spec.year, spec.month):
-            misfiled += 1
-            continue
-        if date in seen:
-            duplicates += 1
-            continue
-        seen.add(date)
-        values: dict[str, float] = {}
-        for file_column, field_name in spec.column_map.items():
-            text = (row.get(file_column) or "").strip()
-            if not text:
-                continue  # blank cell is the documented missing marker
-            try:
-                value = float(text)
-            except ValueError:
-                invalid += 1
-                continue
-            if not weather_value_ok(field_name, value):
-                invalid += 1
-                continue
-            values[field_name] = value
-        days.append(WeatherDay(date, **values))
-    days.sort(key=lambda d: d.date)
-    return WeatherParseResult(
-        days=tuple(days),
-        drops=WeatherDrops(bad_dates=bad_dates, duplicates=duplicates,
-                           misfiled=misfiled, invalid_cells=invalid),
-    )
+        ordinals[i] = (date.toordinal() if (date.year, date.month) == month
+                       else _MISFILED)
+    in_month = np.flatnonzero(ordinals > 0)
+    # np.unique sorts and, with return_index, points at first occurrences.
+    dates, first = np.unique(ordinals[in_month], return_index=True)
+    kept = in_month[first]
+    values = np.column_stack([_parse_floats(c) for c in cell_texts])[kept]
+    present = np.column_stack([list(map(bool, c)) for c in cell_texts])[kept]
+    invalid = present & ~weather_plausible(values)
+    values[invalid] = np.nan
+    counts = np.array([np.sum(ordinals == _BAD_DATE), len(in_month) - len(dates),
+                       np.sum(ordinals == _MISFILED), invalid.sum()])
+    return dates, values, counts
 
 
-def load_weather_dir(directory,
-                     column_map: Mapping[str, str] | None = None,
-                     date_column: str = "date") -> WeatherDirResult:
-    """Parse every YYYYMM.csv in a directory into one sorted day list.
+def load_weather_dir(directory) -> tuple[Weather, WeatherDrops, int]:
+    """Parse every YYYYMM.csv in a directory into one Weather table.
 
-    Other filenames are ignored.  Should two files both carry a date
-    (only possible via misfiling, which is already dropped per file),
-    the earlier-named file wins.
+    Returns the table, the drops summed over files, and the number of
+    files read. Other filenames, a month outside 01-12 among them, are
+    ignored. Each file keeps only its own month's days, so files in name
+    order are in date order.
     """
     directory = Path(directory)
     names = sorted(p.name for p in directory.iterdir()
                    if _MONTH_FILE.match(p.name))
     if not names:
         raise EmptyInputError(f"{directory}: no YYYYMM.csv weather files")
-    all_days: list[WeatherDay] = []
-    drops = WeatherDrops()
-    seen: set[dt.date] = set()
-    for name in names:
-        spec = WeatherCsvSpec(
-            path=directory / name, month_label=name[:6],
-            date_column=date_column,
-            column_map=dict(column_map if column_map is not None
-                            else DEFAULT_WEATHER_COLUMN_MAP))
-        result = parse_weather_csv(spec)
-        drops = drops.merged_with(result.drops)
-        for day in result.days:
-            if day.date in seen:
-                drops = drops.merged_with(WeatherDrops(duplicates=1))
-                continue
-            seen.add(day.date)
-            all_days.append(day)
-    all_days.sort(key=lambda d: d.date)
-    return WeatherDirResult(days=tuple(all_days), drops=drops,
-                            files=tuple(names))
+    dates, values, counts = zip(*(_parse_weather_csv(directory / name)
+                                  for name in names))
+    drops = WeatherDrops(*np.sum(counts, axis=0).tolist())
+    return Weather(np.concatenate(dates), np.concatenate(values)), drops, len(names)
 
 
-def _require_sorted_dates(days: Sequence[WeatherDay]) -> None:
-    for prev, cur in zip(days, days[1:]):
-        if not prev.date < cur.date:
-            raise ValueError(
-                f"weather days must be strictly sorted by date; "
-                f"{cur.date} follows {prev.date}")
-
-
-def interpolate_weather(days: Iterable[WeatherDay]) -> tuple[WeatherDay, ...]:
-    """Fill every missing field linearly along the date axis.
+def interpolate_weather(weather: Weather) -> Weather:
+    """Fill every missing cell linearly along the date axis.
 
     Each filled value is the straight line between the nearest earlier
     and later observed values of that field, weighted by calendar-day
@@ -381,36 +262,24 @@ def interpolate_weather(days: Iterable[WeatherDay]) -> tuple[WeatherDay, ...]:
     everywhere) cannot be filled and is an error.  Running the fill a
     second time is a no-op.
     """
-    days = tuple(days)
-    if not days:
+    if not len(weather):
         raise EmptyInputError("no weather days to interpolate")
-    _require_sorted_dates(days)
-    ordinals = np.array([d.date.toordinal() for d in days], dtype=np.float64)
-    filled_columns: dict[str, list[float]] = {}
-    for name in WEATHER_FIELDS:
-        values = [getattr(d, name) for d in days]
-        known = [i for i, v in enumerate(values) if v is not None]
-        if not known:
+    days = weather.dates.astype(np.float64)
+    values = weather.values.copy()
+    for j, name in enumerate(WEATHER_FIELDS):
+        missing = np.isnan(values[:, j])
+        known = np.flatnonzero(~missing)
+        if not known.size:
             raise AllMissingError(f"field {name} has no observed values")
         if known[0] != 0 or known[-1] != len(days) - 1:
             end = "start" if known[0] != 0 else "end"
             raise BoundaryMissingError(
                 f"field {name} is missing at the {end} of the date range; "
                 f"linear interpolation has no anchor there")
-        if len(known) == len(days):
-            filled_columns[name] = values
-            continue
-        interpolated = np.interp(ordinals, ordinals[known],
-                                 [values[i] for i in known])
-        filled_columns[name] = [
-            values[i] if values[i] is not None else float(interpolated[i])
-            for i in range(len(days))
-        ]
-    return tuple(
-        WeatherDay(day.date, **{name: filled_columns[name][i]
-                                for name in WEATHER_FIELDS})
-        for i, day in enumerate(days)
-    )
+        if missing.any():
+            values[missing, j] = np.interp(days[missing], days[known],
+                                           values[known, j])
+    return Weather(weather.dates, values)
 
 
 def _require_sorted_records(records: MeterRecords, label: str) -> None:
@@ -423,11 +292,13 @@ def _require_sorted_records(records: MeterRecords, label: str) -> None:
             f"{cur} follows {prev}")
 
 
-def merge_solar(grid: MeterRecords, solar: MeterRecords) -> MergeResult:
+def merge_solar(grid: MeterRecords,
+                solar: MeterRecords) -> tuple[MeterRecords, int, int]:
     """Add generation back onto net grid draw, per matching timestamp.
 
     Total consumption = grid watts + solar watts.  Timestamps present in
-    only one stream are dropped and counted per side; an empty
+    only one stream are dropped and counted per side: returns the merged
+    records, then the grid-only and solar-only counts.  An empty
     intersection is an error.
     """
     _require_sorted_records(grid, "grid")
@@ -438,36 +309,30 @@ def merge_solar(grid: MeterRecords, solar: MeterRecords) -> MergeResult:
         raise EmptyIntersectionError(
             "grid and solar streams share no timestamps")
     merged = MeterRecords(times, grid.watts[in_grid] + solar.watts[in_solar])
-    return MergeResult(records=merged, grid_only=len(grid) - len(merged),
-                       solar_only=len(solar) - len(merged))
+    return merged, len(grid) - len(merged), len(solar) - len(merged)
 
 
 def build_frame(meter: MeterRecords,
-                weather: Sequence[WeatherDay]) -> FrameResult:
+                weather: Weather) -> tuple[MergedFrame, int]:
     """Broadcast each day's weather onto its 5-minute meter rows.
 
-    Meter rows on dates with no weather are dropped and counted; if
-    nothing remains the date ranges are disjoint and that is an error.
-    Weather must already be fully interpolated; should a date repeat,
-    its last day wins.
+    Meter rows on dates with no weather are dropped; returns the frame
+    and that count.  If nothing remains the date ranges are disjoint and
+    that is an error.  Weather must already be fully interpolated.
     """
     if not len(meter):
         raise EmptyInputError("no meter records")
-    for day in weather:
-        if not day.is_complete():
-            raise ValueError(
-                f"weather for {day.date} still has missing fields "
-                f"{day.missing_fields()}; interpolate first")
-    by_date = {day.date.toordinal(): day.field_values() for day in weather}
-    ordinals = np.array(sorted(by_date), dtype=np.int64)
+    incomplete = weather.dates[np.isnan(weather.values).any(axis=1)]
+    if incomplete.size:
+        raise ValueError(
+            f"weather for {dt.date.fromordinal(int(incomplete[0]))} still "
+            f"has missing fields; interpolate first")
     meter_days = meter.times // SLOTS_PER_DAY
-    covered = np.isin(meter_days, ordinals)
+    covered = np.isin(meter_days, weather.dates)
     if not covered.any():
         raise NoOverlapError("no meter dates fall inside the weather range")
-    table = np.array([by_date[o] for o in ordinals.tolist()], dtype=np.float64)
-    rows = np.searchsorted(ordinals, meter_days[covered])
+    rows = np.searchsorted(weather.dates, meter_days[covered])
     frame = build_merged_frame(meter.times[covered], meter.watts[covered],
-                               table[rows])
+                               weather.values[rows])
     frame.validate()
-    return FrameResult(frame=frame,
-                       dropped_no_weather=len(meter) - int(covered.sum()))
+    return frame, len(meter) - int(covered.sum())

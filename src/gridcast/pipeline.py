@@ -142,17 +142,16 @@ def load_frame(config: ExperimentConfig) -> tuple[MergedFrame, dict[str, int]]:
         if files.meter is not None:
             meter = parse("meter", "plain")
         else:
-            merged = merge_solar(parse("grid", "grid"), parse("solar", "solar"))
-            meter = merged.records
-            counts.update(merged_rows=len(meter), grid_only=merged.grid_only,
-                          solar_only=merged.solar_only)
-        weather = load_weather_dir(files.weather_dir)
-        counts.update(weather_days=len(weather.days),
-                      weather_files=len(weather.files),
-                      weather_dropped=weather.drops.total_rows)
-        built = build_frame(meter, interpolate_weather(weather.days))
-        counts["dropped_no_weather"] = built.dropped_no_weather
-        return built.frame, counts
+            meter, grid_only, solar_only = merge_solar(
+                parse("grid", "grid"), parse("solar", "solar"))
+            counts.update(merged_rows=len(meter), grid_only=grid_only,
+                          solar_only=solar_only)
+        weather, drops, n_files = load_weather_dir(files.weather_dir)
+        counts.update(weather_days=len(weather), weather_files=n_files,
+                      weather_dropped=drops.total_rows)
+        frame, counts["dropped_no_weather"] = build_frame(
+            meter, interpolate_weather(weather))
+        return frame, counts
     except (GridcastError, OSError) as exc:
         raise _wrap("data", exc) from exc
 

@@ -43,8 +43,10 @@ WEATHER_CSV_COLUMNS = (
 
 MERGED_CSV_COLUMNS = ("timestamp", "consumption_w") + WEATHER_CSV_COLUMNS + ("time_decimal",)
 
-_TEMP_RANGE = (-20.0, 55.0)
-_RH_RANGE = (0.0, 100.0)
+# Plausible range of each weather field, in WEATHER_FIELDS order:
+# temperatures in [-20, 55] C, rainfall at least 0 mm, humidity in [0, 100] %.
+WEATHER_LOW = np.array([-20.0, 0.0, -20.0, 0.0, -20.0, 0.0])
+WEATHER_HIGH = np.array([55.0, np.inf, 55.0, 100.0, 55.0, 100.0])
 
 # parse_timestamps marks an unreadable or off-grid timestamp with this
 # value; every real slot index is at least SLOTS_PER_DAY (0001-01-01).
@@ -232,43 +234,48 @@ class MeterRecords:
         return len(self.times)
 
 
-def weather_value_ok(name: str, value: float) -> bool:
-    """Plausibility range for one weather field value (False for NaN)."""
-    if name in ("max_temp", "temp_9am", "temp_3pm"):
-        return _TEMP_RANGE[0] <= value <= _TEMP_RANGE[1]
-    if name in ("rh_9am", "rh_3pm"):
-        return _RH_RANGE[0] <= value <= _RH_RANGE[1]
-    if name == "rainfall":
-        return value >= 0
-    raise KeyError(f"unknown weather field: {name}")
+def weather_plausible(values) -> np.ndarray:
+    """True where a weather value is finite and inside its field's range.
+
+    The last axis of ``values`` follows WEATHER_FIELDS; NaN is False.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    return np.isfinite(values) & (values >= WEATHER_LOW) & (values <= WEATHER_HIGH)
 
 
 @dataclass(frozen=True)
-class WeatherDay:
-    """Daily weather observations; None marks a missing cell."""
+class Weather:
+    """Daily weather as columns: row i is the day with date ordinal
+    ``dates[i]``, its six fields in WEATHER_FIELDS order.
 
-    date: dt.date
-    max_temp: float | None = None
-    rainfall: float | None = None
-    temp_9am: float | None = None
-    rh_9am: float | None = None
-    temp_3pm: float | None = None
-    rh_3pm: float | None = None
+    Dates strictly increase. NaN marks a missing cell; every other cell
+    is plausible (see weather_plausible).
+    """
+
+    dates: np.ndarray   # (D,) int64 date ordinals
+    values: np.ndarray  # (D, 6) float64
 
     def __post_init__(self):
-        for name in WEATHER_FIELDS:
-            v = getattr(self, name)
-            if v is not None and not weather_value_ok(name, v):
-                raise ValueError(f"{name}={v} outside its plausible range")
+        dates = np.asarray(self.dates, dtype=np.int64)
+        values = np.asarray(self.values, dtype=np.float64)
+        if dates.ndim != 1 or values.shape != (len(dates), len(WEATHER_FIELDS)):
+            raise ValueError(
+                f"dates shape {dates.shape} and values shape {values.shape} "
+                f"must be (D,) and (D, {len(WEATHER_FIELDS)})")
+        unordered = np.flatnonzero(np.diff(dates) <= 0)
+        if unordered.size:
+            i = int(unordered[0])
+            raise ValueError(
+                f"weather dates must strictly increase; "
+                f"{dt.date.fromordinal(int(dates[i + 1]))} follows "
+                f"{dt.date.fromordinal(int(dates[i]))}")
+        if not np.all(weather_plausible(values) | np.isnan(values)):
+            raise ValueError("weather values outside plausible ranges")
+        object.__setattr__(self, "dates", dates)
+        object.__setattr__(self, "values", values)
 
-    def field_values(self) -> tuple[float | None, ...]:
-        return tuple(getattr(self, name) for name in WEATHER_FIELDS)
-
-    def missing_fields(self) -> tuple[str, ...]:
-        return tuple(name for name in WEATHER_FIELDS if getattr(self, name) is None)
-
-    def is_complete(self) -> bool:
-        return not self.missing_fields()
+    def __len__(self) -> int:
+        return len(self.dates)
 
 
 @dataclass(frozen=True)
@@ -312,9 +319,7 @@ class MergedFrame:
             raise ValueError("consumption contains non-finite values")
         if not np.all(np.isfinite(self.weather)):
             raise ValueError("weather contains missing or non-finite values")
-        lo = np.array([_TEMP_RANGE[0], 0.0, _TEMP_RANGE[0], _RH_RANGE[0], _TEMP_RANGE[0], _RH_RANGE[0]])
-        hi = np.array([_TEMP_RANGE[1], np.inf, _TEMP_RANGE[1], _RH_RANGE[1], _TEMP_RANGE[1], _RH_RANGE[1]])
-        if np.any(self.weather < lo) or np.any(self.weather > hi):
+        if not np.all(weather_plausible(self.weather)):
             raise ValueError("weather values outside plausible ranges")
         if not np.array_equal(self.time_decimal, time_decimal(self.times)):
             raise ValueError("time_decimal column disagrees with timestamps")

@@ -350,10 +350,10 @@ def _write_corpus(directory, with_blanks: bool) -> dict[str, list[list[str]]]:
 def test_messy_weather_corpus_is_handled_exactly(tmp_path):
     # clean corpus with interior blanks: parses whole, interpolates whole
     rows = _write_corpus(tmp_path / "clean", with_blanks=True)
-    loaded = load_weather_dir(tmp_path / "clean")
-    blanks_before = sum(len(d.missing_fields()) for d in loaded.days)
-    filled = interpolate_weather(loaded.days)
-    blanks_after = sum(len(d.missing_fields()) for d in filled)
+    loaded, loaded_drops, _ = load_weather_dir(tmp_path / "clean")
+    blanks_before = int(np.isnan(loaded.values).sum())
+    filled = interpolate_weather(loaded)
+    blanks_after = int(np.isnan(filled.values).sum())
 
     # defect corpus: same days plus appended junk and poisoned cells
     defect_dir = tmp_path / "defects"
@@ -377,8 +377,8 @@ def test_messy_weather_corpus_is_handled_exactly(tmp_path):
                       ["never"] + _weather_cells(2)])
     append("202311", [["2023-10-02"] + _weather_cells(3)])         # misfiled
 
-    messy = load_weather_dir(defect_dir)
-    messy_filled = interpolate_weather(messy.days)
+    messy, messy_drops, _ = load_weather_dir(defect_dir)
+    messy_filled = interpolate_weather(messy)
     expected_drops = WeatherDrops(bad_dates=2, duplicates=3,
                                   misfiled=1, invalid_cells=4)
 
@@ -398,13 +398,13 @@ def test_messy_weather_corpus_is_handled_exactly(tmp_path):
     meter = parse_meter_csv(MeterCsvSpec(path=meter_path))
 
     ok = (
-        len(loaded.days) == 418
-        and loaded.drops == WeatherDrops()
+        len(loaded) == 418
+        and loaded_drops == WeatherDrops()
         and blanks_before == 18
         and blanks_after == 0
-        and len(messy.days) == 418
-        and messy.drops == expected_drops
-        and sum(len(d.missing_fields()) for d in messy_filled) == 0
+        and len(messy) == 418
+        and messy_drops == expected_drops
+        and not np.isnan(messy_filled.values).any()
         and len(meter.records) == 286
         and meter.drops.blank_watts == 2
         and meter.drops.duplicates == 1
@@ -413,7 +413,7 @@ def test_messy_weather_corpus_is_handled_exactly(tmp_path):
     _check(
         "messy 14-month corpus parses with exact, fully-accounted drops",
         ok,
-        f"clean days={len(loaded.days)} blanks {blanks_before}->{blanks_after}; "
-        f"defect drops={messy.drops}; meter kept={len(meter.records)} "
+        f"clean days={len(loaded)} blanks {blanks_before}->{blanks_after}; "
+        f"defect drops={messy_drops}; meter kept={len(meter.records)} "
         f"drops={meter.drops}",
     )

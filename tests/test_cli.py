@@ -78,6 +78,48 @@ def test_ingest_round_trips_merged_frame(tmp_path, capsys):
     assert len(frame.times) == 4 * 288
 
 
+def _three_day_household(tmp_path):
+    """A 3-day synthetic household's CSVs and a files config reading them."""
+    synth_config = write_config(tmp_path, "synth.json",
+                                **small_flat(tmp_path, **{"synth.days": 3}))
+    assert main(["synth", "--config", str(synth_config),
+                 "--out", str(tmp_path / "data")]) == 0
+    return write_config(
+        tmp_path, "files.json",
+        **{"source": "files",
+           "files.meter": str(tmp_path / "data" / "meter.csv"),
+           "files.weather_dir": str(tmp_path / "data" / "weather"),
+           "out_dir": str(tmp_path / "merged")})
+
+
+def test_ingest_demotes_a_non_finite_weather_cell(tmp_path, capsys):
+    files_config = _three_day_household(tmp_path)
+    path = tmp_path / "data" / "weather" / "202303.csv"
+    lines = path.read_text().splitlines()
+    rows = [line.split(",") for line in lines[1:]]
+    rain = [float(row[2]) for row in rows]
+    rows[1][2] = "inf"  # rainfall_mm of the middle day
+    path.write_text("\n".join([lines[0]] + [",".join(r) for r in rows]) + "\n")
+    capsys.readouterr()
+    assert main(["ingest", "--config", str(files_config)]) == 0
+    assert "weather days 3 from 1 files dropped 0" in capsys.readouterr().out
+    frame = MergedFrame.from_csv(tmp_path / "merged" / "merged.csv")
+    filled = np.interp(1.0, [0.0, 2.0], [rain[0], rain[2]])
+    assert frame.weather[::288, 1].tolist() == [rain[0], filled, rain[2]]
+
+
+def test_ingest_ignores_a_weather_file_for_no_real_month(tmp_path, capsys):
+    files_config = _three_day_household(tmp_path)
+    weather_dir = tmp_path / "data" / "weather"
+    for name in ("202313.csv", "202300.csv"):
+        shutil.copy(weather_dir / "202303.csv", weather_dir / name)
+    capsys.readouterr()
+    assert main(["ingest", "--config", str(files_config)]) == 0
+    stdout = capsys.readouterr().out
+    assert "weather days 3 from 1 files dropped 0" in stdout
+    assert "frame rows 864 dropped-no-weather 0" in stdout
+
+
 def test_ingest_requires_files_source(tmp_path):
     config = write_config(tmp_path, **small_flat(tmp_path))
     assert main(["ingest", "--config", str(config)]) == 2

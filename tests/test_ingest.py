@@ -16,15 +16,20 @@ from gridcast.errors import (
 )
 from gridcast.ingest import (
     MeterCsvSpec,
-    WeatherCsvSpec,
+    WeatherDrops,
     build_frame,
     interpolate_weather,
     load_weather_dir,
     merge_solar,
     parse_meter_csv,
-    parse_weather_csv,
 )
-from gridcast.types import MeterRecords, WeatherDay, format_timestamps, slot_index
+from gridcast.types import (
+    WEATHER_FIELDS,
+    MeterRecords,
+    Weather,
+    format_timestamps,
+    slot_index,
+)
 
 WEATHER_HEADER = ("date,max_temp_c,rainfall_mm,temp_9am_c,rh_9am_pct,"
                   "temp_3pm_c,rh_3pm_pct")
@@ -42,6 +47,22 @@ def write_weather(path, rows, header=WEATHER_HEADER):
 
 def full_weather_row(date, value=20.0):
     return f"{date},{value},0.0,{value - 5.0},60.0,{value - 1.0},50.0"
+
+
+def load_month(tmp_path, label, rows, header=WEATHER_HEADER):
+    """load_weather_dir over a directory holding one file, label.csv."""
+    write_weather(tmp_path / f"{label}.csv", rows, header=header)
+    weather, drops, n_files = load_weather_dir(tmp_path)
+    assert n_files == 1
+    return weather, drops
+
+
+def column(weather, name):
+    return weather.values[:, WEATHER_FIELDS.index(name)]
+
+
+def ordinal(day, month=3, year=2023):
+    return dt.date(year, month, day).toordinal()
 
 
 class TestParseMeterCsv:
@@ -171,118 +192,112 @@ class TestParseMeterCsv:
 class TestParseWeatherCsv:
     def test_full_month(self, tmp_path):
         rows = [full_weather_row(f"2023-03-{d:02d}") for d in range(1, 32)]
-        path = write_weather(tmp_path / "202303.csv", rows)
-        result = parse_weather_csv(WeatherCsvSpec(path, "202303"))
-        assert len(result.days) == 31
-        assert result.drops.total_rows == 0
-        assert all(day.is_complete() for day in result.days)
+        weather, drops = load_month(tmp_path, "202303", rows)
+        assert len(weather) == 31
+        assert drops.total_rows == 0
+        assert not np.isnan(weather.values).any()
 
     def test_partial_month(self, tmp_path):
         rows = [full_weather_row(f"2024-04-{d:02d}") for d in range(1, 22)]
-        path = write_weather(tmp_path / "202404.csv", rows)
-        result = parse_weather_csv(WeatherCsvSpec(path, "202404"))
-        assert len(result.days) == 21
+        weather, _ = load_month(tmp_path, "202404", rows)
+        assert len(weather) == 21
+        assert weather.dates[0] == ordinal(1, month=4, year=2024)
 
     def test_blank_cell_becomes_missing(self, tmp_path):
         rows = ["2023-03-01,21.0,0.0,16.0,60.0,20.0,"]
-        path = write_weather(tmp_path / "202303.csv", rows)
-        result = parse_weather_csv(WeatherCsvSpec(path, "202303"))
-        day = result.days[0]
-        assert day.rh_3pm is None
-        assert day.missing_fields() == ("rh_3pm",)
-        assert result.drops.invalid_cells == 0
+        weather, drops = load_month(tmp_path, "202303", rows)
+        assert np.isnan(weather.values[0]).tolist() == [
+            name == "rh_3pm" for name in WEATHER_FIELDS]
+        assert drops.invalid_cells == 0
 
     def test_extra_columns_ignored(self, tmp_path):
         header = WEATHER_HEADER + ",sunshine_hours"
         rows = [full_weather_row("2023-03-01") + ",9.9"]
-        path = write_weather(tmp_path / "202303.csv", rows, header=header)
-        result = parse_weather_csv(WeatherCsvSpec(path, "202303"))
-        assert len(result.days) == 1
-
-    def test_column_map_adapts_foreign_headers(self, tmp_path):
-        header = "Date,MaxT,Rain,T9,RH9,T3,RH3"
-        rows = ["2023-03-01,25.5,1.2,18.0,70.0,24.0,55.0"]
-        path = write_weather(tmp_path / "202303.csv", rows, header=header)
-        spec = WeatherCsvSpec(path, "202303", date_column="Date",
-                              column_map={"MaxT": "max_temp",
-                                          "Rain": "rainfall",
-                                          "T9": "temp_9am",
-                                          "RH9": "rh_9am",
-                                          "T3": "temp_3pm",
-                                          "RH3": "rh_3pm"})
-        result = parse_weather_csv(spec)
-        assert result.days[0].max_temp == 25.5
-        assert result.days[0].rh_3pm == 55.0
+        weather, _ = load_month(tmp_path, "202303", rows, header=header)
+        assert len(weather) == 1
 
     def test_missing_mapped_column(self, tmp_path):
         header = WEATHER_HEADER.replace("rainfall_mm", "rain")
         rows = ["2023-03-01,21.0,0.0,16.0,60.0,20.0,50.0"]
-        path = write_weather(tmp_path / "202303.csv", rows, header=header)
         with pytest.raises(MissingColumnError):
-            parse_weather_csv(WeatherCsvSpec(path, "202303"))
+            load_month(tmp_path, "202303", rows, header=header)
 
     def test_empty_file(self, tmp_path):
-        path = tmp_path / "202303.csv"
-        path.write_text(WEATHER_HEADER + "\n")
+        (tmp_path / "202303.csv").write_text(WEATHER_HEADER + "\n")
         with pytest.raises(EmptyFileError):
-            parse_weather_csv(WeatherCsvSpec(path, "202303"))
+            load_weather_dir(tmp_path)
 
     def test_duplicate_date_keeps_first(self, tmp_path):
         rows = [full_weather_row("2023-03-01", 20.0),
                 full_weather_row("2023-03-01", 30.0)]
-        path = write_weather(tmp_path / "202303.csv", rows)
-        result = parse_weather_csv(WeatherCsvSpec(path, "202303"))
-        assert len(result.days) == 1
-        assert result.days[0].max_temp == 20.0
-        assert result.drops.duplicates == 1
+        weather, drops = load_month(tmp_path, "202303", rows)
+        assert len(weather) == 1
+        assert column(weather, "max_temp").tolist() == [20.0]
+        assert drops.duplicates == 1
 
     def test_bad_date_dropped(self, tmp_path):
         rows = [full_weather_row("2023-03-01"),
                 full_weather_row("March 2nd")]
-        path = write_weather(tmp_path / "202303.csv", rows)
-        result = parse_weather_csv(WeatherCsvSpec(path, "202303"))
-        assert len(result.days) == 1
-        assert result.drops.bad_dates == 1
+        weather, drops = load_month(tmp_path, "202303", rows)
+        assert len(weather) == 1
+        assert drops.bad_dates == 1
 
     def test_out_of_range_cell_demoted_to_missing(self, tmp_path):
         rows = ["2023-03-01,21.0,0.0,16.0,150.0,20.0,50.0"]  # RH 150%
-        path = write_weather(tmp_path / "202303.csv", rows)
-        result = parse_weather_csv(WeatherCsvSpec(path, "202303"))
-        assert result.days[0].rh_9am is None
-        assert result.drops.invalid_cells == 1
+        weather, drops = load_month(tmp_path, "202303", rows)
+        assert np.isnan(column(weather, "rh_9am")).tolist() == [True]
+        assert drops.invalid_cells == 1
+
+    def test_non_finite_cell_demoted_to_missing(self, tmp_path):
+        rows = ["2023-03-01,21.0,inf,16.0,60.0,20.0,50.0",
+                "2023-03-02,nan,0.0,-inf,60.0,20.0,50.0"]
+        weather, drops = load_month(tmp_path, "202303", rows)
+        assert np.isnan(weather.values).sum() == 3
+        assert np.isnan(column(weather, "rainfall")).tolist() == [True, False]
+        assert drops.invalid_cells == 3
 
     def test_misfiled_date_dropped(self, tmp_path):
         rows = [full_weather_row("2023-03-01"),
                 full_weather_row("2023-04-01")]
-        path = write_weather(tmp_path / "202303.csv", rows)
-        result = parse_weather_csv(WeatherCsvSpec(path, "202303"))
-        assert len(result.days) == 1
-        assert result.drops.misfiled == 1
+        weather, drops = load_month(tmp_path, "202303", rows)
+        assert len(weather) == 1
+        assert drops.misfiled == 1
 
     def test_month_label_validation(self, tmp_path):
-        with pytest.raises(ValueError):
-            WeatherCsvSpec(tmp_path / "x.csv", "2023-03")
-        with pytest.raises(ValueError):
-            WeatherCsvSpec(tmp_path / "x.csv", "202313")
-
-    def test_column_map_must_cover_all_fields(self, tmp_path):
-        with pytest.raises(ValueError):
-            WeatherCsvSpec(tmp_path / "x.csv", "202303",
-                           column_map={"max_temp_c": "max_temp"})
+        # Only YYYYMM.csv for a real month is a weather file.
+        write_weather(tmp_path / "202303.csv", [full_weather_row("2023-03-01")])
+        for name in ("202313.csv", "202300.csv", "2023-03.csv", "20230.csv"):
+            write_weather(tmp_path / name, ["not,a,weather,file"])
+        weather, drops, n_files = load_weather_dir(tmp_path)
+        assert n_files == 1
+        assert weather.dates.tolist() == [ordinal(1)]
+        assert drops == WeatherDrops()
 
 
 class TestLoadWeatherDir:
     def test_multiple_monthly_files(self, tmp_path):
         write_weather(tmp_path / "202303.csv",
-                      [full_weather_row(f"2023-03-{d:02d}") for d in (1, 2)])
+                      [full_weather_row(f"2023-03-{d:02d}") for d in (2, 1)])
         write_weather(tmp_path / "202304.csv",
                       [full_weather_row(f"2023-04-{d:02d}") for d in (1, 2, 3)])
         (tmp_path / "readme.txt").write_text("not a weather file\n")
-        result = load_weather_dir(tmp_path)
-        assert result.files == ("202303.csv", "202304.csv")
-        assert len(result.days) == 5
-        dates = [d.date for d in result.days]
-        assert dates == sorted(dates)
+        weather, drops, n_files = load_weather_dir(tmp_path)
+        assert n_files == 2
+        assert weather.dates.tolist() == [ordinal(1), ordinal(2), ordinal(1, 4),
+                                          ordinal(2, 4), ordinal(3, 4)]
+        assert drops == WeatherDrops()
+
+    def test_drops_summed_over_files(self, tmp_path):
+        write_weather(tmp_path / "202303.csv",
+                      [full_weather_row("2023-03-01"), "2023-03-02,oops,0,1,2,3,4",
+                       full_weather_row("2023-04-01")])
+        write_weather(tmp_path / "202304.csv",
+                      [full_weather_row("2023-04-01"), full_weather_row("2023-04-01"),
+                       full_weather_row("soon")])
+        weather, drops, _ = load_weather_dir(tmp_path)
+        assert len(weather) == 3
+        assert drops == WeatherDrops(bad_dates=1, duplicates=1, misfiled=1,
+                                     invalid_cells=1)
 
     def test_no_matching_files(self, tmp_path):
         (tmp_path / "notes.csv").write_text("a,b\n1,2\n")
@@ -290,86 +305,63 @@ class TestLoadWeatherDir:
             load_weather_dir(tmp_path)
 
 
-class TestInterpolateWeather:
-    def day(self, date, **kwargs):
-        defaults = dict(rainfall=0.0, temp_9am=15.0, rh_9am=60.0,
-                        temp_3pm=19.0, rh_3pm=50.0)
-        defaults.update(kwargs)
-        return WeatherDay(date, **defaults)
+def weather_table(*days):
+    """Weather of (day of March 2023, max_temp) pairs; the other fields
+    are fixed and complete, and a max_temp of None is missing."""
+    dates = [ordinal(day) for day, _ in days]
+    values = [[np.nan if t is None else t, 0.0, 15.0, 60.0, 19.0, 50.0]
+              for _, t in days]
+    return Weather(dates, np.array(values).reshape(-1, len(WEATHER_FIELDS)))
 
+
+class TestInterpolateWeather:
     def test_midpoint_fill(self):
-        days = [
-            self.day(dt.date(2023, 3, 1), max_temp=20.0),
-            self.day(dt.date(2023, 3, 2), max_temp=None),
-            self.day(dt.date(2023, 3, 3), max_temp=30.0),
-        ]
-        filled = interpolate_weather(days)
-        assert [d.max_temp for d in filled] == [20.0, 25.0, 30.0]
+        filled = interpolate_weather(weather_table((1, 20.0), (2, None), (3, 30.0)))
+        assert column(filled, "max_temp").tolist() == [20.0, 25.0, 30.0]
 
     def test_three_day_gap_linear_fill(self):
-        days = [
-            self.day(dt.date(2023, 3, 1), max_temp=10.0),
-            self.day(dt.date(2023, 3, 2), max_temp=None),
-            self.day(dt.date(2023, 3, 3), max_temp=None),
-            self.day(dt.date(2023, 3, 4), max_temp=16.0),
-        ]
-        filled = interpolate_weather(days)
-        assert [d.max_temp for d in filled] == pytest.approx([10.0, 12.0, 14.0, 16.0])
+        filled = interpolate_weather(weather_table(
+            (1, 10.0), (2, None), (3, None), (4, 16.0)))
+        assert column(filled, "max_temp") == pytest.approx([10.0, 12.0, 14.0, 16.0])
 
     def test_gap_weighted_by_date_distance(self):
         # A missing day flanked by non-consecutive dates interpolates at
-        # the calendar position, not the list position.
-        days = [
-            self.day(dt.date(2023, 3, 1), max_temp=10.0),
-            self.day(dt.date(2023, 3, 2), max_temp=None),
-            self.day(dt.date(2023, 3, 4), max_temp=16.0),
-        ]
-        filled = interpolate_weather(days)
-        assert filled[1].max_temp == pytest.approx(12.0)
+        # the calendar position, not the row position.
+        filled = interpolate_weather(weather_table((1, 10.0), (2, None), (4, 16.0)))
+        assert column(filled, "max_temp")[1] == pytest.approx(12.0)
 
     def test_no_missing_is_identity(self):
-        days = [self.day(dt.date(2023, 3, d), max_temp=20.0 + d)
-                for d in (1, 2, 3)]
-        assert interpolate_weather(days) == tuple(days)
+        weather = weather_table(*[(d, 20.0 + d) for d in (1, 2, 3)])
+        filled = interpolate_weather(weather)
+        assert np.array_equal(filled.dates, weather.dates)
+        assert np.array_equal(filled.values, weather.values)
 
     def test_idempotent(self):
-        days = [
-            self.day(dt.date(2023, 3, 1), max_temp=20.0, rh_3pm=40.0),
-            self.day(dt.date(2023, 3, 2), max_temp=None, rh_3pm=None),
-            self.day(dt.date(2023, 3, 3), max_temp=30.0, rh_3pm=60.0),
-        ]
-        once = interpolate_weather(days)
-        assert all(d.is_complete() for d in once)
-        assert interpolate_weather(once) == once
+        weather = weather_table((1, 20.0), (2, None), (3, 30.0))
+        weather.values[1, WEATHER_FIELDS.index("rh_3pm")] = np.nan
+        once = interpolate_weather(weather)
+        assert not np.isnan(once.values).any()
+        assert np.isnan(weather.values).sum() == 2  # the input is not filled in place
+        twice = interpolate_weather(once)
+        assert np.array_equal(twice.values, once.values)
 
     def test_boundary_missing_raises(self):
-        leading = [
-            self.day(dt.date(2023, 3, 1), max_temp=None),
-            self.day(dt.date(2023, 3, 2), max_temp=20.0),
-        ]
-        with pytest.raises(BoundaryMissingError):
-            interpolate_weather(leading)
-        trailing = [
-            self.day(dt.date(2023, 3, 1), max_temp=20.0),
-            self.day(dt.date(2023, 3, 2), max_temp=None),
-        ]
-        with pytest.raises(BoundaryMissingError):
-            interpolate_weather(trailing)
+        with pytest.raises(BoundaryMissingError, match="start"):
+            interpolate_weather(weather_table((1, None), (2, 20.0)))
+        with pytest.raises(BoundaryMissingError, match="end"):
+            interpolate_weather(weather_table((1, 20.0), (2, None)))
 
     def test_all_missing_raises(self):
-        days = [self.day(dt.date(2023, 3, d), max_temp=None) for d in (1, 2)]
         with pytest.raises(AllMissingError):
-            interpolate_weather(days)
+            interpolate_weather(weather_table((1, None), (2, None)))
 
     def test_unsorted_days_rejected(self):
-        days = [self.day(dt.date(2023, 3, 2), max_temp=20.0),
-                self.day(dt.date(2023, 3, 1), max_temp=20.0)]
-        with pytest.raises(ValueError):
-            interpolate_weather(days)
+        with pytest.raises(ValueError, match="2023-03-01 follows 2023-03-02"):
+            weather_table((2, 20.0), (1, 20.0))
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyInputError):
-            interpolate_weather([])
+            interpolate_weather(weather_table())
 
 
 def record(day, hour, minute, watts):
@@ -384,27 +376,27 @@ def records(*readings):
 
 class TestMergeSolar:
     def test_export_case(self):
-        merged = merge_solar(records(record(1, 12, 0, -200.0)),
-                             records(record(1, 12, 0, 1500.0)))
-        assert merged.records.watts[0] == 1300.0
-        assert merged.grid_only == 0 and merged.solar_only == 0
+        merged, grid_only, solar_only = merge_solar(
+            records(record(1, 12, 0, -200.0)), records(record(1, 12, 0, 1500.0)))
+        assert merged.watts[0] == 1300.0
+        assert grid_only == 0 and solar_only == 0
 
     def test_zero_solar_is_identity(self):
         grid = records(*[record(1, 2, m, 400.0 + m) for m in range(0, 30, 5)])
         solar = records(*[record(1, 2, m, 0.0) for m in range(0, 30, 5)])
-        merged = merge_solar(grid, solar)
-        assert merged.records.watts.tolist() == grid.watts.tolist()
+        merged, _, _ = merge_solar(grid, solar)
+        assert merged.watts.tolist() == grid.watts.tolist()
 
     def test_one_sided_timestamps_counted(self):
         grid = records(record(1, 0, 0, 100.0), record(1, 0, 5, 110.0),
                        record(1, 0, 10, 120.0))
         solar = records(record(1, 0, 5, 50.0), record(1, 0, 15, 60.0),
                         record(1, 0, 20, 70.0))
-        merged = merge_solar(grid, solar)
-        assert len(merged.records) == 1
-        assert merged.records.watts[0] == 160.0
-        assert merged.grid_only == 2
-        assert merged.solar_only == 2
+        merged, grid_only, solar_only = merge_solar(grid, solar)
+        assert len(merged) == 1
+        assert merged.watts[0] == 160.0
+        assert grid_only == 2
+        assert solar_only == 2
 
     def test_empty_intersection_raises(self):
         with pytest.raises(EmptyIntersectionError):
@@ -414,8 +406,7 @@ class TestMergeSolar:
     def test_watt_contributions_commute(self):
         a = records(record(1, 5, 0, 321.0))
         b = records(record(1, 5, 0, 123.0))
-        assert (merge_solar(a, b).records.watts[0]
-                == merge_solar(b, a).records.watts[0])
+        assert merge_solar(a, b)[0].watts[0] == merge_solar(b, a)[0].watts[0]
 
     def test_unsorted_input_rejected(self):
         out_of_order = records(record(1, 0, 5, 1.0), record(1, 0, 0, 1.0))
@@ -424,53 +415,53 @@ class TestMergeSolar:
 
 
 class TestBuildFrame:
-    def complete_day(self, day, max_temp=25.0):
-        return WeatherDay(dt.date(2023, 3, day), max_temp=max_temp,
-                          rainfall=0.0, temp_9am=15.0, rh_9am=60.0,
-                          temp_3pm=22.0, rh_3pm=45.0)
+    def complete_days(self, *days, max_temp=25.0):
+        values = [[max_temp, 0.0, 15.0, 60.0, 22.0, 45.0]] * len(days)
+        return Weather([ordinal(d) for d in days],
+                       np.array(values).reshape(-1, len(WEATHER_FIELDS)))
 
     def test_weather_broadcast_to_all_day_rows(self):
         meter = records(*[record(1, s // 12, (s % 12) * 5, 500.0)
                           for s in range(288)])
-        result = build_frame(meter, [self.complete_day(1)])
-        assert len(result.frame.times) == 288
-        assert result.dropped_no_weather == 0
-        assert np.all(result.frame.weather[:, 0] == 25.0)
-        assert np.unique(result.frame.weather, axis=0).shape[0] == 1
+        frame, dropped_no_weather = build_frame(meter, self.complete_days(1))
+        assert len(frame.times) == 288
+        assert dropped_no_weather == 0
+        assert np.all(frame.weather[:, 0] == 25.0)
+        assert np.unique(frame.weather, axis=0).shape[0] == 1
 
     def test_uncovered_dates_dropped_and_counted(self):
         meter = records(record(1, 10, 0, 100.0), record(1, 10, 5, 110.0),
                         record(2, 10, 0, 120.0))
-        result = build_frame(meter, [self.complete_day(1)])
-        assert len(result.frame.times) == 2
-        assert result.dropped_no_weather == 1
+        frame, dropped_no_weather = build_frame(meter, self.complete_days(1))
+        assert len(frame.times) == 2
+        assert dropped_no_weather == 1
 
     def test_disjoint_ranges_raise(self):
         meter = records(record(5, 0, 0, 100.0))
         with pytest.raises(NoOverlapError):
-            build_frame(meter, [self.complete_day(1)])
+            build_frame(meter, self.complete_days(1))
         with pytest.raises(NoOverlapError):
-            build_frame(meter, [])
+            build_frame(meter, self.complete_days())
 
     def test_row_count_bounded_by_meter_count(self):
         meter = records(record(1, 0, 0, 1.0), record(2, 0, 0, 2.0))
-        both = build_frame(meter, [self.complete_day(1), self.complete_day(2)])
-        assert len(both.frame.times) == len(meter)
-        one = build_frame(meter, [self.complete_day(1)])
-        assert len(one.frame.times) < len(meter)
+        both, _ = build_frame(meter, self.complete_days(1, 2))
+        assert len(both.times) == len(meter)
+        one, _ = build_frame(meter, self.complete_days(1))
+        assert len(one.times) < len(meter)
 
     def test_incomplete_weather_rejected(self):
-        incomplete = WeatherDay(dt.date(2023, 3, 1), max_temp=20.0)
-        with pytest.raises(ValueError):
-            build_frame(records(record(1, 0, 0, 1.0)), [incomplete])
+        incomplete = Weather([ordinal(1)], [[20.0] + [np.nan] * 5])
+        with pytest.raises(ValueError, match="2023-03-01 still has missing"):
+            build_frame(records(record(1, 0, 0, 1.0)), incomplete)
 
     def test_empty_meter_rejected(self):
         with pytest.raises(EmptyInputError):
-            build_frame(records(), [self.complete_day(1)])
+            build_frame(records(), self.complete_days(1))
 
     def test_frame_passes_validator(self):
         meter = records(*[record(1, h, m, 200.0 + h)
                           for h in range(3) for m in range(0, 60, 5)])
-        result = build_frame(meter, [self.complete_day(1)])
-        result.frame.validate()  # raises on any invariant breach
-        assert result.frame.time_decimal[13] == pytest.approx(1 + 5 / 60)
+        frame, _ = build_frame(meter, self.complete_days(1))
+        frame.validate()  # raises on any invariant breach
+        assert frame.time_decimal[13] == pytest.approx(1 + 5 / 60)

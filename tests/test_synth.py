@@ -293,14 +293,14 @@ def test_csv_round_trip_plain(tmp_path):
     parsed = parse_meter_csv(MeterCsvSpec(path=files.meter[0]))
     assert parsed.drops.total == 0
     assert len(parsed.records) == 12 * SLOTS_PER_DAY
-    loaded = load_weather_dir(tmp_path / "weather")
-    assert loaded.drops.total_rows == 0
-    complete = interpolate_weather(loaded.days)
-    rebuilt = build_frame(parsed.records, complete)
-    assert rebuilt.dropped_no_weather == 0
-    assert np.array_equal(rebuilt.frame.times, frame.times)
-    assert np.array_equal(rebuilt.frame.consumption, frame.consumption)
-    assert np.array_equal(rebuilt.frame.weather, frame.weather)
+    weather, drops, _ = load_weather_dir(tmp_path / "weather")
+    assert drops.total_rows == 0
+    rebuilt, dropped_no_weather = build_frame(parsed.records,
+                                              interpolate_weather(weather))
+    assert dropped_no_weather == 0
+    assert np.array_equal(rebuilt.times, frame.times)
+    assert np.array_equal(rebuilt.consumption, frame.consumption)
+    assert np.array_equal(rebuilt.weather, frame.weather)
 
 
 def test_csv_round_trip_solar(tmp_path):
@@ -311,11 +311,11 @@ def test_csv_round_trip_solar(tmp_path):
     solar = parse_meter_csv(MeterCsvSpec(path=files.meter[1], kind="solar"))
     assert grid.drops.total == 0 and solar.drops.total == 0
     assert grid.records.watts.min() < 0.0
-    merged = merge_solar(grid.records, solar.records)
-    assert merged.grid_only == 0 and merged.solar_only == 0
-    complete = interpolate_weather(load_weather_dir(tmp_path / "weather").days)
-    rebuilt = build_frame(merged.records, complete)
-    assert np.allclose(rebuilt.frame.consumption, frame.consumption,
+    merged, grid_only, solar_only = merge_solar(grid.records, solar.records)
+    assert grid_only == 0 and solar_only == 0
+    weather, _, _ = load_weather_dir(tmp_path / "weather")
+    rebuilt, _ = build_frame(merged, interpolate_weather(weather))
+    assert np.allclose(rebuilt.consumption, frame.consumption,
                        rtol=0.0, atol=1e-6)
 
 

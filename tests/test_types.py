@@ -1,5 +1,5 @@
 """Tests for the core vocabulary: slot indices, seasons, meter records,
-frames."""
+weather, frames."""
 import datetime as dt
 
 import numpy as np
@@ -10,16 +10,18 @@ from gridcast.types import (
     MERGED_CSV_COLUMNS,
     SEASONS,
     SLOTS_PER_DAY,
+    WEATHER_FIELDS,
     MergedFrame,
     MeterRecords,
     Season,
-    WeatherDay,
+    Weather,
     build_merged_frame,
     format_timestamps,
     parse_timestamps,
     season_codes,
     slot_index,
     time_decimal,
+    weather_plausible,
 )
 
 
@@ -126,24 +128,38 @@ class TestMeterRecord:
         assert r.watts.tolist() == [-200.0]
 
 
-class TestWeatherDay:
-    def test_missing_fields_reported(self):
-        day = WeatherDay(dt.date(2023, 3, 1), max_temp=21.0)
-        assert day.missing_fields() == ("rainfall", "temp_9am", "rh_9am", "temp_3pm", "rh_3pm")
-        assert not day.is_complete()
+class TestWeather:
+    def test_nan_marks_missing(self):
+        day = dt.date(2023, 3, 1).toordinal()
+        weather = Weather([day], [[21.0] + [np.nan] * 5])
+        missing = [WEATHER_FIELDS[j] for j in np.flatnonzero(np.isnan(weather.values[0]))]
+        assert missing == ["rainfall", "temp_9am", "rh_9am", "temp_3pm", "rh_3pm"]
 
-    def test_complete_day(self):
-        day = WeatherDay(dt.date(2023, 3, 1), 21.0, 0.0, 15.0, 70.0, 20.0, 50.0)
-        assert day.is_complete()
-        assert day.field_values() == (21.0, 0.0, 15.0, 70.0, 20.0, 50.0)
+    def test_columns_are_int64_and_float64(self):
+        weather = Weather([738945, 738946], [[21, 0, 15, 70, 20, 50]] * 2)
+        assert len(weather) == 2
+        assert weather.dates.dtype == np.int64
+        assert weather.values.dtype == np.float64
+        assert weather.values[1].tolist() == [21.0, 0.0, 15.0, 70.0, 20.0, 50.0]
+        with pytest.raises(ValueError, match="shape"):
+            Weather([738945], [[21.0, 0.0, 15.0]])
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            WeatherDay(dt.date(2023, 3, 1), rh_9am=150.0)
-        with pytest.raises(ValueError):
-            WeatherDay(dt.date(2023, 3, 1), rainfall=-1.0)
-        with pytest.raises(ValueError):
-            WeatherDay(dt.date(2023, 3, 1), max_temp=90.0)
+        day = dt.date(2023, 3, 1).toordinal()
+        for field, value in (("rh_9am", 150.0), ("rainfall", -1.0),
+                             ("max_temp", 90.0), ("rainfall", np.inf)):
+            values = np.full((1, len(WEATHER_FIELDS)), np.nan)
+            values[0, WEATHER_FIELDS.index(field)] = value
+            with pytest.raises(ValueError, match="plausible"):
+                Weather([day], values)
+
+    def test_plausible_ranges(self):
+        values = np.array([[-20.0, 0.0, 55.0, 0.0, -20.0, 100.0],
+                           [-20.5, -0.1, 55.5, -1.0, np.nan, 100.5],
+                           [np.inf, np.inf, -np.inf, np.inf, 1e9, np.nan]])
+        assert weather_plausible(values).tolist() == [[True] * 6, [False] * 6,
+                                                      [False] * 6]
+        assert weather_plausible([[0.0, 1e6, 0.0, 50.0, 0.0, 50.0]]).all()
 
 
 def _small_frame(n=6):
