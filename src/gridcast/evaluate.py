@@ -146,29 +146,27 @@ def diurnal_profile(frame: MergedFrame, statistic: str = "median"
     """Per-season typical day: one value per 5-minute slot.
 
     Returns a 288-long array per season present in the frame; slots a
-    season never observes hold NaN.  Each slot's values are reduced in
+    season never observes hold NaN.  The mean sums each slot's values in
     frame order.
     """
     if statistic not in ("median", "mean"):
         raise ValueError(f"statistic must be median or mean, got {statistic!r}")
-    reduce = np.median if statistic == "median" else np.mean
-    slots = frame.times % SLOTS_PER_DAY
-    codes = season_codes(frame.times)
-    out: dict[Season, np.ndarray] = {}
-    for code, season in enumerate(SEASONS):
-        season_mask = codes == code
-        if not season_mask.any():
-            continue
-        profile = np.full(SLOTS_PER_DAY, np.nan)
-        season_slots = slots[season_mask]
-        # A stable sort groups each slot's values and keeps their order.
-        order = np.argsort(season_slots, kind="stable")
-        present, starts = np.unique(season_slots[order], return_index=True)
-        groups = np.split(frame.consumption[season_mask][order], starts[1:])
-        for slot, values in zip(present, groups):
-            profile[slot] = reduce(values)
-        out[season] = profile
-    return out
+    keys = season_codes(frame.times) * SLOTS_PER_DAY + frame.times % SLOTS_PER_DAY
+    # Grouped by (season, slot): by value within a group for the median,
+    # in frame order (a stable sort) for the mean.
+    order = (np.lexsort((frame.consumption, keys)) if statistic == "median"
+             else np.argsort(keys, kind="stable"))
+    keys, starts, counts = np.unique(keys[order], return_index=True,
+                                     return_counts=True)
+    ranked = frame.consumption[order]
+    table = np.full((len(SEASONS), SLOTS_PER_DAY), np.nan)
+    if statistic == "median":
+        # The mean of the two middle values, as np.median takes it.
+        table.flat[keys] = (ranked[starts + (counts - 1) // 2]
+                            + ranked[starts + counts // 2]) / 2
+    else:
+        table.flat[keys] = [np.mean(g) for g in np.split(ranked, starts)[1:]]
+    return {SEASONS[code]: table[code] for code in np.unique(keys // SLOTS_PER_DAY)}
 
 
 def pairwise_correlation(columns) -> np.ndarray:

@@ -9,7 +9,7 @@ each layer implements its own backward pass, and the test suite checks
 every parameter gradient, in float64, against central finite differences.
 """
 
-from gridcast.nn.layers import LSTM, Dense, Dropout, Network, count_params  # noqa: F401
+from gridcast.nn.layers import LSTM, Dense, Dropout, Network  # noqa: F401
 from gridcast.nn.losses import mse_loss  # noqa: F401
 from gridcast.nn.optim import Adam  # noqa: F401
 from gridcast.nn.serialize import load_model, save_model  # noqa: F401

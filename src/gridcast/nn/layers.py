@@ -23,7 +23,7 @@ allocates.
 A layer computes in the dtype of its parameters (``dtype``, float64
 unless the builder asks otherwise): every buffer, mask and state it
 creates follows that dtype, and inputs are expected in it already
-(train() and predict_batches() cast them once).
+(train() casts them once, predict_batches() chunk by chunk).
 """
 from __future__ import annotations
 
@@ -287,8 +287,8 @@ class LSTM:
             raise ShapeMismatchError(
                 f"lstm layer expects (B, L, {self.n_in}), got {x.shape}"
             )
+        self._cache = None  # first, so one batch of BPTT state is alive, not two
         if not train:
-            self._cache = None
             return self._forward_eval(x)
         batch, length, _ = x.shape
         h = np.zeros((batch, self.hidden), dtype=self.W.dtype)
@@ -458,8 +458,3 @@ class Network:
 
     def spec(self) -> list[dict]:
         return [layer.spec() for layer in self.layers]
-
-
-def count_params(model) -> int:
-    """Total number of trainable scalars in a layer or network."""
-    return int(sum(p.size for p in model.params()))

@@ -97,10 +97,11 @@ def predict_batches(model, x: np.ndarray, batch_size: int = EVAL_CHUNK) -> np.nd
     of one chunk, and a prediction has the bits that scoring each chunk
     by its own call would give. The one exception is kept out: a last
     chunk of one row gets its own call, because OpenBLAS computes a
-    one-row product with another kernel than a wider one. Raises
-    EmptyInputError on zero rows.
+    one-row product with another kernel than a wider one. Input in
+    another dtype is cast a call at a time. Raises EmptyInputError on
+    zero rows.
     """
-    x = np.asarray(x, dtype=_param_dtype(model))
+    x = np.asarray(x)
     n = x.shape[0]
     if n == 0:
         raise EmptyInputError("prediction input is empty")
@@ -110,7 +111,8 @@ def predict_batches(model, x: np.ndarray, batch_size: int = EVAL_CHUNK) -> np.nd
         stop = min(start + 2 * batch_size, n)
         if stop - start == batch_size + 1:
             stop -= 1
-        outputs.append(model.forward(x[start:stop], train=False))
+        chunk = x[start:stop].astype(_param_dtype(model), copy=False)
+        outputs.append(model.forward(chunk, train=False))
         start = stop
     return np.concatenate(outputs, axis=0)
 

@@ -179,7 +179,9 @@ def predict(name: str, model: Network | None, frame: MergedFrame,
                            scalers["target"])
     y_scaled = transform(frame.consumption.reshape(-1, 1),
                          scalers["target"]).ravel()
-    windows = make_windows(y_scaled[align.boundary:], align.window)
+    # In the network's dtype, so an older float64 file keeps its bits.
+    windows = make_windows(
+        y_scaled[align.boundary:].astype(model.params()[0].dtype), align.window)
     return lstm_predict(model, windows, scalers["target"],
                         spec=LstmSpec(window_length=align.window))
 
@@ -237,7 +239,8 @@ def run_experiment(config: ExperimentConfig,
             elif name == "lstm":
                 rng = np.random.default_rng(seeds[1])
                 model = build_lstm(spec=LstmSpec(window_length=window), rng=rng)
-                train_windows = make_windows(y_scaled[:boundary], window)
+                train_windows = make_windows(
+                    y_scaled[:boundary].astype(model.params()[0].dtype), window)
                 cut = _validation_cut(len(train_windows.targets),
                                       config.train.validation_fraction)
                 histories[name] = train(

@@ -138,7 +138,6 @@ class SplitIndex:
     """Boundary of a chronological train/test split over N rows."""
 
     boundary: int
-    total: int
 
 
 def chronological_split(data: int | Sized, ratio: float = 0.8) -> SplitIndex:
@@ -152,7 +151,7 @@ def chronological_split(data: int | Sized, ratio: float = 0.8) -> SplitIndex:
         raise ValueError(f"ratio must lie strictly between 0 and 1, got {ratio}")
     if n < 2:
         raise TooFewRowsError(f"need at least 2 rows to split, got {n}")
-    return SplitIndex(boundary=int(math.floor(ratio * n)), total=n)
+    return SplitIndex(boundary=int(math.floor(ratio * n)))
 
 
 @dataclass(frozen=True)
@@ -160,7 +159,8 @@ class WindowBatch:
     """Sliding windows for the sequence model.
 
     inputs has shape (M, L, F); targets has shape (M,). Window i holds
-    series positions i..i+L-1 and its target is position i+L.
+    series positions i..i+L-1 and its target is position i+L. Both are
+    read-only views of one private copy of the series.
     """
 
     inputs: np.ndarray
@@ -179,8 +179,10 @@ class WindowBatch:
 
 
 def make_windows(series: np.ndarray, window_length: int) -> WindowBatch:
-    """Build all N - L one-step-ahead windows over a univariate series."""
-    series = np.asarray(series, dtype=np.float64)
+    """Build all N - L one-step-ahead windows over a univariate series, as
+    read-only views of one copy of it (a float dtype is kept, else float64)."""
+    series = np.array(series, dtype=np.result_type(np.asarray(series), 0.0))
+    series.flags.writeable = False
     if series.ndim != 1:
         raise DimensionMismatchError(f"expected a 1-D series, got shape {series.shape}")
     if window_length < 1:
@@ -190,9 +192,9 @@ def make_windows(series: np.ndarray, window_length: int) -> WindowBatch:
         raise SeriesTooShortError(
             f"series of length {n} yields no windows of length {window_length}"
         )
-    m = n - window_length
-    windows = np.lib.stride_tricks.sliding_window_view(series, window_length)[:m]
-    return WindowBatch(inputs=windows.copy()[:, :, None], targets=series[window_length:].copy())
+    windows = np.lib.stride_tricks.sliding_window_view(series, window_length)
+    return WindowBatch(inputs=windows[:n - window_length, :, None],
+                       targets=series[window_length:])
 
 
 @dataclass(frozen=True)

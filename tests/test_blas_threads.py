@@ -1,9 +1,13 @@
 """BLAS thread choice: importing gridcast starts OpenBLAS on one thread
 unless the caller set a count, and the artifacts do not depend on it.
 
-Each check runs in a fresh interpreter, because the thread count binds
-when numpy is first imported. The count is asked of the OpenBLAS that
-numpy loaded, so a thread choice made too late to bind fails here."""
+Each check of the import runs in a fresh interpreter, because the thread
+count binds when numpy is first imported; one more check asks the test
+process itself, whose count tests/conftest.py chooses. The count is asked
+of the OpenBLAS that numpy loaded, so a thread choice made too late to
+bind fails here."""
+import ctypes
+import inspect
 import json
 import os
 import subprocess
@@ -13,16 +17,12 @@ import pytest
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
-# After `import gridcast`: the thread count of the loaded OpenBLAS (None if
-# it cannot be asked) and the thread variables left in the environment.
-PROBE = f"""
-import ctypes, json, os
-import gridcast
 
 def openblas_threads():
+    """Thread count of the OpenBLAS this process loaded, or None."""
     with open("/proc/self/maps", encoding="utf-8") as maps:
-        paths = sorted({{line.split()[-1] for line in maps
-                        if "openblas" in os.path.basename(line.split()[-1])}})
+        paths = sorted({line.split()[-1] for line in maps
+                        if "openblas" in os.path.basename(line.split()[-1])})
     for path in paths:
         lib = ctypes.CDLL(path)
         for symbol in ("scipy_openblas_get_num_threads64_",
@@ -35,6 +35,14 @@ def openblas_threads():
                 return query()
     return None
 
+
+# After `import gridcast`: the thread count of the loaded OpenBLAS (None if
+# it cannot be asked) and the thread variables left in the environment.
+PROBE = f"""
+import ctypes, json, os
+import gridcast
+
+{inspect.getsource(openblas_threads)}
 print(json.dumps({{"threads": openblas_threads(),
                   "env": {{k: os.environ.get(k) for k in {THREAD_VARS!r}}}}}))
 """
@@ -56,6 +64,20 @@ def _after_import(**chosen):
     if found["threads"] is None:
         pytest.skip("numpy's BLAS is not an OpenBLAS that reports its threads")
     return found
+
+
+def test_suite_runs_the_thread_count_users_get():
+    # One thread, as importing gridcast chooses, unless the environment
+    # names a count: tests/conftest.py makes the choice before numpy loads.
+    if not os.path.exists("/proc/self/maps"):
+        pytest.skip("needs /proc/self/maps to find the loaded OpenBLAS")
+    import numpy  # noqa: F401  (loads OpenBLAS, if no test did yet)
+    threads = openblas_threads()
+    if threads is None:
+        pytest.skip("numpy's BLAS is not an OpenBLAS that reports its threads")
+    chosen = os.environ.get("OPENBLAS_NUM_THREADS",
+                            os.environ.get("OMP_NUM_THREADS", "1"))
+    assert threads == min(int(chosen), len(os.sched_getaffinity(0)))
 
 
 def test_import_runs_openblas_on_one_thread_when_unset():

@@ -11,7 +11,7 @@ from gridcast.models import (
     lstm_predict,
     mlp_predict,
 )
-from gridcast.nn import count_params, load_model, save_model, train, TrainConfig
+from gridcast.nn import load_model, save_model, train, TrainConfig
 from gridcast.preprocess import fit_scaler, make_windows, transform
 
 
@@ -22,11 +22,11 @@ def fitted_scalers(features, targets):
 class TestSpecs:
     def test_mlp_parameter_count(self):
         # 7*64+64 dense, 64*32+32 dense, 32*1+1 head = 512+2080+33
-        assert count_params(build_mlp()) == 2625
+        assert sum(p.size for p in build_mlp().params()) == 2625
 
     def test_lstm_parameter_count(self):
         # 4 gate blocks of 50*(50+1)+50, plus a 50->1 head = 10400+51
-        assert count_params(build_lstm()) == 10451
+        assert sum(p.size for p in build_lstm().params()) == 10451
 
     def test_mlp_layer_layout(self):
         kinds = [layer["kind"] for layer in build_mlp().spec()]
@@ -43,7 +43,8 @@ class TestSpecs:
 
     def test_custom_widths_change_counts(self):
         small = build_mlp(MlpSpec(n_features=3, hidden_1=4, hidden_2=2))
-        assert count_params(small) == (3 * 4 + 4) + (4 * 2 + 2) + (2 + 1)
+        assert (sum(p.size for p in small.params())
+                == (3 * 4 + 4) + (4 * 2 + 2) + (2 + 1))
 
     def test_invalid_spec_rejected(self):
         with pytest.raises(ValueError):
@@ -202,7 +203,7 @@ class TestSerializationRoundTrip:
         save_model(model, path, metadata={"kind": "mlp"})
         loaded, metadata = load_model(path)
         assert metadata == {"kind": "mlp"}
-        assert count_params(loaded) == 2625
+        assert sum(p.size for p in loaded.params()) == 2625
         original = mlp_predict(model, features, f_scaler, t_scaler)
         restored = mlp_predict(loaded, features, f_scaler, t_scaler)
         assert np.array_equal(original, restored)
@@ -216,7 +217,7 @@ class TestSerializationRoundTrip:
         path = tmp_path / "lstm.npz"
         save_model(model, path, metadata={})
         loaded, _ = load_model(path)
-        assert count_params(loaded) == 10451
+        assert sum(p.size for p in loaded.params()) == 10451
         original = lstm_predict(model, windows, scaler)
         restored = lstm_predict(loaded, windows, scaler)
         assert np.array_equal(original, restored)

@@ -17,7 +17,6 @@ from gridcast.nn.layers import (
     Dense,
     Dropout,
     Network,
-    count_params,
     sigmoid,
 )
 from gridcast.nn.training import predict_batches
@@ -178,6 +177,24 @@ class TestLstmForward:
         with pytest.raises(ShapeMismatchError):
             cell.forward(np.zeros((2, 8, 3)))
 
+    def test_train_forward_holds_one_batch_of_bptt_state(self):
+        # At the production shape one batch's per-step cache is about
+        # 8.7 MB. Building the next while the last is still alive peaks
+        # at twice that.
+        rng = np.random.default_rng(12)
+        cell = LSTM(1, 50, "relu", rng=rng, dtype=np.float32)
+        x = rng.uniform(size=(256, 24, 1)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            cell.backward(np.ones_like(cell.forward(x, train=True)))
+            tracemalloc.reset_peak()
+            cell.forward(x, train=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        cached = {id(a): a.nbytes for step in cell._cache[1] for a in step}
+        assert peak < 1.2 * sum(cached.values())
+
 
 class TestDropout:
     def test_eval_mode_is_identity(self):
@@ -226,15 +243,15 @@ class TestDropout:
 
 class TestNetwork:
     def test_count_params_examples(self):
-        assert count_params(Network([Dense(1, 1)])) == 2
+        assert sum(p.size for p in Network([Dense(1, 1)]).params()) == 2
         mlp = Network([
             Dense(7, 64, "relu"), Dropout(0.2),
             Dense(64, 32, "relu"), Dropout(0.1),
             Dense(32, 1),
         ])
-        assert count_params(mlp) == 2625
+        assert sum(p.size for p in mlp.params()) == 2625
         lstm = Network([LSTM(1, 50, "relu"), Dropout(0.2), Dense(50, 1)])
-        assert count_params(lstm) == 10451
+        assert sum(p.size for p in lstm.params()) == 10451
 
     def test_forward_chains_layers(self):
         net = Network([Dense(2, 2), Dense(2, 1)])

@@ -206,6 +206,14 @@ class TestMakeWindows:
         series[0] = 999.0
         assert batch.inputs[0, 0, 0] == 0.0
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_windows_are_read_only_views_in_the_series_dtype(self, dtype):
+        batch = make_windows(np.arange(30.0, dtype=dtype), 24)
+        assert batch.inputs.dtype == batch.targets.dtype == dtype
+        assert np.shares_memory(batch.inputs, batch.targets)
+        assert not batch.inputs.flags.writeable
+        assert not batch.targets.flags.writeable
+
 
 class TestFeatureMatrix:
     def test_column_order(self):
