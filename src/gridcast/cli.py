@@ -17,7 +17,8 @@ config's out_dir.
 
 Exit codes: 0 success; 2 for usage problems (bad flags, bad config,
 subcommand inapplicable to the configured source); 1 for runtime
-failures (unreadable data, training errors).  compare and report print
+failures (unreadable data, training errors), each printed as one line
+that names the failing stage.  compare and report print
 exactly the report.csv text on stdout, so piping either gives the same
 metric table.
 """
@@ -36,10 +37,16 @@ from gridcast.config import (
     ExperimentConfig,
     load_config,
 )
-from gridcast.errors import GridcastError, InvalidConfigError, PipelineError
+from gridcast.errors import GridcastError, InvalidConfigError
 from gridcast.evaluate import compute_metrics, read_report_json, write_report_csv
 from gridcast.nn.serialize import load_model
-from gridcast.pipeline import alignment, load_frame, predict, run_experiment
+from gridcast.pipeline import (
+    alignment,
+    load_frame,
+    predict,
+    run_experiment,
+    stage,
+)
 from gridcast.preprocess import load_scalers
 from gridcast.synth import generate, write_csvs
 
@@ -116,8 +123,10 @@ def _resolve_out(args, config: ExperimentConfig) -> Path:
 def _cmd_synth(args, config: ExperimentConfig, out: Path) -> int:
     if config.source != "synth":
         raise InvalidConfigError("synth subcommand needs source 'synth'")
-    frame, truth = generate(config.synth)
-    files = write_csvs(frame, truth, out)
+    with stage("generate"):
+        frame, truth = generate(config.synth)
+    with stage("write"):
+        files = write_csvs(frame, truth, out)
     print(f"rows {len(frame.times)}")
     for path in list(files.meter) + list(files.weather):
         print(path)
@@ -137,9 +146,10 @@ def _cmd_ingest(args, config: ExperimentConfig, out: Path) -> int:
               f"{counts['grid_only']} solar-only {counts['solar_only']}")
     print(f"weather days {counts['weather_days']} from "
           f"{counts['weather_files']} files dropped {counts['weather_dropped']}")
-    out.mkdir(parents=True, exist_ok=True)
     target = out / "merged.csv"
-    frame.to_csv(target)
+    with stage("write"):
+        out.mkdir(parents=True, exist_ok=True)
+        frame.to_csv(target)
     print(f"frame rows {len(frame)} "
           f"dropped-no-weather {counts['dropped_no_weather']}")
     print(target)
@@ -167,9 +177,11 @@ def _cmd_report(args, config: ExperimentConfig, out: Path) -> int:
     report_path = out / "report.json"
     if not report_path.exists():
         raise InvalidConfigError(f"no stored report at {report_path}")
-    report = read_report_json(report_path)
-    write_report_csv(report, out / "report.csv")
-    _print_report_csv(out / "report.csv")
+    with stage("load"):
+        report = read_report_json(report_path)
+    with stage("write"):
+        write_report_csv(report, out / "report.csv")
+        _print_report_csv(out / "report.csv")
     return 0
 
 
@@ -184,27 +196,24 @@ def _cmd_evaluate(args, config: ExperimentConfig, out: Path) -> int:
         for path in (scaler_path, model_path):
             if not path.exists():
                 raise InvalidConfigError(f"missing artifact: {path}")
-        # Errors carry their stage label, as in run_experiment.
-        try:
+        with stage("load"):
             scalers = load_scalers(scaler_path)
             model, _ = load_model(model_path)
-        except GridcastError as exc:
-            raise PipelineError(stage="load", cause=exc) from exc
-    try:
+    with stage("evaluate"):
         align = alignment(config, len(frame))
         predicted = predict(name, model, frame, align, scalers)
         metrics = compute_metrics(predicted, frame.consumption[align.targets],
                                   units="watts")
-    except GridcastError as exc:
-        raise PipelineError(stage="evaluate", cause=exc) from exc
-    out.mkdir(parents=True, exist_ok=True)
     payload = {"model": name, "slice": "test",
                "metrics": {"rmse": metrics.rmse, "mae": metrics.mae,
                            "r2": metrics.r2, "n": metrics.n,
                            "units": metrics.units}}
     result_path = out / f"evaluate_{name}.json"
-    result_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                           encoding="utf-8")
+    with stage("write"):
+        out.mkdir(parents=True, exist_ok=True)
+        result_path.write_text(
+            json.dumps(payload, indent=2, sort_keys=True) + "\n",
+            encoding="utf-8")
     print(f"{name},test,rmse,{metrics.rmse!r},{metrics.n},{metrics.units}")
     print(f"{name},test,mae,{metrics.mae!r},{metrics.n},{metrics.units}")
     r2_text = "" if metrics.r2 is None else repr(metrics.r2)

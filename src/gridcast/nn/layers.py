@@ -11,6 +11,7 @@ An eval-mode forward retains nothing: it drops any cache an earlier
 train-mode call left, so inference holds no per-step state and a
 backward() after it raises NoCachedForwardError.
 
+One LSTM cell, writing into the buffers it is given, serves both modes.
 An eval-mode LSTM forward scores its rows in fixed ``EVAL_CHUNK``-row
 blocks, on up to two threads: the calling thread takes the even blocks
 and, when the process may run on at least two CPUs, one helper thread
@@ -192,9 +193,9 @@ class LSTM:
     the gate sigmoids stay untouched.
 
     The four gate matrices live as row blocks of one (4H, H+F) array in
-    the order f, i, c, o, so each step costs one matmul; W_f etc. are
-    views into it. ``dtype`` sets the parameters, their gradients and
-    the recurrent state.
+    the order f, i, c, o, so each step costs one matmul. One cell,
+    _cell, computes a step in both train and eval mode. ``dtype`` sets
+    the parameters, their gradients and the recurrent state.
     """
 
     GATE_ORDER = ("f", "i", "c", "o")
@@ -217,29 +218,6 @@ class LSTM:
         self.db = np.zeros_like(self.b)
         self._cache = None
 
-    # Named views into the stacked parameter blocks; assigning through
-    # them (e.g. cell.b_f[:] = 1) updates the real parameters.
-    def _block(self, a, gate):
-        k = self.GATE_ORDER.index(gate)
-        return a[k * self.hidden:(k + 1) * self.hidden]
-
-    @property
-    def W_f(self): return self._block(self.W, "f")
-    @property
-    def W_i(self): return self._block(self.W, "i")
-    @property
-    def W_c(self): return self._block(self.W, "c")
-    @property
-    def W_o(self): return self._block(self.W, "o")
-    @property
-    def b_f(self): return self._block(self.b, "f")
-    @property
-    def b_i(self): return self._block(self.b, "i")
-    @property
-    def b_c(self): return self._block(self.b, "c")
-    @property
-    def b_o(self): return self._block(self.b, "o")
-
     def _act(self, z, out=None):
         return np.tanh(z, out=out) if self.activation == "tanh" else relu(z, out=out)
 
@@ -251,35 +229,22 @@ class LSTM:
             return 1.0 - value * value
         return pre > 0.0
 
-    def _step(self, x_t, h_prev, c_prev):
-        """One batched cell update, shared by forward() and step().
-        Returns (h, c, cache)."""
-        hx = np.concatenate([h_prev, x_t], axis=1)
-        z = hx @ self.W.T
+    def _cell(self, hx, c_prev, z, f, i, g, o, c, ig, a, h) -> None:
+        """One batched step from hx = [h_prev, x_t] and c_prev, written
+        into the buffers given; z and ig = i * g are scratch. The eval
+        loop may alias c_prev=c, ig=g and a=f."""
+        hsz = self.hidden
+        np.matmul(hx, self.W.T, out=z)
         z += self.b
-        h = self.hidden
-        f = sigmoid(z[:, 0 * h:1 * h])
-        i = sigmoid(z[:, 1 * h:2 * h])
-        g = self._act(z[:, 2 * h:3 * h])
-        o = sigmoid(z[:, 3 * h:4 * h])
-        c = f * c_prev + i * g
-        a = self._act(c)
-        out = o * a
-        cache = (hx, f, i, g, o, c_prev, c, a)
-        return out, c, cache
-
-    def step(self, x_t: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray):
-        """Public single-step interface; accepts vectors or batches."""
-        single = x_t.ndim == 1
-        if single:
-            x_t, h_prev, c_prev = x_t[None, :], h_prev[None, :], c_prev[None, :]
-        if x_t.shape[1] != self.n_in or h_prev.shape[1] != self.hidden:
-            raise ShapeMismatchError(
-                f"step expects x ({self.n_in},) and state ({self.hidden},), "
-                f"got {x_t.shape[1:]} and {h_prev.shape[1:]}"
-            )
-        h, c, _ = self._step(x_t, h_prev, c_prev)
-        return (h[0], c[0]) if single else (h, c)
+        sigmoid(z[:, 0 * hsz:1 * hsz], out=f)
+        sigmoid(z[:, 1 * hsz:2 * hsz], out=i)
+        self._act(z[:, 2 * hsz:3 * hsz], out=g)
+        sigmoid(z[:, 3 * hsz:4 * hsz], out=o)
+        np.multiply(f, c_prev, out=c)
+        np.multiply(i, g, out=ig)
+        c += ig
+        self._act(c, out=a)
+        np.multiply(o, a, out=h)
 
     def forward(self, x: np.ndarray, train: bool = False,
                 rng: np.random.Generator | None = None) -> np.ndarray:
@@ -287,18 +252,37 @@ class LSTM:
             raise ShapeMismatchError(
                 f"lstm layer expects (B, L, {self.n_in}), got {x.shape}"
             )
-        self._cache = None  # first, so one batch of BPTT state is alive, not two
         if not train:
+            self._cache = None
             return self._forward_eval(x)
         batch, length, _ = x.shape
-        h = np.zeros((batch, self.hidden), dtype=self.W.dtype)
-        c = np.zeros_like(h)
-        caches = []
+        hsz = self.hidden
+        if self._cache is None or self._cache[0].shape[:2] != (length + 1, batch):
+            self._cache = None  # first, so one batch of BPTT state is alive, not two
+            self._cache = self._bptt_state(batch, length)
+        hx, c, f, i, g, o, a, z, ig = self._cache
+        hx[:length, :, hsz:] = x.transpose(1, 0, 2)
         for t in range(length):
-            h, c, cache = self._step(x[:, t, :], h, c)
-            caches.append(cache)
-        self._cache = (x.shape, caches)
-        return h
+            self._cell(hx[t], c[t], z, f[t], i[t], g[t], o[t], c[t + 1], ig,
+                       a[t], hx[t + 1, :, :hsz])
+        # A copy, so that no later layer keeps this batch's state alive.
+        return hx[length, :, :hsz].copy()
+
+    def _bptt_state(self, batch: int, length: int) -> tuple[np.ndarray, ...]:
+        """What backward() reads, then the cell's scratch z and ig.
+
+        Row t of hx is [h_(t-1), x_t]; row 0 of c, like the h columns of
+        row 0 of hx, is the zero initial state, which no step overwrites.
+        The next batch of the same shape reuses these arrays: fresh ones
+        of this size come from newly mapped pages, and faulting them in
+        cost about a quarter of the train-mode forward.
+        """
+        hsz, dtype = self.hidden, self.W.dtype
+        return (np.zeros((length + 1, batch, hsz + self.n_in), dtype=dtype),
+                np.zeros((length + 1, batch, hsz), dtype=dtype),
+                *(np.empty((length, batch, hsz), dtype=dtype) for _ in range(5)),
+                np.empty((batch, 4 * hsz), dtype=dtype),
+                np.empty((batch, hsz), dtype=dtype))
 
     def _workspace(self, rows: int) -> tuple[np.ndarray, ...]:
         """Buffers for one thread's blocks: hx, z, c and the four gates."""
@@ -344,13 +328,11 @@ class LSTM:
         """Write the final hidden state of each block starting at one of
         ``starts`` into ``out``.
 
-        The operations and their order are those of _step, so the bits
-        are too, but every result lands in ``workspace``: the loop
-        allocates no array.
+        Every step runs _cell inside ``workspace``, so the loop allocates
+        no array.
         """
         hsz = self.hidden
         length = x.shape[1]
-        w_t = self.W.T
         for start in starts:
             stop = min(start + EVAL_CHUNK, x.shape[0])
             hx, z, c, f, i, g, o = (a[:stop - start] for a in workspace)
@@ -359,21 +341,8 @@ class LSTM:
             c.fill(0.0)
             for t in range(length):
                 hx[:, hsz:] = x[start:stop, t, :]
-                np.matmul(hx, w_t, out=z)
-                z += self.b
-                sigmoid(z[:, 0 * hsz:1 * hsz], out=f)
-                sigmoid(z[:, 1 * hsz:2 * hsz], out=i)
-                self._act(z[:, 2 * hsz:3 * hsz], out=g)
-                sigmoid(z[:, 3 * hsz:4 * hsz], out=o)
-                np.multiply(f, c, out=c)
-                np.multiply(i, g, out=g)
-                c += g
-                a = self._act(c, out=f)
-                np.multiply(o, a, out=out[start:stop] if t == length - 1 else h)
-
-    def forward_sequence(self, seq: np.ndarray) -> np.ndarray:
-        """Run a single (L, F) sequence; returns the final hidden (H,)."""
-        return self.forward(seq[None, :, :])[0]
+                self._cell(hx, c, z, f, i, g, o, c, g, f,
+                           out[start:stop] if t == length - 1 else h)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         """Backpropagation through time from the final hidden state.
@@ -385,8 +354,8 @@ class LSTM:
         if self._cache is None:
             raise NoCachedForwardError(
                 "lstm backward called before a train-mode forward")
-        (batch, length, _), caches = self._cache
-        hsz = self.hidden
+        hx, c, *gates = self._cache[:7]
+        length, batch, hsz = gates[0].shape
         dtype = self.W.dtype
         self.dW = np.zeros_like(self.W)
         self.db = np.zeros_like(self.b)
@@ -397,13 +366,13 @@ class LSTM:
         # f, i, c, o of this one array, in place of a concatenate.
         dz = np.empty((batch, 4 * hsz), dtype=dtype)
         for t in range(length - 1, -1, -1):
-            hx, f, i, g, o, c_prev, c, a = caches[t]
-            dc = dc + dh * o * self._act_grad_from(a, c)
-            dz[:, 0 * hsz:1 * hsz] = dc * c_prev * f * (1.0 - f)
+            f, i, g, o, a = (s[t] for s in gates)
+            dc = dc + dh * o * self._act_grad_from(a, c[t + 1])
+            dz[:, 0 * hsz:1 * hsz] = dc * c[t] * f * (1.0 - f)
             dz[:, 1 * hsz:2 * hsz] = dc * g * i * (1.0 - i)
             dz[:, 2 * hsz:3 * hsz] = dc * i * self._act_grad_from(g, g)
             dz[:, 3 * hsz:4 * hsz] = dh * a * o * (1.0 - o)
-            self.dW += dz.T @ hx
+            self.dW += dz.T @ hx[t]
             self.db += dz.sum(axis=0)
             dhx = dz @ self.W
             dh = dhx[:, :hsz]

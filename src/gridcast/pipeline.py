@@ -26,6 +26,7 @@ not reseed the other.  Synthetic data uses its own synth.seed.
 """
 from __future__ import annotations
 
+import contextlib
 import datetime as dt
 import json
 from dataclasses import dataclass
@@ -113,8 +114,14 @@ def alignment(config: ExperimentConfig, n_rows: int) -> Alignment:
                      targets=np.arange(first_target, n_rows))
 
 
-def _wrap(stage: str, exc: Exception) -> PipelineError:
-    return PipelineError(stage=stage, cause=exc)
+@contextlib.contextmanager
+def stage(name: str):
+    """Re-raise a runtime failure in the block as a PipelineError that
+    names the stage, so the CLI prints it as ``[name] ...``."""
+    try:
+        yield
+    except (GridcastError, OSError) as exc:
+        raise PipelineError(stage=name, cause=exc) from exc
 
 
 def load_frame(config: ExperimentConfig) -> tuple[MergedFrame, dict[str, int]]:
@@ -125,7 +132,7 @@ def load_frame(config: ExperimentConfig) -> tuple[MergedFrame, dict[str, int]]:
     merge's rows, weather days, files and dropped rows, and the meter
     rows dropped for want of weather. The synthetic source has none.
     """
-    try:
+    with stage("data"):
         if config.source == "synth":
             frame, _ = generate(config.synth)
             return frame, {}
@@ -152,8 +159,6 @@ def load_frame(config: ExperimentConfig) -> tuple[MergedFrame, dict[str, int]]:
         frame, counts["dropped_no_weather"] = build_frame(
             meter, interpolate_weather(weather))
         return frame, counts
-    except (GridcastError, OSError) as exc:
-        raise _wrap("data", exc) from exc
 
 
 def predict(name: str, model: Network | None, frame: MergedFrame,
@@ -203,7 +208,7 @@ def run_experiment(config: ExperimentConfig,
     frame, _ = load_frame(config)
 
     # --- preprocess -------------------------------------------------------
-    try:
+    with stage("preprocess"):
         y = frame.consumption
         n = len(y)
         align = alignment(config, n)
@@ -214,8 +219,6 @@ def run_experiment(config: ExperimentConfig,
         feature_scaler = fit_scaler(features[:boundary])
         features_scaled = transform(features, feature_scaler)
         scalers = {"features": feature_scaler, "target": target_scaler}
-    except GridcastError as exc:
-        raise _wrap("preprocess", exc) from exc
 
     # --- train and predict --------------------------------------------------
     seeds = np.random.SeedSequence(config.seed).spawn(2)
@@ -223,7 +226,7 @@ def run_experiment(config: ExperimentConfig,
     predictions: dict[str, np.ndarray] = {}
     histories: dict[str, TrainingHistory] = {}
     trained = {}
-    try:
+    with stage("train"):
         for name in config.models:
             if name == "mlp":
                 rng = np.random.default_rng(seeds[0])
@@ -253,11 +256,9 @@ def run_experiment(config: ExperimentConfig,
                 trained[name] = model
             predictions[name] = predict(name, trained.get(name), frame, align,
                                         scalers)
-    except GridcastError as exc:
-        raise _wrap("train", exc) from exc
 
     # --- evaluate ------------------------------------------------------------
-    try:
+    with stage("evaluate"):
         actual = y[targets]
         target_times = frame.times[targets]
         cells = []
@@ -284,11 +285,9 @@ def run_experiment(config: ExperimentConfig,
             "best_epoch": {name: h.best_epoch for name, h in histories.items()},
         }
         report = EvalReport(metadata=metadata, cells=cells)
-    except GridcastError as exc:
-        raise _wrap("evaluate", exc) from exc
 
     # --- write artifacts ------------------------------------------------------
-    try:
+    with stage("write"):
         out.mkdir(parents=True, exist_ok=True)
         save_config(config, out / "config_resolved.json")
         run_info = {"created": dt.datetime.now(dt.timezone.utc).isoformat()}
@@ -328,7 +327,5 @@ def run_experiment(config: ExperimentConfig,
                     for i, (tl, vl) in enumerate(
                             zip(history.train_loss, history.val_loss), 1):
                         handle.write(f"{i},{float(tl)!r},{float(vl)!r}\n")
-    except OSError as exc:
-        raise PipelineError(stage="write", cause=exc) from exc
     return ExperimentResult(report=report, out_dir=out,
                             target_indices=targets, predictions=predictions)

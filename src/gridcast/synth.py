@@ -264,20 +264,6 @@ def generate(config: SynthConfig) -> tuple[MergedFrame, SynthTruth]:
     return frame, truth
 
 
-def lag_autocorrelation(series, lag: int) -> float:
-    """Pearson correlation between the series and its lagged copy."""
-    values = np.asarray(series, dtype=np.float64).ravel()
-    if lag < 1 or lag >= len(values):
-        raise ValueError(f"lag must be in [1, {len(values) - 1}], got {lag}")
-    head, tail = values[:-lag], values[lag:]
-    head = head - head.mean()
-    tail = tail - tail.mean()
-    denom = math.sqrt(float(np.sum(head * head)) * float(np.sum(tail * tail)))
-    if denom == 0.0:
-        raise ValueError("series is constant; autocorrelation undefined")
-    return float(np.sum(head * tail) / denom)
-
-
 @dataclass(frozen=True)
 class WrittenFiles:
     """Paths emitted by write_csvs."""

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from gridcast.cli import main
+from gridcast.errors import SeriesTooShortError
 from gridcast.evaluate import read_report_json
 from gridcast.types import MergedFrame
 
@@ -354,3 +355,70 @@ def test_corrupt_artifact_is_a_one_line_runtime_error(
     assert str(out / damaged) in lines[0]
     if command == "evaluate":
         assert lines[0].startswith("gridcast: [load] ")
+
+
+def _under_a_file(tmp_path):
+    """An --out directory that cannot be made: its parent is a file."""
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a regular file\n", encoding="utf-8")
+    return str(blocker / "out")
+
+
+def _raise_grid_error(*args, **kwargs):
+    raise SeriesTooShortError("injected failure")
+
+
+def _failing_generate(tmp_path, monkeypatch, stored):
+    monkeypatch.setattr("gridcast.cli.generate", _raise_grid_error)
+    return ["synth", "--config", str(write_config(tmp_path, **small_flat(tmp_path)))]
+
+
+def _synth_under_a_file(tmp_path, monkeypatch, stored):
+    config = write_config(tmp_path, **small_flat(tmp_path))
+    return ["synth", "--config", str(config), "--out", _under_a_file(tmp_path)]
+
+
+def _ingest_under_a_file(tmp_path, monkeypatch, stored):
+    return ["ingest", "--config", str(_three_day_household(tmp_path)),
+            "--out", _under_a_file(tmp_path)]
+
+
+def _evaluate_under_a_file(tmp_path, monkeypatch, stored):
+    config = write_config(tmp_path, **small_flat(tmp_path))
+    return ["evaluate", "--config", str(config), "--model", "naive",
+            "--out", _under_a_file(tmp_path)]
+
+
+def _report_from_garbage(tmp_path, monkeypatch, stored):
+    out = tmp_path / "out"
+    shutil.copytree(stored, out)
+    (out / "report.json").write_text("not json", encoding="utf-8")
+    return ["report", "--out", str(out)]
+
+
+def _report_onto_a_directory(tmp_path, monkeypatch, stored):
+    out = tmp_path / "out"
+    shutil.copytree(stored, out)
+    (out / "report.csv").unlink()
+    (out / "report.csv").mkdir()
+    return ["report", "--out", str(out)]
+
+
+@pytest.mark.parametrize("stage, make_argv", [
+    ("generate", _failing_generate),
+    ("write", _synth_under_a_file),
+    ("write", _ingest_under_a_file),
+    ("write", _evaluate_under_a_file),
+    ("load", _report_from_garbage),
+    ("write", _report_onto_a_directory),
+], ids=["synth-generate", "synth-write", "ingest-write", "evaluate-write",
+        "report-load", "report-write"])
+def test_every_runtime_failure_names_its_stage(
+        tmp_path, monkeypatch, capsys, stored_lstm_run, stage, make_argv):
+    argv = make_argv(tmp_path, monkeypatch, stored_lstm_run)
+    capsys.readouterr()
+    assert main(argv) == 1
+    stderr = capsys.readouterr().err
+    lines = stderr.splitlines()
+    assert len(lines) == 1 and "Traceback" not in stderr
+    assert lines[0].startswith(f"gridcast: [{stage}] ")

@@ -5,7 +5,8 @@ concatenated gate matmul, a separate sigmoid per gate, a 0/1 float relu
 mask, the four gate gradients concatenated, and the weight gradients
 accumulated last step first. LSTM.forward and LSTM.backward compute the
 same arithmetic in the same order, so every output and gradient must be
-bitwise equal, not merely close.
+bitwise equal, not merely close. TestLstmStep checks one step of the
+reference itself against closed forms and a scalar oracle.
 """
 import numpy as np
 import pytest
@@ -27,12 +28,16 @@ def _act_grad(value, pre, activation):
     return (pre > 0.0).astype(pre.dtype)
 
 
-def reference_forward(W, b, activation, x):
-    """Final hidden state and the per-step caches of a (B, L, F) batch."""
+def reference_forward(W, b, activation, x, state=None):
+    """Final hidden state and the per-step caches of a (B, L, F) batch,
+    run from the zero state or from ``state`` = (h, c)."""
     batch, length, _ = x.shape
     hsz = b.shape[0] // 4
-    h = np.zeros((batch, hsz), dtype=W.dtype)
-    c = np.zeros_like(h)
+    if state is None:
+        h = np.zeros((batch, hsz), dtype=W.dtype)
+        c = np.zeros_like(h)
+    else:
+        h, c = state
     caches = []
     for t in range(length):
         hx = np.concatenate([h, x[:, t, :]], axis=1)
@@ -111,3 +116,69 @@ def test_lstm_equals_reference_cell_bitwise(activation, dtype, shape):
         assert got.dtype == want.dtype == dtype, name
         assert np.array_equal(got, want), name
 
+
+def _step(cell, x, h_prev, c_prev):
+    """(h, c) after one reference step of cell's weights from (h_prev, c_prev)."""
+    h, caches = reference_forward(cell.W, cell.b, cell.activation,
+                                  x[None, None, :], (h_prev[None], c_prev[None]))
+    return h[0], caches[-1][6][0]
+
+
+class TestLstmStep:
+    def test_zero_weight_identities_tanh(self):
+        # With all weights and biases zero every sigmoid gate is 0.5 and
+        # the candidate is 0, so c_t = 0.5 c and h_t = 0.5 tanh(0.5 c).
+        cell = LSTM(1, 3, activation="tanh")
+        c_prev = np.array([0.4, -1.0, 2.0])
+        h, c = _step(cell, np.array([7.0]), np.zeros(3), c_prev)
+        assert np.allclose(c, 0.5 * c_prev, atol=1e-15)
+        assert np.allclose(h, 0.5 * np.tanh(0.5 * c_prev), atol=1e-15)
+
+    def test_zero_weight_identities_relu(self):
+        cell = LSTM(1, 3, activation="relu")
+        c_prev = np.array([0.4, -1.0, 2.0])
+        h, c = _step(cell, np.array([7.0]), np.zeros(3), c_prev)
+        assert np.allclose(c, 0.5 * c_prev, atol=1e-15)
+        assert np.allclose(h, 0.5 * np.maximum(0.5 * c_prev, 0.0), atol=1e-15)
+
+    def test_matches_scalar_oracle(self):
+        # Recompute one step with plain python floats, gate by gate.
+        rng = np.random.default_rng(5)
+        cell = LSTM(1, 2, activation="tanh", rng=rng)
+        cell.b[:] = rng.normal(size=8) * 0.1
+        x = rng.normal(size=1)
+        h_prev = rng.normal(size=2)
+        c_prev = rng.normal(size=2)
+        h, c = _step(cell, x, h_prev, c_prev)
+        # Row blocks of W and b in LSTM.GATE_ORDER: f, i, c, o.
+        W_f, W_i, W_c, W_o = np.split(cell.W, 4)
+        b_f, b_i, b_c, b_o = np.split(cell.b, 4)
+
+        hx = [h_prev[0], h_prev[1], x[0]]
+        for unit in range(2):
+            def gate(W, b):
+                z = b[unit]
+                for j in range(3):
+                    z += W[unit, j] * hx[j]
+                return 1.0 / (1.0 + np.exp(-z))
+
+            f = gate(W_f, b_f)
+            i = gate(W_i, b_i)
+            o = gate(W_o, b_o)
+            zc = b_c[unit]
+            for j in range(3):
+                zc += W_c[unit, j] * hx[j]
+            g = np.tanh(zc)
+            c_expected = f * c_prev[unit] + i * g
+            assert c[unit] == pytest.approx(c_expected, rel=1e-12)
+            assert h[unit] == pytest.approx(o * np.tanh(c_expected), rel=1e-12)
+
+    def test_saturated_gates_preserve_cell_state(self):
+        # Forget gate driven to 1 and input gate to 0: the cell state
+        # must pass through essentially unchanged.
+        cell = LSTM(1, 4)
+        cell.b[0:4] = 30.0    # forget
+        cell.b[4:8] = -30.0   # input
+        c_prev = np.array([1.0, -2.0, 0.5, 3.0])
+        _, c = _step(cell, np.array([0.3]), np.zeros(4), c_prev)
+        assert np.allclose(c, c_prev, atol=1e-6)

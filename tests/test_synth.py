@@ -16,13 +16,22 @@ from gridcast.ingest import (
     merge_solar,
     parse_meter_csv,
 )
-from gridcast.synth import (
-    SynthConfig,
-    generate,
-    lag_autocorrelation,
-    write_csvs,
-)
+from gridcast.synth import SynthConfig, generate, write_csvs
 from gridcast.types import SLOTS_PER_DAY, slot_index
+
+
+def lag_autocorrelation(series, lag: int) -> float:
+    """Pearson correlation between the series and its lagged copy."""
+    values = np.asarray(series, dtype=np.float64).ravel()
+    if lag < 1 or lag >= len(values):
+        raise ValueError(f"lag must be in [1, {len(values) - 1}], got {lag}")
+    head, tail = values[:-lag], values[lag:]
+    head = head - head.mean()
+    tail = tail - tail.mean()
+    denom = math.sqrt(float(np.sum(head * head)) * float(np.sum(tail * tail)))
+    if denom == 0.0:
+        raise ValueError("series is constant; autocorrelation undefined")
+    return float(np.sum(head * tail) / denom)
 
 
 def quiet_config(**overrides):
