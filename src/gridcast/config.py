@@ -38,29 +38,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from gridcast.errors import InvalidConfigError
+from gridcast.nn.training import TrainConfig
 from gridcast.synth import SynthConfig
 
 MODEL_NAMES = ("naive", "seasonal-naive", "mlp", "lstm")
 SOURCES = ("synth", "files")
-
-
-@dataclass(frozen=True)
-class TrainSettings:
-    batch_size: int = 256
-    max_epochs: int = 200
-    patience: int = 10
-    learning_rate: float = 1e-3
-    validation_fraction: float = 0.1
-
-    def __post_init__(self):
-        for name in ("batch_size", "max_epochs", "patience"):
-            if getattr(self, name) < 1:
-                raise InvalidConfigError(f"train.{name} must be at least 1")
-        if self.learning_rate <= 0:
-            raise InvalidConfigError("train.learning_rate must be positive")
-        if not (0.0 < self.validation_fraction < 1.0):
-            raise InvalidConfigError(
-                "train.validation_fraction must be in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -87,7 +69,7 @@ class ExperimentConfig:
     split_ratio: float = 0.8
     window_length: int = 24
     models: tuple[str, ...] = MODEL_NAMES
-    train: TrainSettings = field(default_factory=TrainSettings)
+    train: TrainConfig = field(default_factory=TrainConfig)
     seed: int = 0
     out_dir: str = "gridcast-out"
 
@@ -143,13 +125,13 @@ def to_flat_dict(config: ExperimentConfig) -> dict:
             value = getattr(config.files, f.name)
             if value is not None:
                 flat[f"files.{f.name}"] = value
-    for f in dataclasses.fields(TrainSettings):
+    for f in dataclasses.fields(TrainConfig):
         flat[f"train.{f.name}"] = getattr(config.train, f.name)
     return {key: flat[key] for key in sorted(flat)}
 
 
 _SYNTH_FIELDS = {f.name: f for f in dataclasses.fields(SynthConfig)}
-_TRAIN_FIELDS = {f.name for f in dataclasses.fields(TrainSettings)}
+_TRAIN_FIELDS = {f.name for f in dataclasses.fields(TrainConfig)}
 _FILE_FIELDS = {f.name for f in dataclasses.fields(FileSource)}
 _TOP_KEYS = ("source", "seed", "out_dir", "split_ratio", "window_length",
              "models")
@@ -198,7 +180,7 @@ def from_flat_dict(data: dict) -> ExperimentConfig:
         return ExperimentConfig(
             synth=SynthConfig(**synth_kwargs),
             files=FileSource(**file_kwargs) if file_kwargs else None,
-            train=TrainSettings(**train_kwargs),
+            train=TrainConfig(**train_kwargs),
             **top,
         )
     except TypeError as exc:

@@ -1,7 +1,11 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, grouped by what fixes them.
 
 Every error raised deliberately by gridcast derives from GridcastError so
 callers (and the CLI) can distinguish domain failures from genuine bugs.
+The CLI exits 2 on InvalidConfigError and 1 on every other one. Each
+class below names what has to change for the run to succeed: the config,
+an input file, the length of the series, the training settings, a stored
+artifact, or (for ShapeError) the calling code. The message says where.
 """
 
 
@@ -9,78 +13,25 @@ class GridcastError(Exception):
     """Base class for all errors raised by this package."""
 
 
-# --- ingestion ---------------------------------------------------------
-
-class MissingColumnError(GridcastError):
-    """A required column is absent from a CSV header."""
+class InvalidConfigError(GridcastError):
+    """A configuration value is missing, unknown, or out of range."""
 
 
-class EmptyFileError(GridcastError):
-    """A CSV file contains no data rows."""
-
-
-class MalformedTimestampError(GridcastError):
-    """More than half of a meter file's timestamps failed to parse."""
-
-
-class BoundaryMissingError(GridcastError):
-    """A weather field is missing at the first or last day, so a gap
-    cannot be interpolated."""
-
-
-class AllMissingError(GridcastError):
-    """A weather field has no observed values at all."""
-
-
-class EmptyIntersectionError(GridcastError):
-    """Two meter streams share no timestamps."""
-
-
-class NoOverlapError(GridcastError):
-    """Meter and weather data cover disjoint date ranges."""
-
-
-# --- preprocessing and modeling ----------------------------------------
-
-class EmptyInputError(GridcastError):
-    """An operation received zero rows."""
-
-
-class DimensionMismatchError(GridcastError):
-    """Column count does not match fitted scaler parameters."""
-
-
-class TooFewRowsError(GridcastError):
-    """Not enough rows to split into non-degenerate slices."""
+class DataError(GridcastError):
+    """An input file is wrong as a whole: a missing column or header, no
+    data rows, mostly unreadable timestamps, a weather field that cannot
+    be filled, streams or date ranges that do not meet, or watts that
+    overflow. Fix the named file or pick files that belong together."""
 
 
 class SeriesTooShortError(GridcastError):
-    """A series is too short for the requested window or lag."""
-
-
-class ShapeMismatchError(GridcastError):
-    """An array has the wrong shape for the receiving layer or model."""
-
-
-class LengthMismatchError(GridcastError):
-    """Two paired vectors differ in length."""
-
-
-class NoCachedForwardError(GridcastError):
-    """backward() was called before a train-mode forward() cached its
-    inputs; an eval-mode forward caches nothing."""
+    """The series has too few rows for the requested split, window or
+    lag; supply more data or shorten window_length."""
 
 
 class DivergedLossError(GridcastError):
-    """Training loss became NaN or infinite."""
-
-
-class ScalerNotFittedError(GridcastError):
-    """A prediction helper was called without fitted scaler parameters."""
-
-
-class ZeroVarianceError(GridcastError):
-    """A metric that divides by variance received a constant vector."""
+    """Training loss became NaN or infinite; lower train.learning_rate or
+    check the input data for extreme values."""
 
 
 class CorruptArtifactError(GridcastError):
@@ -88,8 +39,15 @@ class CorruptArtifactError(GridcastError):
     read; the message names the file."""
 
 
-class InvalidConfigError(GridcastError):
-    """A configuration value is missing, unknown, or out of range."""
+class ShapeError(GridcastError):
+    """A caller passed an array of the wrong shape, length or emptiness,
+    or called a method out of order (backward before a train-mode
+    forward, a prediction without a fitted scaler). This is a bug in the
+    calling code, not in the user's data."""
+
+
+class ZeroVarianceError(GridcastError):
+    """A metric that divides by variance received a constant vector."""
 
 
 class PipelineError(GridcastError):

@@ -17,10 +17,8 @@ import numpy as np
 
 from gridcast.errors import (
     CorruptArtifactError,
-    DimensionMismatchError,
-    EmptyInputError,
-    LengthMismatchError,
-    TooFewRowsError,
+    SeriesTooShortError,
+    ShapeError,
     ZeroVarianceError,
 )
 from gridcast.types import (
@@ -43,10 +41,10 @@ def _paired(pred, actual) -> tuple[np.ndarray, np.ndarray]:
     p = np.asarray(pred, dtype=np.float64).ravel()
     a = np.asarray(actual, dtype=np.float64).ravel()
     if p.shape != a.shape:
-        raise LengthMismatchError(
+        raise ShapeError(
             f"prediction length {p.shape[0]} != actual length {a.shape[0]}")
     if p.size == 0:
-        raise EmptyInputError("no prediction/actual pairs")
+        raise ShapeError("no prediction/actual pairs")
     return p, a
 
 
@@ -130,7 +128,7 @@ def stratify_by_season(pred, actual, times, units: str = "watts"
     p, a = _paired(pred, actual)
     times = np.asarray(times, dtype=np.int64).ravel()
     if times.size != a.size:
-        raise LengthMismatchError(
+        raise ShapeError(
             f"{a.size} pairs but {times.size} timestamps")
     codes = season_codes(times)
     out: dict[Season, MetricSet] = {}
@@ -178,9 +176,9 @@ def pairwise_correlation(columns) -> np.ndarray:
     """
     x = np.asarray(columns, dtype=np.float64)
     if x.ndim != 2:
-        raise DimensionMismatchError(f"expected (rows, columns), got ndim={x.ndim}")
+        raise ShapeError(f"expected (rows, columns), got ndim={x.ndim}")
     if x.shape[0] < 2:
-        raise TooFewRowsError(f"need at least 2 rows, got {x.shape[0]}")
+        raise SeriesTooShortError(f"need at least 2 rows, got {x.shape[0]}")
     k = x.shape[1]
     out = np.eye(k)
     for i in range(k):
@@ -214,19 +212,6 @@ class EvalReport:
 
     metadata: dict
     cells: list[ReportCell]
-
-    def cell(self, model: str, subset: str) -> MetricSet | None:
-        for c in self.cells:
-            if c.model == model and c.subset == subset:
-                return c.metrics
-        return None
-
-    def models(self) -> tuple[str, ...]:
-        seen = []
-        for c in self.cells:
-            if c.model not in seen:
-                seen.append(c.model)
-        return tuple(seen)
 
     def to_dict(self) -> dict:
         return {
@@ -304,7 +289,7 @@ def write_correlation_csv(values: np.ndarray, path,
     """Square correlation table with a label header row and column."""
     values = np.asarray(values, dtype=np.float64)
     if values.shape != (len(labels), len(labels)):
-        raise DimensionMismatchError(
+        raise ShapeError(
             f"matrix shape {values.shape} does not fit {len(labels)} labels")
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")

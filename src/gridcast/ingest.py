@@ -32,16 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from gridcast.errors import (
-    AllMissingError,
-    BoundaryMissingError,
-    EmptyFileError,
-    EmptyInputError,
-    EmptyIntersectionError,
-    MalformedTimestampError,
-    MissingColumnError,
-    NoOverlapError,
-)
+from gridcast.errors import DataError
 from gridcast.types import (
     BAD_TIME,
     SLOTS_PER_DAY,
@@ -67,7 +58,7 @@ _MISFILED = -2
 
 @dataclass(frozen=True)
 class MeterCsvSpec:
-    """Where and how to read one meter stream.
+    """Which meter file to read, and what it measures.
 
     ``kind`` states what the stream measures: ``grid`` is net draw from
     a solar household (negative = export, allowed), ``solar`` is panel
@@ -76,9 +67,6 @@ class MeterCsvSpec:
     """
 
     path: str | Path
-    timestamp_column: str = "timestamp"
-    watts_column: str = "watts"
-    timestamp_format: str = TIMESTAMP_FORMAT
     kind: str = "plain"
 
     def __post_init__(self):
@@ -143,14 +131,14 @@ def _read_columns(path, names: Sequence[str]) -> list[list[str]]:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is None:
-            raise EmptyFileError(f"{path}: no header row")
+            raise DataError(f"{path}: no header row")
         missing = [c for c in names if c not in header]
         if missing:
-            raise MissingColumnError(f"{path}: missing column(s) {missing}")
+            raise DataError(f"{path}: missing column(s) {missing}")
         columns = [_column_index(header, c) for c in names]
         rows = list(filter(None, reader))
     if not rows:
-        raise EmptyFileError(f"{path}: header but no data rows")
+        raise DataError(f"{path}: header but no data rows")
     width = max(columns) + 1
     if min(map(len, rows)) < width:
         rows = [row + [""] * (width - len(row)) for row in rows]
@@ -178,16 +166,15 @@ def parse_meter_csv(spec: MeterCsvSpec) -> MeterParseResult:
     row feeds at most one counter, checked in the order bad timestamp,
     blank or non-finite watts, negative watts, duplicate.
     """
-    ts_texts, watts_texts = _read_columns(
-        spec.path, [spec.timestamp_column, spec.watts_column])
-    times = parse_timestamps(ts_texts, spec.timestamp_format)
+    ts_texts, watts_texts = _read_columns(spec.path, ["timestamp", "watts"])
+    times = parse_timestamps(ts_texts)
     watts = _parse_floats(watts_texts)
     readable = times != BAD_TIME
     bad_ts = len(times) - int(readable.sum())
     if bad_ts > len(times) / 2:
-        raise MalformedTimestampError(
+        raise DataError(
             f"{spec.path}: {bad_ts} of {len(times)} timestamps unreadable; "
-            f"is the format string {spec.timestamp_format!r} right?")
+            f"is the format string {TIMESTAMP_FORMAT!r} right?")
     finite = readable & np.isfinite(watts)
     negative = finite & (watts < 0) & (spec.kind != "grid")
     kept = np.flatnonzero(finite & ~negative)
@@ -246,7 +233,7 @@ def load_weather_dir(directory) -> tuple[Weather, WeatherDrops, int]:
     names = sorted(p.name for p in directory.iterdir()
                    if _MONTH_FILE.match(p.name))
     if not names:
-        raise EmptyInputError(f"{directory}: no YYYYMM.csv weather files")
+        raise DataError(f"{directory}: no YYYYMM.csv weather files")
     dates, values, counts = zip(*(_parse_weather_csv(directory / name)
                                   for name in names))
     drops = WeatherDrops(*np.sum(counts, axis=0).tolist())
@@ -263,17 +250,17 @@ def interpolate_weather(weather: Weather) -> Weather:
     second time is a no-op.
     """
     if not len(weather):
-        raise EmptyInputError("no weather days to interpolate")
+        raise DataError("no weather days to interpolate")
     days = weather.dates.astype(np.float64)
     values = weather.values.copy()
     for j, name in enumerate(WEATHER_FIELDS):
         missing = np.isnan(values[:, j])
         known = np.flatnonzero(~missing)
         if not known.size:
-            raise AllMissingError(f"field {name} has no observed values")
+            raise DataError(f"field {name} has no observed values")
         if known[0] != 0 or known[-1] != len(days) - 1:
             end = "start" if known[0] != 0 else "end"
-            raise BoundaryMissingError(
+            raise DataError(
                 f"field {name} is missing at the {end} of the date range; "
                 f"linear interpolation has no anchor there")
         if missing.any():
@@ -299,16 +286,22 @@ def merge_solar(grid: MeterRecords,
     Total consumption = grid watts + solar watts.  Timestamps present in
     only one stream are dropped and counted per side: returns the merged
     records, then the grid-only and solar-only counts.  An empty
-    intersection is an error.
+    intersection is an error, and so is a sum too large for a float.
     """
     _require_sorted_records(grid, "grid")
     _require_sorted_records(solar, "solar")
     times, in_grid, in_solar = np.intersect1d(
         grid.times, solar.times, assume_unique=True, return_indices=True)
     if not len(times):
-        raise EmptyIntersectionError(
+        raise DataError(
             "grid and solar streams share no timestamps")
-    merged = MeterRecords(times, grid.watts[in_grid] + solar.watts[in_solar])
+    with np.errstate(over="ignore"):
+        watts = grid.watts[in_grid] + solar.watts[in_solar]
+    overflow = np.flatnonzero(~np.isfinite(watts))
+    if overflow.size:
+        at = format_timestamps(times[overflow[:1]])[0]
+        raise DataError(f"grid + solar watts overflow at {at}")
+    merged = MeterRecords(times, watts)
     return merged, len(grid) - len(merged), len(solar) - len(merged)
 
 
@@ -321,7 +314,7 @@ def build_frame(meter: MeterRecords,
     that is an error.  Weather must already be fully interpolated.
     """
     if not len(meter):
-        raise EmptyInputError("no meter records")
+        raise DataError("no meter records")
     incomplete = weather.dates[np.isnan(weather.values).any(axis=1)]
     if incomplete.size:
         raise ValueError(
@@ -330,7 +323,7 @@ def build_frame(meter: MeterRecords,
     meter_days = meter.times // SLOTS_PER_DAY
     covered = np.isin(meter_days, weather.dates)
     if not covered.any():
-        raise NoOverlapError("no meter dates fall inside the weather range")
+        raise DataError("no meter dates fall inside the weather range")
     rows = np.searchsorted(weather.dates, meter_days[covered])
     frame = build_merged_frame(meter.times[covered], meter.watts[covered],
                                weather.values[rows])

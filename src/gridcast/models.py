@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gridcast.errors import ScalerNotFittedError, ShapeMismatchError
+from gridcast.errors import ShapeError
 from gridcast.nn import LSTM, Dense, Dropout, Network, predict_batches
 from gridcast.nn.training import EVAL_CHUNK
 from gridcast.preprocess import (
@@ -89,7 +89,7 @@ def build_lstm(spec: LstmSpec = LstmSpec(),
 
 def _require_fitted(scaler: ScalerParams | None, name: str) -> ScalerParams:
     if scaler is None:
-        raise ScalerNotFittedError(f"{name} scaler has not been fitted")
+        raise ShapeError(f"{name} scaler has not been fitted")
     return scaler
 
 
@@ -107,14 +107,14 @@ def mlp_predict(model: Network, features: np.ndarray,
     target_scaler = _require_fitted(target_scaler, "target")
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2:
-        raise ShapeMismatchError(
+        raise ShapeError(
             f"expected a 2-D feature matrix, got ndim={features.ndim}")
     n_in = model.layers[0].n_in
     if features.shape[1] != n_in:
-        raise ShapeMismatchError(
+        raise ShapeError(
             f"model expects {n_in} feature columns, got {features.shape[1]}")
     if feature_scaler.n_columns != n_in:
-        raise ShapeMismatchError(
+        raise ShapeError(
             f"feature scaler covers {feature_scaler.n_columns} columns, "
             f"model expects {n_in}")
     scaled = transform(features, feature_scaler)
@@ -134,11 +134,11 @@ def lstm_predict(model: Network, windows: WindowBatch,
     """
     target_scaler = _require_fitted(target_scaler, "target")
     if windows.window_length != spec.window_length:
-        raise ShapeMismatchError(
+        raise ShapeError(
             f"expected windows of length {spec.window_length}, "
             f"got {windows.window_length}")
     if windows.n_features != spec.n_features:
-        raise ShapeMismatchError(
+        raise ShapeError(
             f"expected {spec.n_features} feature(s) per step, "
             f"got {windows.n_features}")
     out = predict_batches(model, windows.inputs, batch_size=batch_size)

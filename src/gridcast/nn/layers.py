@@ -9,7 +9,7 @@ input, stashing parameter gradients on the layer for the optimizer.
 Only a train-mode forward (``train=True``) keeps what backward() needs.
 An eval-mode forward retains nothing: it drops any cache an earlier
 train-mode call left, so inference holds no per-step state and a
-backward() after it raises NoCachedForwardError.
+backward() after it raises ShapeError.
 
 One LSTM cell, writing into the buffers it is given, serves both modes.
 An eval-mode LSTM forward scores its rows in fixed ``EVAL_CHUNK``-row
@@ -33,7 +33,7 @@ import threading
 
 import numpy as np
 
-from gridcast.errors import NoCachedForwardError, ShapeMismatchError
+from gridcast.errors import ShapeError
 
 
 # Rows per eval-mode block, and the default chunk of every prediction
@@ -108,7 +108,7 @@ class Dense:
     def forward(self, x: np.ndarray, train: bool = False,
                 rng: np.random.Generator | None = None) -> np.ndarray:
         if x.ndim != 2 or x.shape[1] != self.n_in:
-            raise ShapeMismatchError(
+            raise ShapeError(
                 f"dense layer expects (B, {self.n_in}), got {x.shape}"
             )
         z = x @ self.W.T + self.b
@@ -117,7 +117,7 @@ class Dense:
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         if self._x is None:
-            raise NoCachedForwardError(
+            raise ShapeError(
                 "dense backward called before a train-mode forward")
         dz = dout * (self._z > 0.0) if self.activation == "relu" else dout
         self.dW = dz.T @ self._x
@@ -162,7 +162,7 @@ class Dropout:
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         if self._mask is None:
-            raise NoCachedForwardError(
+            raise ShapeError(
                 "dropout backward called before a train-mode forward")
         return dout * self._mask / (1.0 - self.rate)
 
@@ -249,7 +249,7 @@ class LSTM:
     def forward(self, x: np.ndarray, train: bool = False,
                 rng: np.random.Generator | None = None) -> np.ndarray:
         if x.ndim != 3 or x.shape[2] != self.n_in:
-            raise ShapeMismatchError(
+            raise ShapeError(
                 f"lstm layer expects (B, L, {self.n_in}), got {x.shape}"
             )
         if not train:
@@ -352,7 +352,7 @@ class LSTM:
         recurrent h and c paths.
         """
         if self._cache is None:
-            raise NoCachedForwardError(
+            raise ShapeError(
                 "lstm backward called before a train-mode forward")
         hx, c, *gates = self._cache[:7]
         length, batch, hsz = gates[0].shape
@@ -417,12 +417,12 @@ class Network:
     def set_weights(self, weights):
         params = self.params()
         if len(weights) != len(params):
-            raise ShapeMismatchError(
+            raise ShapeError(
                 f"expected {len(params)} parameter arrays, got {len(weights)}"
             )
         for p, w in zip(params, weights):
             if p.shape != w.shape:
-                raise ShapeMismatchError(f"shape {w.shape} != parameter {p.shape}")
+                raise ShapeError(f"shape {w.shape} != parameter {p.shape}")
             np.copyto(p, w)
 
     def spec(self) -> list[dict]:

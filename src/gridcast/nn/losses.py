@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from gridcast.errors import EmptyInputError, LengthMismatchError
+from gridcast.errors import ShapeError
 
 
 def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
@@ -19,11 +19,11 @@ def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
         pred = pred.astype(np.float64)
     target = np.asarray(target, dtype=pred.dtype)
     if pred.shape != target.shape:
-        raise LengthMismatchError(
+        raise ShapeError(
             f"pred shape {pred.shape} != target shape {target.shape}"
         )
     if pred.size == 0:
-        raise EmptyInputError("mse_loss needs at least one element")
+        raise ShapeError("mse_loss needs at least one element")
     diff = pred - target
     loss = float(np.mean(diff * diff))
     grad = 2.0 * diff / diff.size

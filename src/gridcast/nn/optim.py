@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from gridcast.errors import ShapeMismatchError
+from gridcast.errors import ShapeError
 
 
 class Adam:
@@ -33,12 +33,12 @@ class Adam:
     def step(self, grads) -> None:
         grads = list(grads)
         if len(grads) != len(self.params):
-            raise ShapeMismatchError(
+            raise ShapeError(
                 f"got {len(grads)} gradients for {len(self.params)} parameters"
             )
         for p, g in zip(self.params, grads):
             if p.shape != g.shape:
-                raise ShapeMismatchError(
+                raise ShapeError(
                     f"gradient shape {g.shape} != parameter shape {p.shape}"
                 )
         self.step_count += 1

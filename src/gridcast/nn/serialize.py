@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from gridcast.errors import CorruptArtifactError, ShapeMismatchError
+from gridcast.errors import CorruptArtifactError, ShapeError
 from gridcast.nn.layers import LSTM, Dense, Dropout, Network
 
 
@@ -51,6 +51,6 @@ def load_model(path: str | Path) -> tuple[Network, dict]:
             weights = [archive[f"param_{i}"] for i in range(len(model.params()))]
         model.set_weights(weights)
     except (zipfile.BadZipFile, EOFError, ValueError, KeyError, TypeError,
-            ShapeMismatchError) as exc:
+            ShapeError) as exc:
         raise CorruptArtifactError(f"cannot read model file {path}: {exc}") from exc
     return model, payload.get("metadata", {})

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from gridcast.errors import DivergedLossError, EmptyInputError, LengthMismatchError
+from gridcast.errors import DivergedLossError, InvalidConfigError, ShapeError
 from gridcast.nn.layers import EVAL_CHUNK
 from gridcast.nn.losses import mse_loss
 from gridcast.nn.optim import Adam
@@ -22,20 +22,24 @@ from gridcast.nn.optim import Adam
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """The ``train.*`` config keys. validation_fraction is the tail of the
+    training rows that the pipeline holds out for early stopping."""
+
     batch_size: int = 256
     max_epochs: int = 200
     patience: int = 10
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    min_delta: float = 0.0
+    validation_fraction: float = 0.1
 
     def __post_init__(self):
-        if self.batch_size < 1 or self.max_epochs < 1 or self.patience < 1:
-            raise ValueError("batch_size, max_epochs and patience must be >= 1")
+        for name in ("batch_size", "max_epochs", "patience"):
+            if getattr(self, name) < 1:
+                raise InvalidConfigError(f"train.{name} must be at least 1")
         if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+            raise InvalidConfigError("train.learning_rate must be positive")
+        if not (0.0 < self.validation_fraction < 1.0):
+            raise InvalidConfigError(
+                "train.validation_fraction must be in (0, 1)")
 
 
 @dataclass
@@ -52,12 +56,11 @@ class TrainingHistory:
 
 class EarlyStopper:
     """Tracks the best validation loss and a snapshot of the parameters
-    that produced it; signals a stop after `patience` epochs without
-    improvement of more than `min_delta`."""
+    that produced it; signals a stop after `patience` epochs without a
+    lower one."""
 
-    def __init__(self, patience: int, min_delta: float = 0.0):
+    def __init__(self, patience: int):
         self.patience = patience
-        self.min_delta = min_delta
         self.best_loss = math.inf
         self.best_epoch = 0
         self.epochs_since_improvement = 0
@@ -65,7 +68,7 @@ class EarlyStopper:
 
     def update(self, val_loss: float, params, epoch: int) -> bool:
         """Record one epoch; returns True when training should stop."""
-        if val_loss < self.best_loss - self.min_delta:
+        if val_loss < self.best_loss:
             self.best_loss = val_loss
             self.best_epoch = epoch
             self.epochs_since_improvement = 0
@@ -98,13 +101,13 @@ def predict_batches(model, x: np.ndarray, batch_size: int = EVAL_CHUNK) -> np.nd
     by its own call would give. The one exception is kept out: a last
     chunk of one row gets its own call, because OpenBLAS computes a
     one-row product with another kernel than a wider one. Input in
-    another dtype is cast a call at a time. Raises EmptyInputError on
+    another dtype is cast a call at a time. Raises ShapeError on
     zero rows.
     """
     x = np.asarray(x)
     n = x.shape[0]
     if n == 0:
-        raise EmptyInputError("prediction input is empty")
+        raise ShapeError("prediction input is empty")
     outputs = []
     start = 0
     while start < n:
@@ -119,9 +122,9 @@ def predict_batches(model, x: np.ndarray, batch_size: int = EVAL_CHUNK) -> np.nd
 
 def _check_pair(name, x, y):
     if x.shape[0] == 0:
-        raise EmptyInputError(f"{name} data is empty")
+        raise ShapeError(f"{name} data is empty")
     if x.shape[0] != y.shape[0]:
-        raise LengthMismatchError(
+        raise ShapeError(
             f"{name} inputs ({x.shape[0]}) and targets ({y.shape[0]}) differ"
         )
 
@@ -145,9 +148,8 @@ def train(model, train_data, val_data, config: TrainConfig,
     _check_pair("training", x_train, y_train)
     _check_pair("validation", x_val, y_val)
 
-    optimizer = Adam(model.params(), learning_rate=config.learning_rate,
-                     beta1=config.beta1, beta2=config.beta2, eps=config.eps)
-    stopper = EarlyStopper(config.patience, config.min_delta)
+    optimizer = Adam(model.params(), learning_rate=config.learning_rate)
+    stopper = EarlyStopper(config.patience)
     history = TrainingHistory()
     n = x_train.shape[0]
 

@@ -66,7 +66,7 @@ from gridcast.models import (
 )
 from gridcast.nn import Network
 from gridcast.nn.serialize import save_model
-from gridcast.nn.training import TrainConfig, TrainingHistory, train
+from gridcast.nn.training import TrainingHistory, train
 from gridcast.preprocess import (
     ScalerParams,
     chronological_split,
@@ -191,12 +191,6 @@ def predict(name: str, model: Network | None, frame: MergedFrame,
                         spec=LstmSpec(window_length=align.window))
 
 
-def _train_config(config: ExperimentConfig) -> TrainConfig:
-    t = config.train
-    return TrainConfig(batch_size=t.batch_size, max_epochs=t.max_epochs,
-                       patience=t.patience, learning_rate=t.learning_rate)
-
-
 def _validation_cut(n_rows: int, fraction: float) -> int:
     return n_rows - max(1, int(fraction * n_rows))
 
@@ -222,7 +216,6 @@ def run_experiment(config: ExperimentConfig,
 
     # --- train and predict --------------------------------------------------
     seeds = np.random.SeedSequence(config.seed).spawn(2)
-    train_settings = _train_config(config)
     predictions: dict[str, np.ndarray] = {}
     histories: dict[str, TrainingHistory] = {}
     trained = {}
@@ -237,7 +230,7 @@ def run_experiment(config: ExperimentConfig,
                     (features_scaled[:cut], y_scaled[:cut].reshape(-1, 1)),
                     (features_scaled[cut:boundary],
                      y_scaled[cut:boundary].reshape(-1, 1)),
-                    train_settings, rng)
+                    config.train, rng)
                 trained[name] = model
             elif name == "lstm":
                 rng = np.random.default_rng(seeds[1])
@@ -252,7 +245,7 @@ def run_experiment(config: ExperimentConfig,
                      train_windows.targets[:cut].reshape(-1, 1)),
                     (train_windows.inputs[cut:],
                      train_windows.targets[cut:].reshape(-1, 1)),
-                    train_settings, rng)
+                    config.train, rng)
                 trained[name] = model
             predictions[name] = predict(name, trained.get(name), frame, align,
                                         scalers)

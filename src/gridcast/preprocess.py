@@ -15,13 +15,7 @@ from typing import Sized
 
 import numpy as np
 
-from gridcast.errors import (
-    CorruptArtifactError,
-    DimensionMismatchError,
-    EmptyInputError,
-    SeriesTooShortError,
-    TooFewRowsError,
-)
+from gridcast.errors import CorruptArtifactError, SeriesTooShortError, ShapeError
 from gridcast.types import WEATHER_FIELDS, MergedFrame
 
 # Model feature columns, in order: six weather fields then decimal hour.
@@ -50,12 +44,12 @@ def _as_columns(x: np.ndarray, n_columns: int | None = None) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
         if n_columns is not None and n_columns != 1:
-            raise DimensionMismatchError(
+            raise ShapeError(
                 f"1-D input is single-column but scaler has {n_columns} columns"
             )
         return x[:, None]
     if n_columns is not None and x.shape[-1] != n_columns:
-        raise DimensionMismatchError(
+        raise ShapeError(
             f"input has {x.shape[-1]} columns, scaler was fitted on {n_columns}"
         )
     return x
@@ -65,7 +59,7 @@ def fit_scaler(train: np.ndarray, columns: tuple[str, ...] | None = None) -> Sca
     """Capture per-column min and max from training rows only."""
     data = _as_columns(train)
     if data.size == 0:
-        raise EmptyInputError("cannot fit a scaler on zero rows")
+        raise ShapeError("cannot fit a scaler on zero rows")
     return ScalerParams(
         x_min=data.min(axis=0),
         x_max=data.max(axis=0),
@@ -150,7 +144,7 @@ def chronological_split(data: int | Sized, ratio: float = 0.8) -> SplitIndex:
     if not (0.0 < ratio < 1.0):
         raise ValueError(f"ratio must lie strictly between 0 and 1, got {ratio}")
     if n < 2:
-        raise TooFewRowsError(f"need at least 2 rows to split, got {n}")
+        raise SeriesTooShortError(f"need at least 2 rows to split, got {n}")
     return SplitIndex(boundary=int(math.floor(ratio * n)))
 
 
@@ -184,7 +178,7 @@ def make_windows(series: np.ndarray, window_length: int) -> WindowBatch:
     series = np.array(series, dtype=np.result_type(np.asarray(series), 0.0))
     series.flags.writeable = False
     if series.ndim != 1:
-        raise DimensionMismatchError(f"expected a 1-D series, got shape {series.shape}")
+        raise ShapeError(f"expected a 1-D series, got shape {series.shape}")
     if window_length < 1:
         raise ValueError(f"window_length must be >= 1, got {window_length}")
     n = series.shape[0]

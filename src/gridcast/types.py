@@ -110,29 +110,25 @@ def _parse_fixed_width(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
     return np.where(ok, slots, BAD_TIME), shaped
 
 
-def parse_timestamps(texts: Sequence[str], fmt: str = TIMESTAMP_FORMAT) -> np.ndarray:
+def parse_timestamps(texts: Sequence[str]) -> np.ndarray:
     """Slot indices of timestamp texts, BAD_TIME where a text is unreadable.
 
-    A text is read as ``datetime.strptime(text, fmt)`` reads it, seconds
-    ignored; a minute off the 5-minute grid counts as unreadable. With
-    the default format, texts in its fixed-width shape are parsed as one
-    array; any other text, and every text under another format, goes
-    through strptime itself.
+    A text is read as ``datetime.strptime(text, TIMESTAMP_FORMAT)`` reads
+    it; a minute off the 5-minute grid counts as unreadable. Texts in the
+    format's fixed-width shape are parsed as one array; any other text
+    (an unpadded "2023-3-1 0:05", say) goes through strptime itself.
     """
     texts = list(texts)
     times = np.full(len(texts), BAD_TIME, dtype=np.int64)
-    rest = range(len(texts))
-    if fmt == TIMESTAMP_FORMAT and texts:
-        lengths = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
-        fixed = np.flatnonzero(lengths == 16)
-        parsed, shaped = _parse_fixed_width([texts[i] for i in fixed])
-        times[fixed] = parsed
-        decided = np.zeros(len(texts), dtype=bool)
-        decided[fixed[shaped]] = True
-        rest = np.flatnonzero(~decided).tolist()
-    for i in rest:
+    lengths = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
+    fixed = np.flatnonzero(lengths == 16)
+    parsed, shaped = _parse_fixed_width([texts[i] for i in fixed])
+    times[fixed] = parsed
+    decided = np.zeros(len(texts), dtype=bool)
+    decided[fixed[shaped]] = True
+    for i in np.flatnonzero(~decided).tolist():
         try:
-            when = dt.datetime.strptime(texts[i], fmt)
+            when = dt.datetime.strptime(texts[i], TIMESTAMP_FORMAT)
         except ValueError:
             continue
         if when.minute % 5 == 0:

@@ -31,6 +31,7 @@ from gridcast.pipeline import run_experiment
 from gridcast.preprocess import chronological_split, make_windows
 from gridcast.synth import SynthConfig, generate
 from gridcast.types import WEATHER_CSV_COLUMNS
+from helpers import metrics_of
 
 
 def _check(label: str, ok: bool, detail: str = "") -> None:
@@ -234,9 +235,9 @@ def test_window_count_matches_brute_force():
 
 def test_default_household_model_ranking(grid_run):
     report, elapsed = grid_run
-    lstm = report.cell("lstm", "test").r2
-    mlp = report.cell("mlp", "test").r2
-    naive = report.cell("naive", "test").r2
+    lstm = metrics_of(report, "lstm").r2
+    mlp = metrics_of(report, "mlp").r2
+    naive = metrics_of(report, "naive").r2
     ok = (
         lstm is not None and mlp is not None and naive is not None
         and lstm >= 0.80
@@ -258,8 +259,8 @@ def test_default_household_model_ranking(grid_run):
 def test_solar_features_lift_static_model(grid_run, solar_run):
     grid_report, _ = grid_run
     solar_report, solar_elapsed = solar_run
-    mlp_grid = grid_report.cell("mlp", "test").r2
-    mlp_solar = solar_report.cell("mlp", "test").r2
+    mlp_grid = metrics_of(grid_report, "mlp").r2
+    mlp_solar = metrics_of(solar_report, "mlp").r2
 
     frame_grid, _ = generate(SynthConfig())
     frame_solar, _ = generate(SynthConfig(solar=True))

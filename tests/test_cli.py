@@ -11,6 +11,7 @@ from gridcast.cli import main
 from gridcast.errors import SeriesTooShortError
 from gridcast.evaluate import read_report_json
 from gridcast.types import MergedFrame
+from helpers import metrics_of
 
 
 def write_config(tmp_path, name="config.json", **flat):
@@ -121,6 +122,34 @@ def test_ingest_ignores_a_weather_file_for_no_real_month(tmp_path, capsys):
     assert "frame rows 864 dropped-no-weather 0" in stdout
 
 
+@pytest.mark.parametrize("command", ["ingest", "compare"])
+def test_overflowing_grid_plus_solar_is_a_one_line_data_error(
+        tmp_path, capsys, command):
+    synth_config = write_config(tmp_path, "synth.json", **small_flat(
+        tmp_path, **{"synth.days": 12, "synth.solar": True}))
+    assert main(["synth", "--config", str(synth_config),
+                 "--out", str(tmp_path / "data")]) == 0
+    for stream in ("grid", "solar"):
+        path = tmp_path / "data" / f"{stream}.csv"
+        text = path.read_text()
+        start = text.index("\n2023-03-02 17:40,") + 1
+        end = text.index("\n", start)
+        path.write_text(text[:start] + "2023-03-02 17:40,1e308" + text[end:])
+    files_config = write_config(
+        tmp_path, "files.json",
+        **{"source": "files", "models": ["naive"],
+           "files.grid": str(tmp_path / "data" / "grid.csv"),
+           "files.solar": str(tmp_path / "data" / "solar.csv"),
+           "files.weather_dir": str(tmp_path / "data" / "weather"),
+           "out_dir": str(tmp_path / "out")})
+    capsys.readouterr()
+    assert main([command, "--config", str(files_config)]) == 1
+    stderr = capsys.readouterr().err
+    assert "Traceback" not in stderr
+    assert stderr.splitlines() == [
+        "gridcast: [data] grid + solar watts overflow at 2023-03-02 17:40"]
+
+
 def test_ingest_requires_files_source(tmp_path):
     config = write_config(tmp_path, **small_flat(tmp_path))
     assert main(["ingest", "--config", str(config)]) == 2
@@ -170,7 +199,7 @@ def test_train_single_model(tmp_path, capsys):
     assert "naive,test,rmse," in stdout
     assert "mlp" not in stdout
     report = read_report_json(tmp_path / "out" / "report.json")
-    assert report.models() == ("naive",)
+    assert {c.model for c in report.cells} == {"naive"}
 
 
 def test_compare_then_report_identical_tables(tmp_path, capsys):
@@ -235,7 +264,7 @@ def test_evaluate_reproduces_training_run_metrics(compared_roster, model,
     capsys.readouterr()
     payload = json.loads((out / f"evaluate_{model}.json").read_text(
         encoding="utf-8"))
-    cell = read_report_json(out / "report.json").cell(model, "test")
+    cell = metrics_of(read_report_json(out / "report.json"), model)
     assert payload["metrics"] == {"rmse": cell.rmse, "mae": cell.mae,
                                   "r2": cell.r2, "n": cell.n,
                                   "units": cell.units}
@@ -300,7 +329,8 @@ def test_stages_communicate_through_files_across_processes(tmp_path):
     assert main(["compare", "--config", str(in_process)]) == 0
     direct = read_report_json(tmp_path / "direct" / "report.json")
     via_files = read_report_json(out_dir / "report.json")
-    assert direct.cell("naive", "test").rmse == via_files.cell("naive", "test").rmse
+    assert (metrics_of(direct, "naive").rmse
+            == metrics_of(via_files, "naive").rmse)
 
 
 def test_default_config_literal(tmp_path, monkeypatch):

@@ -9,7 +9,6 @@ from gridcast.config import (
     MODEL_NAMES,
     ExperimentConfig,
     FileSource,
-    TrainSettings,
     config_hash,
     from_flat_dict,
     load_config,
@@ -17,6 +16,7 @@ from gridcast.config import (
     to_flat_dict,
 )
 from gridcast.errors import InvalidConfigError
+from gridcast.nn.training import TrainConfig
 from gridcast.synth import SynthConfig
 
 
@@ -40,7 +40,7 @@ def test_flat_round_trip():
         synth=SynthConfig(days=33, seed=4, solar=True,
                           start_date=dt.date(2024, 1, 5)),
         models=("lstm", "naive"),
-        train=TrainSettings(max_epochs=7, learning_rate=0.01),
+        train=TrainConfig(max_epochs=7, learning_rate=0.01),
         split_ratio=0.75,
         out_dir="elsewhere",
     )

@@ -1,0 +1,37 @@
+"""Every exception class in gridcast.errors is raised or caught somewhere.
+
+A class that nothing raises and nothing catches is a concept with no
+behaviour; this keeps the families from growing back one class at a time.
+"""
+import ast
+import inspect
+from pathlib import Path
+
+import gridcast
+from gridcast import errors
+
+SRC = Path(gridcast.__file__).parent
+
+
+def _names(expr) -> set[str]:
+    """Classes a raise or except clause names: X, X(...), (X, Y), mod.X."""
+    if isinstance(expr, ast.Call):
+        expr = expr.func
+    return {e.id if isinstance(e, ast.Name) else e.attr
+            for e in (expr.elts if isinstance(expr, ast.Tuple) else [expr])
+            if isinstance(e, (ast.Name, ast.Attribute))}
+
+
+def test_every_exception_class_is_raised_or_caught():
+    defined = {name for name, obj in inspect.getmembers(errors, inspect.isclass)
+               if obj.__module__ == errors.__name__} - {"GridcastError"}
+    used = set()
+    for path in SRC.rglob("*.py"):
+        if path.name == "errors.py" and path.parent == SRC:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                used |= _names(node.exc)
+            elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+                used |= _names(node.type)
+    assert defined and sorted(defined - used) == []

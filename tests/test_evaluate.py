@@ -6,12 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from gridcast.errors import (
-    EmptyInputError,
-    LengthMismatchError,
-    TooFewRowsError,
-    ZeroVarianceError,
-)
+from gridcast.errors import SeriesTooShortError, ShapeError, ZeroVarianceError
 from gridcast.evaluate import (
     CORRELATION_COLUMNS,
     EvalReport,
@@ -33,6 +28,7 @@ from gridcast.evaluate import (
     write_report_json,
 )
 from gridcast.types import SLOTS_PER_DAY, Season, build_merged_frame, slot_index
+from helpers import raises_exactly
 
 
 def day_of_times(date, n=288):
@@ -50,11 +46,11 @@ class TestRmse:
         assert rmse([2.0], [5.0]) == pytest.approx(3.0, abs=1e-12)
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatchError):
+        with raises_exactly(ShapeError, "prediction length 1 != actual length 2"):
             rmse([1.0], [1.0, 2.0])
 
     def test_empty(self):
-        with pytest.raises(EmptyInputError):
+        with raises_exactly(ShapeError, "no prediction/actual pairs"):
             rmse([], [])
 
 
@@ -194,7 +190,7 @@ class TestStratifyBySeason:
         assert strata[Season.JJA].rmse == pytest.approx(rmse(pred[4:], actual[4:]))
 
     def test_times_must_match_pairs(self):
-        with pytest.raises(LengthMismatchError):
+        with raises_exactly(ShapeError, "1 pairs but 0 timestamps"):
             stratify_by_season([1.0], [1.0], [])
 
 
@@ -335,7 +331,7 @@ class TestCorrelationMatrix:
         assert matrix[0, 0] == 1.0 and matrix[1, 1] == 1.0
 
     def test_too_few_rows(self):
-        with pytest.raises(TooFewRowsError):
+        with raises_exactly(SeriesTooShortError, "need at least 2 rows, got 1"):
             pairwise_correlation(np.ones((1, 3)))
 
     def test_frame_correlation_shape_and_labels(self):
@@ -369,12 +365,6 @@ def small_report():
 
 
 class TestEvalReport:
-    def test_cell_lookup(self):
-        report = small_report()
-        assert report.cell("lstm", "test").rmse == 9.0
-        assert report.cell("lstm", "nope") is None
-        assert report.models() == ("naive", "lstm")
-
     def test_json_round_trip_is_exact(self, tmp_path):
         report = small_report()
         path = tmp_path / "report.json"

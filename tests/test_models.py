@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from gridcast.errors import ScalerNotFittedError, ShapeMismatchError
+from gridcast.errors import ShapeError
 from gridcast.models import (
     LstmSpec,
     MlpSpec,
@@ -13,6 +13,7 @@ from gridcast.models import (
 )
 from gridcast.nn import load_model, save_model, train, TrainConfig
 from gridcast.preprocess import fit_scaler, make_windows, transform
+from helpers import raises_exactly
 
 
 def fitted_scalers(features, targets):
@@ -111,23 +112,25 @@ class TestMlpPredict:
         f_scaler, t_scaler = fitted_scalers(features, targets)
         model = build_mlp()
         widened = np.column_stack([features, targets])
-        with pytest.raises(ShapeMismatchError):
+        with raises_exactly(ShapeError,
+                            "model expects 7 feature columns, got 8"):
             mlp_predict(model, widened, f_scaler, t_scaler)
 
     def test_one_dimensional_input_rejected(self):
         rng = np.random.default_rng(6)
         features, targets = self.make_data(rng)
         f_scaler, t_scaler = fitted_scalers(features, targets)
-        with pytest.raises(ShapeMismatchError):
+        with raises_exactly(ShapeError,
+                            "expected a 2-D feature matrix, got ndim=1"):
             mlp_predict(build_mlp(), features[0], f_scaler, t_scaler)
 
     def test_unfitted_scalers_rejected(self):
         rng = np.random.default_rng(7)
         features, targets = self.make_data(rng)
         f_scaler, t_scaler = fitted_scalers(features, targets)
-        with pytest.raises(ScalerNotFittedError):
+        with raises_exactly(ShapeError, "feature scaler has not been fitted"):
             mlp_predict(build_mlp(), features, None, t_scaler)
-        with pytest.raises(ScalerNotFittedError):
+        with raises_exactly(ShapeError, "target scaler has not been fitted"):
             mlp_predict(build_mlp(), features, f_scaler, None)
 
     def test_scaler_width_must_match_model(self):
@@ -135,7 +138,8 @@ class TestMlpPredict:
         features, targets = self.make_data(rng)
         narrow_scaler = fit_scaler(features[:, :3])
         t_scaler = fit_scaler(targets)
-        with pytest.raises(ShapeMismatchError):
+        with raises_exactly(ShapeError,
+                            "feature scaler covers 3 columns, model expects 7"):
             mlp_predict(build_mlp(), features, narrow_scaler, t_scaler)
 
 
@@ -175,20 +179,22 @@ class TestLstmPredict:
     def test_wrong_window_length_rejected(self):
         rng = np.random.default_rng(14)
         windows, scaler = self.make_windows(rng, spec=LstmSpec(window_length=12))
-        with pytest.raises(ShapeMismatchError):
-            lstm_predict(build_lstm(), windows, scaler)  # expects L=24
+        with raises_exactly(ShapeError,
+                            "expected windows of length 24, got 12"):
+            lstm_predict(build_lstm(), windows, scaler)
 
     def test_wrong_feature_dim_rejected(self):
         rng = np.random.default_rng(15)
         windows, scaler = self.make_windows(rng)
         wide_spec = LstmSpec(n_features=2)
-        with pytest.raises(ShapeMismatchError):
+        with raises_exactly(ShapeError,
+                            "expected 2 feature(s) per step, got 1"):
             lstm_predict(build_lstm(wide_spec), windows, scaler, wide_spec)
 
     def test_unfitted_target_scaler_rejected(self):
         rng = np.random.default_rng(16)
         windows, _ = self.make_windows(rng)
-        with pytest.raises(ScalerNotFittedError):
+        with raises_exactly(ShapeError, "target scaler has not been fitted"):
             lstm_predict(build_lstm(), windows, None)
 
 

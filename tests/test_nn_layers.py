@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gridcast.errors import NoCachedForwardError, ShapeMismatchError
+from gridcast.errors import ShapeError
 from gridcast.models import build_lstm
 from gridcast.nn import layers
 from gridcast.nn.layers import (
@@ -20,6 +20,7 @@ from gridcast.nn.layers import (
     sigmoid,
 )
 from gridcast.nn.training import predict_batches
+from helpers import raises_exactly
 
 
 class TestDense:
@@ -56,11 +57,12 @@ class TestDense:
 
     def test_shape_mismatch(self):
         layer = Dense(3, 2)
-        with pytest.raises(ShapeMismatchError):
+        with raises_exactly(ShapeError, "dense layer expects (B, 3), got (4, 5)"):
             layer.forward(np.zeros((4, 5)))
 
     def test_backward_before_forward(self):
-        with pytest.raises(NoCachedForwardError):
+        with raises_exactly(ShapeError, "dense backward called before a "
+                            "train-mode forward"):
             Dense(3, 2).backward(np.zeros((4, 2)))
 
     def test_glorot_limit(self):
@@ -120,7 +122,8 @@ class TestLstmForward:
 
     def test_rejects_wrong_feature_count(self):
         cell = LSTM(1, 4)
-        with pytest.raises(ShapeMismatchError):
+        with raises_exactly(ShapeError,
+                            "lstm layer expects (B, L, 1), got (2, 8, 3)"):
             cell.forward(np.zeros((2, 8, 3)))
 
     def test_train_forward_holds_one_batch_of_bptt_state(self):
@@ -235,28 +238,32 @@ class TestNetwork:
 
     def test_set_weights_shape_check(self):
         net = Network([Dense(3, 4)])
-        with pytest.raises(ShapeMismatchError):
+        with raises_exactly(ShapeError, "expected 2 parameter arrays, got 1"):
             net.set_weights([np.zeros((4, 3))])  # missing bias
-        with pytest.raises(ShapeMismatchError):
+        with raises_exactly(ShapeError, "shape (3, 4) != parameter (4, 3)"):
             net.set_weights([np.zeros((3, 4)), np.zeros(4)])
 
 
 class TestEvalRetainsNothing:
     """Only a train-mode forward keeps what backward() needs."""
 
-    @pytest.mark.parametrize("layer, x", [
-        (LSTM(1, 4, rng=np.random.default_rng(15)), np.ones((2, 5, 1))),
-        (Dense(3, 2, "relu", rng=np.random.default_rng(16)), np.ones((4, 3))),
-        (Dropout(0.5), np.ones((4, 3))),
-        (Network([LSTM(1, 4), Dropout(0.2), Dense(4, 1)]), np.ones((2, 5, 1))),
+    @pytest.mark.parametrize("layer, x, first", [
+        (LSTM(1, 4, rng=np.random.default_rng(15)), np.ones((2, 5, 1)), "lstm"),
+        (Dense(3, 2, "relu", rng=np.random.default_rng(16)), np.ones((4, 3)),
+         "dense"),
+        (Dropout(0.5), np.ones((4, 3)), "dropout"),
+        (Network([LSTM(1, 4), Dropout(0.2), Dense(4, 1)]), np.ones((2, 5, 1)),
+         "dense"),
     ], ids=["lstm", "dense", "dropout", "network"])
-    def test_backward_after_eval_forward_raises(self, layer, x):
+    def test_backward_after_eval_forward_raises(self, layer, x, first):
+        # ``first`` is the layer whose backward runs first and finds no cache.
         rng = np.random.default_rng(17)
         out = layer.forward(x, train=True, rng=rng)
         layer.backward(np.ones_like(out))
         # The eval forward drops the cache the train forward left behind.
         out = layer.forward(x, train=False)
-        with pytest.raises(NoCachedForwardError):
+        with raises_exactly(ShapeError, f"{first} backward called before a "
+                            "train-mode forward"):
             layer.backward(np.ones_like(out))
 
     def test_eval_output_equals_train_output_without_dropout(self):

@@ -2,9 +2,10 @@
 import numpy as np
 import pytest
 
-from gridcast.errors import EmptyInputError, LengthMismatchError, ShapeMismatchError
+from gridcast.errors import ShapeError
 from gridcast.nn.losses import mse_loss
 from gridcast.nn.optim import Adam
+from helpers import raises_exactly
 
 
 class TestMseLoss:
@@ -38,11 +39,12 @@ class TestMseLoss:
             assert grad[k] == pytest.approx((up - down) / (2 * h), rel=1e-6)
 
     def test_shape_checks(self):
-        with pytest.raises(LengthMismatchError):
+        with raises_exactly(ShapeError, "pred shape (3,) != target shape (4,)"):
             mse_loss(np.zeros(3), np.zeros(4))
-        with pytest.raises(LengthMismatchError):
+        with raises_exactly(ShapeError,
+                            "pred shape (3, 1) != target shape (3,)"):
             mse_loss(np.zeros((3, 1)), np.zeros(3))
-        with pytest.raises(EmptyInputError):
+        with raises_exactly(ShapeError, "mse_loss needs at least one element"):
             mse_loss(np.zeros(0), np.zeros(0))
 
 
@@ -104,7 +106,8 @@ class TestAdam:
 
     def test_shape_mismatch(self):
         opt = Adam([np.zeros(3)])
-        with pytest.raises(ShapeMismatchError):
+        with raises_exactly(ShapeError,
+                            "gradient shape (4,) != parameter shape (3,)"):
             opt.step([np.zeros(4)])
-        with pytest.raises(ShapeMismatchError):
+        with raises_exactly(ShapeError, "got 2 gradients for 1 parameters"):
             opt.step([np.zeros(3), np.zeros(3)])

@@ -11,6 +11,7 @@ from gridcast.evaluate import read_report_json
 from gridcast.pipeline import Alignment, alignment, load_frame, run_experiment
 from gridcast.synth import SynthConfig, generate, write_csvs
 from gridcast.types import MergedFrame
+from helpers import metrics_of
 
 
 def small_config(out_dir, **overrides):
@@ -41,7 +42,7 @@ def test_alignment_rejects_short_series():
 def test_naive_only_roster_gives_one_model(tmp_path):
     config = small_config(tmp_path, models=["naive"])
     result = run_experiment(config)
-    assert result.report.models() == ("naive",)
+    assert {c.model for c in result.report.cells} == {"naive"}
     subsets = [c.subset for c in result.report.cells]
     assert subsets[0] == "test"
     assert all(s == "test" or s.startswith("test/") for s in subsets)
@@ -56,7 +57,7 @@ def test_baseline_predictions_match_lag_oracle(tmp_path):
     j = result.target_indices
     assert np.array_equal(result.predictions["naive"], y[j - 1])
     assert np.array_equal(result.predictions["seasonal-naive"], y[j - 288])
-    cell = result.report.cell("naive", "test")
+    cell = metrics_of(result.report, "naive")
     assert cell is not None and cell.n == len(j)
 
 
@@ -69,7 +70,7 @@ def test_all_models_share_the_same_targets(tmp_path):
     assert np.array_equal(result.target_indices, expected)
     for name in config.models:
         assert len(result.predictions[name]) == len(expected)
-        assert result.report.cell(name, "test").n == len(expected)
+        assert metrics_of(result.report, name).n == len(expected)
 
 
 def test_artifacts_are_written(tmp_path):
@@ -188,8 +189,8 @@ def test_file_source_matches_synth_source(tmp_path):
                       "weather_dropped": 0, "dropped_no_weather": 0}
     result = run_experiment(files_config)
     direct = run_experiment(small_config(tmp_path / "run2", models=["naive"]))
-    assert (result.report.cell("naive", "test").rmse
-            == direct.report.cell("naive", "test").rmse)
+    assert (metrics_of(result.report, "naive").rmse
+            == metrics_of(direct.report, "naive").rmse)
 
 
 def test_file_source_counts_every_loading_step(tmp_path):

@@ -8,12 +8,7 @@ import datetime as dt
 import numpy as np
 import pytest
 
-from gridcast.errors import (
-    DimensionMismatchError,
-    EmptyInputError,
-    SeriesTooShortError,
-    TooFewRowsError,
-)
+from gridcast.errors import SeriesTooShortError, ShapeError
 from gridcast.preprocess import (
     FEATURE_COLUMNS,
     chronological_split,
@@ -26,6 +21,7 @@ from gridcast.preprocess import (
     transform,
 )
 from gridcast.types import build_merged_frame, slot_index
+from helpers import raises_exactly
 
 
 class TestScaler:
@@ -83,13 +79,15 @@ class TestScaler:
 
     def test_dimension_mismatch(self):
         params = fit_scaler(np.zeros((5, 3)) + np.arange(3.0))
-        with pytest.raises(DimensionMismatchError):
+        with raises_exactly(ShapeError,
+                            "input has 2 columns, scaler was fitted on 3"):
             transform(np.zeros((4, 2)), params)
-        with pytest.raises(DimensionMismatchError):
+        with raises_exactly(ShapeError, "1-D input is single-column but "
+                            "scaler has 3 columns"):
             transform(np.zeros(4), params)
 
     def test_empty_input(self):
-        with pytest.raises(EmptyInputError):
+        with raises_exactly(ShapeError, "cannot fit a scaler on zero rows"):
             fit_scaler(np.zeros((0, 3)))
 
     def test_broadcasts_over_leading_axes(self):
@@ -144,7 +142,8 @@ class TestChronologicalSplit:
                 < values[split.boundary:].min())
 
     def test_too_few_rows(self):
-        with pytest.raises(TooFewRowsError):
+        with raises_exactly(SeriesTooShortError,
+                            "need at least 2 rows to split, got 1"):
             chronological_split(1, 0.8)
 
     def test_bad_ratio(self):

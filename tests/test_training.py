@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from gridcast.errors import DivergedLossError, EmptyInputError
+from gridcast.errors import DivergedLossError, InvalidConfigError, ShapeError
 from gridcast.nn import layers
 from gridcast.nn.layers import LSTM, Dense, Dropout, Network
 from gridcast.nn.losses import mse_loss
@@ -17,6 +17,7 @@ from gridcast.nn.training import (
     predict_batches,
     train,
 )
+from helpers import raises_exactly
 
 
 def toy_line_data(n=256, seed=0):
@@ -153,17 +154,23 @@ class TestTrain:
     def test_empty_training_data(self):
         model = small_net()
         config = TrainConfig()
-        with pytest.raises(EmptyInputError):
+        with raises_exactly(ShapeError, "training data is empty"):
             train(model, (np.zeros((0, 1)), np.zeros(0)),
                   (np.zeros((1, 1)), np.zeros(1)), config, np.random.default_rng(0))
 
     def test_invalid_config(self):
-        with pytest.raises(ValueError):
+        with raises_exactly(InvalidConfigError,
+                            "train.batch_size must be at least 1"):
             TrainConfig(batch_size=0)
-        with pytest.raises(ValueError):
+        with raises_exactly(InvalidConfigError,
+                            "train.learning_rate must be positive"):
             TrainConfig(learning_rate=-1.0)
-        with pytest.raises(ValueError):
+        with raises_exactly(InvalidConfigError,
+                            "train.patience must be at least 1"):
             TrainConfig(patience=0)
+        with raises_exactly(InvalidConfigError,
+                            "train.validation_fraction must be in (0, 1)"):
+            TrainConfig(validation_fraction=0.0)
 
 
 class TestPredictBatches:
@@ -235,5 +242,5 @@ class TestPredictBatchesBlocks:
     def test_zero_rows_raise_empty_input(self, kind):
         model = production_layout(kind, np.float32)
         x = np.empty((0, 7) if kind == "mlp" else (0, 24, 1))
-        with pytest.raises(EmptyInputError):
+        with raises_exactly(ShapeError, "prediction input is empty"):
             predict_batches(model, x)
