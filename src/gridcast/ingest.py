@@ -35,6 +35,7 @@ import numpy as np
 from gridcast.errors import DataError
 from gridcast.types import (
     BAD_TIME,
+    MAX_HOUSEHOLD_WATTS,
     SLOTS_PER_DAY,
     TIMESTAMP_FORMAT,
     WEATHER_CSV_COLUMNS,
@@ -80,12 +81,13 @@ class MeterDrops:
 
     bad_timestamps: int = 0
     blank_watts: int = 0
+    implausible_watts: int = 0
     negative_watts: int = 0
     duplicates: int = 0
 
     @property
     def total(self) -> int:
-        return (self.bad_timestamps + self.blank_watts
+        return (self.bad_timestamps + self.blank_watts + self.implausible_watts
                 + self.negative_watts + self.duplicates)
 
 
@@ -164,7 +166,8 @@ def parse_meter_csv(spec: MeterCsvSpec) -> MeterParseResult:
     unreadable timestamps the format string is presumed wrong and the
     whole parse fails instead of silently discarding the file.  Each
     row feeds at most one counter, checked in the order bad timestamp,
-    blank or non-finite watts, negative watts, duplicate.
+    blank or non-finite watts, |watts| above MAX_HOUSEHOLD_WATTS,
+    negative watts, duplicate.
     """
     ts_texts, watts_texts = _read_columns(spec.path, ["timestamp", "watts"])
     times = parse_timestamps(ts_texts)
@@ -176,14 +179,16 @@ def parse_meter_csv(spec: MeterCsvSpec) -> MeterParseResult:
             f"{spec.path}: {bad_ts} of {len(times)} timestamps unreadable; "
             f"is the format string {TIMESTAMP_FORMAT!r} right?")
     finite = readable & np.isfinite(watts)
-    negative = finite & (watts < 0) & (spec.kind != "grid")
-    kept = np.flatnonzero(finite & ~negative)
+    plausible = finite & (np.abs(watts) <= MAX_HOUSEHOLD_WATTS)
+    negative = plausible & (watts < 0) & (spec.kind != "grid")
+    kept = np.flatnonzero(plausible & ~negative)
     # np.unique sorts and, with return_index, points at first occurrences.
     unique_times, first = np.unique(times[kept], return_index=True)
     return MeterParseResult(
         records=MeterRecords(unique_times, watts[kept[first]]),
         drops=MeterDrops(bad_timestamps=bad_ts,
                          blank_watts=int(readable.sum() - finite.sum()),
+                         implausible_watts=int(finite.sum() - plausible.sum()),
                          negative_watts=int(negative.sum()),
                          duplicates=len(kept) - len(unique_times)),
     )

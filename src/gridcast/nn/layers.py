@@ -260,29 +260,32 @@ class LSTM:
         if self._cache is None or self._cache[0].shape[:2] != (length + 1, batch):
             self._cache = None  # first, so one batch of BPTT state is alive, not two
             self._cache = self._bptt_state(batch, length)
-        hx, c, f, i, g, o, a, z, ig = self._cache
+        hx, c, f, i, g, o, z, ig, a = self._cache
         hx[:length, :, hsz:] = x.transpose(1, 0, 2)
         for t in range(length):
             self._cell(hx[t], c[t], z, f[t], i[t], g[t], o[t], c[t + 1], ig,
-                       a[t], hx[t + 1, :, :hsz])
+                       a, hx[t + 1, :, :hsz])
         # A copy, so that no later layer keeps this batch's state alive.
         return hx[length, :, :hsz].copy()
 
     def _bptt_state(self, batch: int, length: int) -> tuple[np.ndarray, ...]:
-        """What backward() reads, then the cell's scratch z and ig.
+        """What backward() reads, hx, c and the gates f, i, g, o, then the
+        cell's scratch z, ig and a = act(c_t), each one step wide.
 
         Row t of hx is [h_(t-1), x_t]; row 0 of c, like the h columns of
         row 0 of hx, is the zero initial state, which no step overwrites.
-        The next batch of the same shape reuses these arrays: fresh ones
-        of this size come from newly mapped pages, and faulting them in
-        cost about a quarter of the train-mode forward.
+        backward() recomputes each step's act(c_t) from c into a, with the
+        forward's own call, so it gets the same bits without a slab of
+        them. The next batch of the same shape reuses these arrays: fresh
+        ones of this size come from newly mapped pages, and faulting them
+        in cost about a quarter of the train-mode forward.
         """
         hsz, dtype = self.hidden, self.W.dtype
         return (np.zeros((length + 1, batch, hsz + self.n_in), dtype=dtype),
                 np.zeros((length + 1, batch, hsz), dtype=dtype),
-                *(np.empty((length, batch, hsz), dtype=dtype) for _ in range(5)),
+                *(np.empty((length, batch, hsz), dtype=dtype) for _ in range(4)),
                 np.empty((batch, 4 * hsz), dtype=dtype),
-                np.empty((batch, hsz), dtype=dtype))
+                *(np.empty((batch, hsz), dtype=dtype) for _ in range(2)))
 
     def _workspace(self, rows: int) -> tuple[np.ndarray, ...]:
         """Buffers for one thread's blocks: hx, z, c and the four gates."""
@@ -354,7 +357,7 @@ class LSTM:
         if self._cache is None:
             raise ShapeError(
                 "lstm backward called before a train-mode forward")
-        hx, c, *gates = self._cache[:7]
+        hx, c, *gates, _, _, a = self._cache
         length, batch, hsz = gates[0].shape
         dtype = self.W.dtype
         self.dW = np.zeros_like(self.W)
@@ -366,7 +369,8 @@ class LSTM:
         # f, i, c, o of this one array, in place of a concatenate.
         dz = np.empty((batch, 4 * hsz), dtype=dtype)
         for t in range(length - 1, -1, -1):
-            f, i, g, o, a = (s[t] for s in gates)
+            f, i, g, o = (s[t] for s in gates)
+            self._act(c[t + 1], out=a)
             dc = dc + dh * o * self._act_grad_from(a, c[t + 1])
             dz[:, 0 * hsz:1 * hsz] = dc * c[t] * f * (1.0 - f)
             dz[:, 1 * hsz:2 * hsz] = dc * g * i * (1.0 - i)

@@ -20,9 +20,11 @@ Artifacts land in one directory per run:
     predictions/<name>.csv      timestamp, actual, predicted (watts)
 
 Randomness: the experiment seed drives model init and batch shuffling
-through two fixed-purpose child streams (mlp, lstm), so a run is
-reproducible bit for bit and dropping one model from the roster does
-not reseed the other.  Synthetic data uses its own synth.seed.
+through two fixed-purpose child streams, 0 for the mlp and 1 for the
+lstm, so a run is reproducible bit for bit and dropping one model from
+the roster does not reseed the other.  A stream is built only when its
+network trains, so a roster of baselines draws no random number.
+Synthetic data uses its own synth.seed.
 """
 from __future__ import annotations
 
@@ -191,8 +193,43 @@ def predict(name: str, model: Network | None, frame: MergedFrame,
                         spec=LstmSpec(window_length=align.window))
 
 
+# Child stream of the experiment seed that each network draws from.
+_SEED_STREAMS = {"mlp": 0, "lstm": 1}
+
+
 def _validation_cut(n_rows: int, fraction: float) -> int:
     return n_rows - max(1, int(fraction * n_rows))
+
+
+def _fit_network(name: str, config: ExperimentConfig, frame: MergedFrame,
+                 align: Alignment, scalers: dict[str, ScalerParams]
+                 ) -> tuple[Network, TrainingHistory]:
+    """Build roster network ``name`` and train it on the train slice.
+
+    Its inputs are built here, from the frame and the fitted scalers, and
+    released when its training ends: the lstm never trains beside the
+    mlp's scaled feature matrix.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(
+        config.seed, spawn_key=(_SEED_STREAMS[name],)))
+    boundary = align.boundary
+    y_scaled = transform(frame.consumption[:boundary], scalers["target"])
+    if name == "mlp":
+        model = build_mlp(rng=rng)
+        inputs = transform(feature_matrix(frame).features[:boundary],
+                           scalers["features"])
+        targets = y_scaled
+    else:
+        model = build_lstm(spec=LstmSpec(window_length=align.window), rng=rng)
+        # The windows view their own copy in the network's dtype.
+        windows = make_windows(
+            y_scaled.astype(model.params()[0].dtype), align.window)
+        del y_scaled
+        inputs, targets = windows.inputs, windows.targets
+    cut = _validation_cut(len(targets), config.train.validation_fraction)
+    history = train(model, (inputs[:cut], targets[:cut]),
+                    (inputs[cut:], targets[cut:]), config.train, rng)
+    return model, history
 
 
 def run_experiment(config: ExperimentConfig,
@@ -206,47 +243,21 @@ def run_experiment(config: ExperimentConfig,
         y = frame.consumption
         n = len(y)
         align = alignment(config, n)
-        boundary, window, targets = align.boundary, align.window, align.targets
-        target_scaler = fit_scaler(y[:boundary].reshape(-1, 1))
-        y_scaled = transform(y.reshape(-1, 1), target_scaler).ravel()
-        features = feature_matrix(frame).features
-        feature_scaler = fit_scaler(features[:boundary])
-        features_scaled = transform(features, feature_scaler)
-        scalers = {"features": feature_scaler, "target": target_scaler}
+        boundary, targets = align.boundary, align.targets
+        scalers = {
+            "features": fit_scaler(feature_matrix(frame).features[:boundary]),
+            "target": fit_scaler(y[:boundary].reshape(-1, 1)),
+        }
 
     # --- train and predict --------------------------------------------------
-    seeds = np.random.SeedSequence(config.seed).spawn(2)
     predictions: dict[str, np.ndarray] = {}
     histories: dict[str, TrainingHistory] = {}
     trained = {}
     with stage("train"):
         for name in config.models:
-            if name == "mlp":
-                rng = np.random.default_rng(seeds[0])
-                model = build_mlp(rng=rng)
-                cut = _validation_cut(boundary, config.train.validation_fraction)
-                histories[name] = train(
-                    model,
-                    (features_scaled[:cut], y_scaled[:cut].reshape(-1, 1)),
-                    (features_scaled[cut:boundary],
-                     y_scaled[cut:boundary].reshape(-1, 1)),
-                    config.train, rng)
-                trained[name] = model
-            elif name == "lstm":
-                rng = np.random.default_rng(seeds[1])
-                model = build_lstm(spec=LstmSpec(window_length=window), rng=rng)
-                train_windows = make_windows(
-                    y_scaled[:boundary].astype(model.params()[0].dtype), window)
-                cut = _validation_cut(len(train_windows.targets),
-                                      config.train.validation_fraction)
-                histories[name] = train(
-                    model,
-                    (train_windows.inputs[:cut],
-                     train_windows.targets[:cut].reshape(-1, 1)),
-                    (train_windows.inputs[cut:],
-                     train_windows.targets[cut:].reshape(-1, 1)),
-                    config.train, rng)
-                trained[name] = model
+            if name in _SEED_STREAMS:
+                trained[name], histories[name] = _fit_network(
+                    name, config, frame, align, scalers)
             predictions[name] = predict(name, trained.get(name), frame, align,
                                         scalers)
 

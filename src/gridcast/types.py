@@ -230,6 +230,11 @@ class MeterRecords:
         return len(self.times)
 
 
+# The largest |watts| a household's meter can read. A reading beyond it
+# is a corrupt row, not a load: kept, it would overflow the metrics.
+MAX_HOUSEHOLD_WATTS = 1e6
+
+
 def weather_plausible(values) -> np.ndarray:
     """True where a weather value is finite and inside its field's range.
 

@@ -10,6 +10,7 @@ import pytest
 from gridcast.cli import main
 from gridcast.errors import SeriesTooShortError
 from gridcast.evaluate import read_report_json
+from gridcast.ingest import MeterCsvSpec, MeterDrops, parse_meter_csv
 from gridcast.types import MergedFrame
 from helpers import metrics_of
 
@@ -123,8 +124,10 @@ def test_ingest_ignores_a_weather_file_for_no_real_month(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["ingest", "compare"])
-def test_overflowing_grid_plus_solar_is_a_one_line_data_error(
-        tmp_path, capsys, command):
+def test_an_absurd_reading_is_dropped_and_counted(tmp_path, capsys, command):
+    # A finite 1e308 W once passed the parser: grid + solar overflowed,
+    # and on a plain meter the report got inf and nan. Above the
+    # household ceiling it is now one dropped row per stream.
     synth_config = write_config(tmp_path, "synth.json", **small_flat(
         tmp_path, **{"synth.days": 12, "synth.solar": True}))
     assert main(["synth", "--config", str(synth_config),
@@ -135,19 +138,26 @@ def test_overflowing_grid_plus_solar_is_a_one_line_data_error(
         start = text.index("\n2023-03-02 17:40,") + 1
         end = text.index("\n", start)
         path.write_text(text[:start] + "2023-03-02 17:40,1e308" + text[end:])
+        assert parse_meter_csv(MeterCsvSpec(path, kind=stream)).drops == (
+            MeterDrops(implausible_watts=1))
     files_config = write_config(
-        tmp_path, "files.json",
-        **{"source": "files", "models": ["naive"],
-           "files.grid": str(tmp_path / "data" / "grid.csv"),
-           "files.solar": str(tmp_path / "data" / "solar.csv"),
-           "files.weather_dir": str(tmp_path / "data" / "weather"),
-           "out_dir": str(tmp_path / "out")})
+        tmp_path, "files.json", **small_flat(tmp_path, **{
+            "source": "files", "models": ["naive", "mlp"],
+            "files.grid": str(tmp_path / "data" / "grid.csv"),
+            "files.solar": str(tmp_path / "data" / "solar.csv"),
+            "files.weather_dir": str(tmp_path / "data" / "weather")}))
     capsys.readouterr()
-    assert main([command, "--config", str(files_config)]) == 1
-    stderr = capsys.readouterr().err
-    assert "Traceback" not in stderr
-    assert stderr.splitlines() == [
-        "gridcast: [data] grid + solar watts overflow at 2023-03-02 17:40"]
+    assert main([command, "--config", str(files_config)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    if command == "ingest":
+        rows = 12 * 288 - 1
+        assert f"grid rows {rows} dropped 1" in captured.out
+        assert f"solar rows {rows} dropped 1" in captured.out
+    else:
+        lines = (tmp_path / "out" / "report.csv").read_text().splitlines()
+        values = [float(line.split(",")[3]) for line in lines[1:]]
+        assert values and np.all(np.isfinite(values))
 
 
 def test_ingest_requires_files_source(tmp_path):

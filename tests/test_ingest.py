@@ -7,6 +7,7 @@ import pytest
 from gridcast.errors import DataError
 from gridcast.ingest import (
     MeterCsvSpec,
+    MeterDrops,
     WeatherDrops,
     build_frame,
     interpolate_weather,
@@ -15,6 +16,7 @@ from gridcast.ingest import (
     parse_meter_csv,
 )
 from gridcast.types import (
+    MAX_HOUSEHOLD_WATTS,
     WEATHER_FIELDS,
     MeterRecords,
     Weather,
@@ -156,6 +158,31 @@ class TestParseMeterCsv:
             result = parse_meter_csv(MeterCsvSpec(path, kind=kind))
             assert result.records.watts.tolist() == [600.0]
             assert result.drops.negative_watts == 1
+
+    def test_watts_beyond_the_household_ceiling_dropped(self, tmp_path):
+        # A finite 1e308 W once got through and overflowed the metrics.
+        # The ceiling binds every stream kind, exports included, and is
+        # checked before the sign.
+        assert MAX_HOUSEHOLD_WATTS == 1e6
+        path = write_meter(tmp_path / "m.csv", [
+            "2023-03-01 00:00,1e308",
+            "2023-03-01 00:05,-1e308",
+            "2023-03-01 00:10,1000000.5",
+            "2023-03-01 00:15,-2e6",
+            "2023-03-01 00:20,1e6",
+            "2023-03-01 00:25,-1e6",
+            "2023-03-01 00:30,750",
+        ])
+        grid = parse_meter_csv(MeterCsvSpec(path, kind="grid"))
+        assert grid.records.watts.tolist() == [1e6, -1e6, 750.0]
+        assert grid.drops == MeterDrops(implausible_watts=4)
+        assert grid.drops.total == 4
+        for kind in ("plain", "solar"):
+            result = parse_meter_csv(MeterCsvSpec(path, kind=kind))
+            assert result.records.watts.tolist() == [1e6, 750.0]
+            assert result.drops == MeterDrops(implausible_watts=4,
+                                              negative_watts=1)
+            assert result.drops.total == 5
 
     def test_non_finite_watts_dropped(self, tmp_path):
         path = write_meter(tmp_path / "m.csv", [

@@ -31,7 +31,7 @@ def reference_parse(spec: MeterCsvSpec):
     """(times, watts, drops) of one meter file, one row at a time."""
     with open(spec.path, newline="", encoding="utf-8-sig") as handle:
         rows = list(csv.DictReader(handle))
-    bad_ts = blank = negative = duplicates = 0
+    bad_ts = blank = implausible = negative = duplicates = 0
     seen = set()
     kept = []
     for row in rows:
@@ -54,6 +54,9 @@ def reference_parse(spec: MeterCsvSpec):
         if not math.isfinite(watts):
             blank += 1
             continue
+        if abs(watts) > 1e6:
+            implausible += 1
+            continue
         if watts < 0 and spec.kind != "grid":
             negative += 1
             continue
@@ -69,7 +72,8 @@ def reference_parse(spec: MeterCsvSpec):
     kept.sort(key=lambda pair: pair[0])
     times = [date.toordinal() * 288 + hour * 12 + minute // 5
              for (date, hour, minute), _ in kept]
-    return times, [w for _, w in kept], (bad_ts, blank, negative, duplicates)
+    return times, [w for _, w in kept], (bad_ts, blank, implausible, negative,
+                                         duplicates)
 
 
 def _stamp(day: int, slot: int) -> str:
@@ -110,7 +114,8 @@ _EDGE_TIMESTAMPS = [
     "2023/03/01 10:55", "2023-03-01 10:5x", "2023-03-01 10:00 ",
 ]
 _EDGE_WATTS = ["1_000", "+inf", "-inf", " 12 ", "1e3", "Infinity", "-0.0",
-               "abc", "0x10", "١٢", "NaN", "5.", ".5"]
+               "abc", "0x10", "١٢", "NaN", "5.", ".5", "1e308", "-1e308",
+               "1e6", "-1e6", "1000000.00000000001", "1000000.0000000002"]
 
 
 def _case(name: str, rng):
@@ -165,8 +170,8 @@ def test_parser_equals_row_by_row_reference(tmp_path, name):
     assert (parsed.records.watts.view(np.int64).tolist()
             == np.array(watts, dtype=np.float64).view(np.int64).tolist())
     got = parsed.drops
-    assert (got.bad_timestamps, got.blank_watts, got.negative_watts,
-            got.duplicates) == drops
+    assert (got.bad_timestamps, got.blank_watts, got.implausible_watts,
+            got.negative_watts, got.duplicates) == drops
     assert times and sum(drops) > 0  # every case keeps and drops rows
 
 

@@ -1,13 +1,17 @@
 """Tests for the end-to-end experiment runner."""
 import dataclasses
+import inspect
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from gridcast import pipeline, preprocess
 from gridcast.config import ExperimentConfig, from_flat_dict
 from gridcast.errors import PipelineError
 from gridcast.evaluate import read_report_json
+from gridcast.nn.layers import LSTM
 from gridcast.pipeline import Alignment, alignment, load_frame, run_experiment
 from gridcast.synth import SynthConfig, generate, write_csvs
 from gridcast.types import MergedFrame
@@ -244,3 +248,86 @@ def test_seasonal_naive_needs_a_day_of_history(tmp_path):
     with pytest.raises(PipelineError) as exc_info:
         run_experiment(config)
     assert exc_info.value.stage == "train"
+
+
+def _lines_of(function):
+    """(file, first line, last line) of a function's source."""
+    lines, first = inspect.getsourcelines(function)
+    return inspect.getsourcefile(function), first, first + len(lines) - 1
+
+
+def test_lstm_trains_without_the_feature_matrix_alive(tmp_path, monkeypatch):
+    # Only the mlp reads the feature matrix and its scaled copy, so no
+    # array allocated in feature_matrix or transform may still be alive
+    # when the lstm starts training.
+    config = small_config(tmp_path, models=["naive", "mlp", "lstm"],
+                          **{"train.max_epochs": 1})
+    sources = [_lines_of(preprocess.feature_matrix),
+               _lines_of(preprocess.transform)]
+    alive = []
+    real_train = pipeline.train
+
+    def train(model, *args, **kwargs):
+        if isinstance(model.layers[0], LSTM):
+            arrays = tracemalloc.take_snapshot().filter_traces(
+                [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+            for trace in arrays.traces:
+                if any(frame.filename == path and first <= frame.lineno <= last
+                       for frame in trace.traceback
+                       for path, first, last in sources):
+                    alive.append(trace.size)
+        return real_train(model, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "train", train)
+    tracemalloc.start(16)
+    try:
+        result = run_experiment(config)
+    finally:
+        tracemalloc.stop()
+    assert set(result.predictions) == {"naive", "mlp", "lstm"}
+    assert alive == []
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
+def test_each_network_stream_is_a_child_of_the_experiment_seed(seed):
+    # Building stream k alone gives what spawning both streams gives.
+    children = np.random.SeedSequence(seed).spawn(2)
+    for k in (0, 1):
+        alone = np.random.SeedSequence(seed, spawn_key=(k,))
+        assert np.array_equal(alone.generate_state(8),
+                              children[k].generate_state(8))
+
+
+def test_baseline_roster_draws_no_stream_and_scales_no_features(
+        tmp_path, monkeypatch):
+    frame, truth = generate(SynthConfig(days=8, seed=3))
+    write_csvs(frame, truth, tmp_path / "data")
+    config = from_flat_dict({
+        "source": "files",
+        "files.meter": str(tmp_path / "data" / "meter.csv"),
+        "files.weather_dir": str(tmp_path / "data" / "weather"),
+        "models": ["naive", "seasonal-naive"]})
+    run_experiment(config, tmp_path / "a")
+
+    def no_stream(*args, **kwargs):
+        raise AssertionError("a baseline roster built a random stream")
+
+    scaled = []
+    real_transform = pipeline.transform
+
+    def transform(x, params):
+        scaled.append(np.shape(x))
+        return real_transform(x, params)
+
+    monkeypatch.setattr(np.random, "SeedSequence", no_stream)
+    monkeypatch.setattr(pipeline, "transform", transform)
+    run_experiment(config, tmp_path / "b")
+    assert not [shape for shape in scaled if shape[1:] == (7,)]
+    names = sorted(p.relative_to(tmp_path / "a")
+                   for p in (tmp_path / "a").rglob("*") if p.is_file())
+    assert names == sorted(p.relative_to(tmp_path / "b")
+                           for p in (tmp_path / "b").rglob("*") if p.is_file())
+    for name in names:
+        if name.name != "run.json":
+            assert ((tmp_path / "a" / name).read_bytes()
+                    == (tmp_path / "b" / name).read_bytes()), name
