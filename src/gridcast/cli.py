@@ -38,7 +38,13 @@ from gridcast.config import (
     load_config,
 )
 from gridcast.errors import GridcastError, InvalidConfigError
-from gridcast.evaluate import compute_metrics, read_report_json, write_report_csv
+from gridcast.evaluate import (
+    ReportCell,
+    compute_metrics,
+    read_report_json,
+    write_report_csv,
+    write_report_rows,
+)
 from gridcast.nn.serialize import load_model
 from gridcast.pipeline import (
     alignment,
@@ -202,22 +208,15 @@ def _cmd_evaluate(args, config: ExperimentConfig, out: Path) -> int:
     with stage("evaluate"):
         align = alignment(config, len(frame))
         predicted = predict(name, model, frame, align, scalers)
-        metrics = compute_metrics(predicted, frame.consumption[align.targets],
-                                  units="watts")
-    payload = {"model": name, "slice": "test",
-               "metrics": {"rmse": metrics.rmse, "mae": metrics.mae,
-                           "r2": metrics.r2, "n": metrics.n,
-                           "units": metrics.units}}
+        cell = ReportCell(model=name, subset="test", metrics=compute_metrics(
+            predicted, frame.consumption[align.targets]))
     result_path = out / f"evaluate_{name}.json"
     with stage("write"):
         out.mkdir(parents=True, exist_ok=True)
         result_path.write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n",
+            json.dumps(cell.to_dict(), indent=2, sort_keys=True) + "\n",
             encoding="utf-8")
-    print(f"{name},test,rmse,{metrics.rmse!r},{metrics.n},{metrics.units}")
-    print(f"{name},test,mae,{metrics.mae!r},{metrics.n},{metrics.units}")
-    r2_text = "" if metrics.r2 is None else repr(metrics.r2)
-    print(f"{name},test,r2,{r2_text},{metrics.n},{metrics.units}")
+    write_report_rows([cell], sys.stdout)
     return 0
 
 

@@ -1,10 +1,10 @@
 """Forecast metrics, seasonal stratification, and report assembly.
 
-Metrics default to watt units; pass units="scaled" when scoring in the
-[0, 1] min-max space.  R-squared on a constant actual series is an
-explicit ZeroVarianceError from r2(), and report cells store None for
-it rather than NaN, so degenerate slices are visible instead of
-silently poisoning downstream tables.
+Every metric is in watts, and the report files say so in their units
+field.  R-squared on a constant actual series is an explicit
+ZeroVarianceError from r2(), and report cells store None for it rather
+than NaN, so degenerate slices are visible instead of silently
+poisoning downstream tables.
 """
 from __future__ import annotations
 
@@ -31,7 +31,8 @@ from gridcast.types import (
 )
 
 METRIC_NAMES = ("rmse", "mae", "r2")
-UNIT_FLAGS = ("watts", "scaled")
+# The units field of every report cell and row; a reader rejects others.
+UNITS = "watts"
 
 # Column order of the correlation matrix: weather first, consumption last.
 CORRELATION_COLUMNS = WEATHER_FIELDS + ("consumption_w",)
@@ -98,16 +99,13 @@ class MetricSet:
     mae: float
     r2: float | None
     n: int
-    units: str = "watts"
 
     def __post_init__(self):
-        if self.units not in UNIT_FLAGS:
-            raise ValueError(f"units must be one of {UNIT_FLAGS}, got {self.units!r}")
         if self.n < 1:
             raise ValueError(f"sample count must be positive, got {self.n}")
 
 
-def compute_metrics(pred, actual, units: str = "watts") -> MetricSet:
+def compute_metrics(pred, actual) -> MetricSet:
     """Score one (prediction, actual) slice; r2 falls back to None."""
     p, a = _paired(pred, actual)
     try:
@@ -115,11 +113,10 @@ def compute_metrics(pred, actual, units: str = "watts") -> MetricSet:
     except ZeroVarianceError:
         r2_value = None
     return MetricSet(rmse=rmse(p, a), mae=mae(p, a), r2=r2_value,
-                     n=int(a.size), units=units)
+                     n=int(a.size))
 
 
-def stratify_by_season(pred, actual, times, units: str = "watts"
-                       ) -> dict[Season, MetricSet]:
+def stratify_by_season(pred, actual, times) -> dict[Season, MetricSet]:
     """Partition pairs by the season of their slot index and score each.
 
     Empty strata are omitted; present strata always partition the input,
@@ -135,35 +132,26 @@ def stratify_by_season(pred, actual, times, units: str = "watts"
     for code, season in enumerate(SEASONS):
         mask = codes == code
         if mask.any():
-            out[season] = compute_metrics(p[mask], a[mask], units=units)
+            out[season] = compute_metrics(p[mask], a[mask])
     return out
 
 
-def diurnal_profile(frame: MergedFrame, statistic: str = "median"
-                    ) -> dict[Season, np.ndarray]:
-    """Per-season typical day: one value per 5-minute slot.
+def diurnal_profile(frame: MergedFrame) -> dict[Season, np.ndarray]:
+    """Per-season median day: one value per 5-minute slot.
 
     Returns a 288-long array per season present in the frame; slots a
-    season never observes hold NaN.  The mean sums each slot's values in
-    frame order.
+    season never observes hold NaN.
     """
-    if statistic not in ("median", "mean"):
-        raise ValueError(f"statistic must be median or mean, got {statistic!r}")
     keys = season_codes(frame.times) * SLOTS_PER_DAY + frame.times % SLOTS_PER_DAY
-    # Grouped by (season, slot): by value within a group for the median,
-    # in frame order (a stable sort) for the mean.
-    order = (np.lexsort((frame.consumption, keys)) if statistic == "median"
-             else np.argsort(keys, kind="stable"))
+    # Grouped by (season, slot), and by value within a group.
+    order = np.lexsort((frame.consumption, keys))
     keys, starts, counts = np.unique(keys[order], return_index=True,
                                      return_counts=True)
     ranked = frame.consumption[order]
     table = np.full((len(SEASONS), SLOTS_PER_DAY), np.nan)
-    if statistic == "median":
-        # The mean of the two middle values, as np.median takes it.
-        table.flat[keys] = (ranked[starts + (counts - 1) // 2]
-                            + ranked[starts + counts // 2]) / 2
-    else:
-        table.flat[keys] = [np.mean(g) for g in np.split(ranked, starts)[1:]]
+    # The mean of the two middle values, as np.median takes it.
+    table.flat[keys] = (ranked[starts + (counts - 1) // 2]
+                        + ranked[starts + counts // 2]) / 2
     return {SEASONS[code]: table[code] for code in np.unique(keys // SLOTS_PER_DAY)}
 
 
@@ -205,6 +193,22 @@ class ReportCell:
     subset: str
     metrics: MetricSet
 
+    def to_dict(self) -> dict:
+        """The cell as report.json and ``gridcast evaluate`` store it."""
+        m = self.metrics
+        return {"model": self.model, "slice": self.subset,
+                "metrics": {"rmse": m.rmse, "mae": m.mae, "r2": m.r2,
+                            "n": m.n, "units": UNITS}}
+
+    @classmethod
+    def from_dict(cls, item: dict) -> "ReportCell":
+        m = item["metrics"]
+        if m["units"] != UNITS:
+            raise ValueError(f"units must be {UNITS!r}, got {m['units']!r}")
+        return cls(model=item["model"], subset=item["slice"],
+                   metrics=MetricSet(rmse=m["rmse"], mae=m["mae"], r2=m["r2"],
+                                     n=m["n"]))
+
 
 @dataclass
 class EvalReport:
@@ -214,41 +218,13 @@ class EvalReport:
     cells: list[ReportCell]
 
     def to_dict(self) -> dict:
-        return {
-            "metadata": dict(self.metadata),
-            "cells": [
-                {
-                    "model": c.model,
-                    "slice": c.subset,
-                    "metrics": {
-                        "rmse": c.metrics.rmse,
-                        "mae": c.metrics.mae,
-                        "r2": c.metrics.r2,
-                        "n": c.metrics.n,
-                        "units": c.metrics.units,
-                    },
-                }
-                for c in self.cells
-            ],
-        }
+        return {"metadata": dict(self.metadata),
+                "cells": [c.to_dict() for c in self.cells]}
 
     @classmethod
     def from_dict(cls, data: dict) -> "EvalReport":
-        cells = [
-            ReportCell(
-                model=item["model"],
-                subset=item["slice"],
-                metrics=MetricSet(
-                    rmse=item["metrics"]["rmse"],
-                    mae=item["metrics"]["mae"],
-                    r2=item["metrics"]["r2"],
-                    n=item["metrics"]["n"],
-                    units=item["metrics"]["units"],
-                ),
-            )
-            for item in data["cells"]
-        ]
-        return cls(metadata=dict(data["metadata"]), cells=cells)
+        return cls(metadata=dict(data["metadata"]),
+                   cells=[ReportCell.from_dict(item) for item in data["cells"]])
 
 
 def write_report_json(report: EvalReport, path) -> None:
@@ -267,34 +243,38 @@ def read_report_json(path) -> EvalReport:
         raise CorruptArtifactError(f"cannot read report {path}: {exc}") from exc
 
 
+def write_report_rows(cells, handle) -> None:
+    """The report.csv rows of ``cells``, one per metric, to a text handle."""
+    writer = csv.writer(handle, lineterminator="\n")
+    for c in cells:
+        values = {"rmse": c.metrics.rmse, "mae": c.metrics.mae,
+                  "r2": c.metrics.r2}
+        for name in METRIC_NAMES:
+            value = values[name]
+            writer.writerow([
+                c.model, c.subset, name,
+                "" if value is None else repr(float(value)),
+                c.metrics.n, UNITS,
+            ])
+
+
 def write_report_csv(report: EvalReport, path) -> None:
     """Plot-ready long table: one row per model x slice x metric."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["model", "slice", "metric", "value", "n", "units"])
-        for c in report.cells:
-            values = {"rmse": c.metrics.rmse, "mae": c.metrics.mae,
-                      "r2": c.metrics.r2}
-            for name in METRIC_NAMES:
-                value = values[name]
-                writer.writerow([
-                    c.model, c.subset, name,
-                    "" if value is None else repr(float(value)),
-                    c.metrics.n, c.metrics.units,
-                ])
+        handle.write("model,slice,metric,value,n,units\n")
+        write_report_rows(report.cells, handle)
 
 
-def write_correlation_csv(values: np.ndarray, path,
-                          labels=CORRELATION_COLUMNS) -> None:
+def write_correlation_csv(values: np.ndarray, path) -> None:
     """Square correlation table with a label header row and column."""
     values = np.asarray(values, dtype=np.float64)
-    if values.shape != (len(labels), len(labels)):
-        raise ShapeError(
-            f"matrix shape {values.shape} does not fit {len(labels)} labels")
+    n = len(CORRELATION_COLUMNS)
+    if values.shape != (n, n):
+        raise ShapeError(f"matrix shape {values.shape} does not fit {n} labels")
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow([""] + list(labels))
-        for label, row in zip(labels, values):
+        writer.writerow([""] + list(CORRELATION_COLUMNS))
+        for label, row in zip(CORRELATION_COLUMNS, values):
             writer.writerow([label] + [
                 "" if np.isnan(v) else repr(float(v)) for v in row])
 

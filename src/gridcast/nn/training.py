@@ -90,19 +90,18 @@ def _param_dtype(model) -> np.dtype:
     return model.params()[0].dtype
 
 
-def predict_batches(model, x: np.ndarray, batch_size: int = EVAL_CHUNK) -> np.ndarray:
+def predict_batches(model, x: np.ndarray) -> np.ndarray:
     """Eval-mode forward pass in memory-bounded chunks, in the model's
     parameter dtype.
 
-    Each network call takes two chunks of ``batch_size`` rows, which an
-    LSTM scores on up to two threads (see ``LSTM.forward``). With the
-    default chunk every LSTM block then has the rows and matrix shapes
-    of one chunk, and a prediction has the bits that scoring each chunk
-    by its own call would give. The one exception is kept out: a last
-    chunk of one row gets its own call, because OpenBLAS computes a
-    one-row product with another kernel than a wider one. Input in
-    another dtype is cast a call at a time. Raises ShapeError on
-    zero rows.
+    Each network call takes two chunks of ``EVAL_CHUNK`` rows, which an
+    LSTM scores on up to two threads (see ``LSTM.forward``), so every
+    LSTM block has the rows and matrix shapes of one chunk, and a
+    prediction has the bits that scoring each chunk by its own call
+    would give. The one exception is kept out: a last chunk of one row
+    gets its own call, because OpenBLAS computes a one-row product with
+    another kernel than a wider one. Input in another dtype is cast a
+    call at a time. Raises ShapeError on zero rows.
     """
     x = np.asarray(x)
     n = x.shape[0]
@@ -111,8 +110,8 @@ def predict_batches(model, x: np.ndarray, batch_size: int = EVAL_CHUNK) -> np.nd
     outputs = []
     start = 0
     while start < n:
-        stop = min(start + 2 * batch_size, n)
-        if stop - start == batch_size + 1:
+        stop = min(start + 2 * EVAL_CHUNK, n)
+        if stop - start == EVAL_CHUNK + 1:
             stop -= 1
         chunk = x[start:stop].astype(_param_dtype(model), copy=False)
         outputs.append(model.forward(chunk, train=False))

@@ -59,13 +59,7 @@ from gridcast.ingest import (
     merge_solar,
     parse_meter_csv,
 )
-from gridcast.models import (
-    LstmSpec,
-    build_lstm,
-    build_mlp,
-    lstm_predict,
-    mlp_predict,
-)
+from gridcast.models import build_lstm, build_mlp, lstm_predict, mlp_predict
 from gridcast.nn import Network
 from gridcast.nn.serialize import save_model
 from gridcast.nn.training import TrainingHistory, train
@@ -101,7 +95,7 @@ class Alignment:
 
 def alignment(config: ExperimentConfig, n_rows: int) -> Alignment:
     """Test-target alignment shared by every roster model."""
-    boundary = chronological_split(n_rows, config.split_ratio).boundary
+    boundary = chronological_split(n_rows, config.split_ratio)
     window = config.window_length
     first_target = boundary + window
     if first_target >= n_rows:
@@ -181,16 +175,14 @@ def predict(name: str, model: Network | None, frame: MergedFrame,
                 f"the first test target (have {targets[0]})")
         return persistence_forecast(frame.consumption, lag, targets)
     if name == "mlp":
-        features = feature_matrix(frame).features
-        return mlp_predict(model, features[targets], scalers["features"],
-                           scalers["target"])
+        return mlp_predict(model, feature_matrix(frame)[targets],
+                           scalers["features"], scalers["target"])
     y_scaled = transform(frame.consumption.reshape(-1, 1),
                          scalers["target"]).ravel()
     # In the network's dtype, so an older float64 file keeps its bits.
     windows = make_windows(
         y_scaled[align.boundary:].astype(model.params()[0].dtype), align.window)
-    return lstm_predict(model, windows, scalers["target"],
-                        spec=LstmSpec(window_length=align.window))
+    return lstm_predict(model, windows, scalers["target"])
 
 
 # Child stream of the experiment seed that each network draws from.
@@ -216,11 +208,11 @@ def _fit_network(name: str, config: ExperimentConfig, frame: MergedFrame,
     y_scaled = transform(frame.consumption[:boundary], scalers["target"])
     if name == "mlp":
         model = build_mlp(rng=rng)
-        inputs = transform(feature_matrix(frame).features[:boundary],
+        inputs = transform(feature_matrix(frame)[:boundary],
                            scalers["features"])
         targets = y_scaled
     else:
-        model = build_lstm(spec=LstmSpec(window_length=align.window), rng=rng)
+        model = build_lstm(rng=rng)
         # The windows view their own copy in the network's dtype.
         windows = make_windows(
             y_scaled.astype(model.params()[0].dtype), align.window)
@@ -245,7 +237,7 @@ def run_experiment(config: ExperimentConfig,
         align = alignment(config, n)
         boundary, targets = align.boundary, align.targets
         scalers = {
-            "features": fit_scaler(feature_matrix(frame).features[:boundary]),
+            "features": fit_scaler(feature_matrix(frame)[:boundary]),
             "target": fit_scaler(y[:boundary].reshape(-1, 1)),
         }
 
@@ -270,9 +262,8 @@ def run_experiment(config: ExperimentConfig,
             pred = predictions[name]
             cells.append(ReportCell(
                 model=name, subset="test",
-                metrics=compute_metrics(pred, actual, units="watts")))
-            by_season = stratify_by_season(pred, actual, target_times,
-                                           units="watts")
+                metrics=compute_metrics(pred, actual)))
+            by_season = stratify_by_season(pred, actual, target_times)
             for season, metrics in by_season.items():
                 cells.append(ReportCell(
                     model=name, subset=f"test/{season.value}",

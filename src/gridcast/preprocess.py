@@ -11,7 +11,6 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sized
 
 import numpy as np
 
@@ -127,25 +126,16 @@ def load_scalers(path: str | Path) -> dict[str, ScalerParams]:
             f"cannot read scalers file {path}: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class SplitIndex:
-    """Boundary of a chronological train/test split over N rows."""
-
-    boundary: int
-
-
-def chronological_split(data: int | Sized, ratio: float = 0.8) -> SplitIndex:
-    """Split the first floor(ratio * N) rows into train, the rest test.
-
-    Accepts either a row count or any sized container. Rows are never
-    shuffled: everything before the boundary precedes everything after.
+def chronological_split(n: int, ratio: float) -> int:
+    """The train/test boundary over n rows: the first floor(ratio * n)
+    rows train, the rest test. Rows are never shuffled, so everything
+    before the boundary precedes everything after.
     """
-    n = data if isinstance(data, int) else len(data)
     if not (0.0 < ratio < 1.0):
         raise ValueError(f"ratio must lie strictly between 0 and 1, got {ratio}")
     if n < 2:
         raise SeriesTooShortError(f"need at least 2 rows to split, got {n}")
-    return SplitIndex(boundary=int(math.floor(ratio * n)))
+    return int(math.floor(ratio * n))
 
 
 @dataclass(frozen=True)
@@ -162,14 +152,6 @@ class WindowBatch:
 
     def __len__(self) -> int:
         return self.targets.shape[0]
-
-    @property
-    def window_length(self) -> int:
-        return self.inputs.shape[1]
-
-    @property
-    def n_features(self) -> int:
-        return self.inputs.shape[2]
 
 
 def make_windows(series: np.ndarray, window_length: int) -> WindowBatch:
@@ -191,17 +173,6 @@ def make_windows(series: np.ndarray, window_length: int) -> WindowBatch:
                        targets=series[window_length:])
 
 
-@dataclass(frozen=True)
-class FeatureMatrix:
-    """Per-row weather + time features paired with consumption targets."""
-
-    features: np.ndarray  # (N, 7) ordered as FEATURE_COLUMNS
-    targets: np.ndarray   # (N,) watts
-
-    def __len__(self) -> int:
-        return self.targets.shape[0]
-
-
-def feature_matrix(frame: MergedFrame) -> FeatureMatrix:
-    features = np.column_stack([frame.weather, frame.time_decimal])
-    return FeatureMatrix(features=features, targets=frame.consumption.copy())
+def feature_matrix(frame: MergedFrame) -> np.ndarray:
+    """(N, 7) model inputs, one row per frame row, ordered as FEATURE_COLUMNS."""
+    return np.column_stack([frame.weather, frame.time_decimal])

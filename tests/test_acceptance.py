@@ -24,7 +24,7 @@ from gridcast.ingest import (
     load_weather_dir,
     parse_meter_csv,
 )
-from gridcast.models import LstmSpec, MlpSpec, build_lstm, build_mlp
+from gridcast.models import build_lstm, build_mlp
 from gridcast.nn.layers import Dense, LSTM, Network
 from gridcast.nn.losses import mse_loss
 from gridcast.pipeline import run_experiment
@@ -66,8 +66,8 @@ def solar_run(tmp_path_factory):
 
 def test_parameter_counts_are_exact():
     start = time.perf_counter()
-    mlp = build_mlp(MlpSpec(), rng=np.random.default_rng(0))
-    lstm = build_lstm(LstmSpec(), rng=np.random.default_rng(0))
+    mlp = build_mlp(rng=np.random.default_rng(0))
+    lstm = build_lstm(rng=np.random.default_rng(0))
     n_mlp = sum(p.size for p in mlp.params())
     n_lstm = sum(p.size for p in lstm.params())
     elapsed = time.perf_counter() - start
@@ -156,11 +156,11 @@ def test_analytic_gradients_match_finite_differences():
 # --- 3: chronological split ----------------------------------------------
 
 def test_split_counts_on_full_scale_series():
-    split = chronological_split(117_513, 0.8)
+    boundary = chronological_split(117_513, 0.8)
     _check(
         "80/20 chronological split of 117513 rows lands on 94010/23503",
-        split.boundary == 94_010 and 117_513 - split.boundary == 23_503,
-        f"train={split.boundary} test={117_513 - split.boundary}",
+        boundary == 94_010 and 117_513 - boundary == 23_503,
+        f"train={boundary} test={117_513 - boundary}",
     )
 
 

@@ -271,13 +271,40 @@ def test_evaluate_reproduces_training_run_metrics(compared_roster, model,
     config, out = compared_roster
     capsys.readouterr()
     assert main(["evaluate", "--model", model, "--config", str(config)]) == 0
-    capsys.readouterr()
+    stdout = capsys.readouterr().out
     payload = json.loads((out / f"evaluate_{model}.json").read_text(
         encoding="utf-8"))
     cell = metrics_of(read_report_json(out / "report.json"), model)
     assert payload["metrics"] == {"rmse": cell.rmse, "mae": cell.mae,
                                   "r2": cell.r2, "n": cell.n,
-                                  "units": cell.units}
+                                  "units": "watts"}
+    # stdout is exactly the model's whole-test-slice rows of report.csv.
+    rows = [line for line in (out / "report.csv").read_text(
+        encoding="utf-8").splitlines(keepends=True)
+        if line.startswith(f"{model},test,")]
+    assert len(rows) == 3 and stdout == "".join(rows)
+
+
+@pytest.mark.parametrize("model, stored", [("mlp", "lstm"), ("lstm", "mlp")])
+def test_evaluate_a_swapped_model_file_is_a_one_line_error(
+        tmp_path, capsys, compared_roster, model, stored):
+    # Each network's own input check rejects the other's inputs.
+    config, out = compared_roster
+    run_dir = tmp_path / "run"
+    shutil.copytree(out, run_dir)
+    shutil.copyfile(out / "models" / f"{stored}.npz",
+                    run_dir / "models" / f"{model}.npz")
+    capsys.readouterr()
+    assert main(["evaluate", "--model", model, "--config", str(config),
+                 "--run-dir", str(run_dir), "--out", str(tmp_path / "o")]) == 1
+    stderr = capsys.readouterr().err
+    lines = stderr.splitlines()
+    assert len(lines) == 1 and "Traceback" not in stderr
+    assert lines[0].startswith("gridcast: [evaluate] ")
+    if model == "lstm":
+        assert lines[0].startswith(
+            "gridcast: [evaluate] dense layer expects (B, 7), got (")
+    assert not (tmp_path / "o" / f"evaluate_{model}.json").exists()
 
 
 def test_evaluate_baseline_fails_as_compare_does(tmp_path, capsys):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gridcast.config import ExperimentConfig
-from gridcast.models import MlpSpec, build_lstm, build_mlp, lstm_predict
+from gridcast.models import build_lstm, build_mlp, lstm_predict
 from gridcast.nn import (
     LSTM,
     Adam,
@@ -120,7 +120,7 @@ class TestNoSilentUpcast:
             assert a.dtype == np.float64
 
     def test_float32_draws_are_the_float64_draws_rounded(self):
-        a = build_mlp(MlpSpec(), rng=np.random.default_rng(3))
+        a = build_mlp(rng=np.random.default_rng(3))
         b = Dense(7, 64, "relu", rng=np.random.default_rng(3))
         assert np.array_equal(a.layers[0].W, b.W.astype(np.float32))
 

@@ -6,7 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from gridcast.errors import SeriesTooShortError, ShapeError, ZeroVarianceError
+from gridcast.errors import (
+    CorruptArtifactError,
+    SeriesTooShortError,
+    ShapeError,
+    ZeroVarianceError,
+)
 from gridcast.evaluate import (
     CORRELATION_COLUMNS,
     EvalReport,
@@ -143,20 +148,11 @@ class TestComputeMetrics:
         assert m.rmse == pytest.approx(math.sqrt(12.5))
         assert m.mae == pytest.approx(3.5)
         assert m.n == 2
-        assert m.units == "watts"
 
     def test_r2_none_on_constant_actuals(self):
         m = compute_metrics([1.0, 2.0], [5.0, 5.0])
         assert m.r2 is None
         assert m.rmse > 0
-
-    def test_scaled_units_flag(self):
-        m = compute_metrics([0.1, 0.2], [0.2, 0.4], units="scaled")
-        assert m.units == "scaled"
-
-    def test_invalid_units_rejected(self):
-        with pytest.raises(ValueError):
-            MetricSet(rmse=1.0, mae=0.5, r2=None, n=3, units="joules")
 
 
 class TestStratifyBySeason:
@@ -225,10 +221,8 @@ class TestDiurnalProfile:
             day = dt.date.fromordinal(t // SLOTS_PER_DAY).day
             return 5000.0 if (day == 4 and t % SLOTS_PER_DAY == 10) else 100.0
         frame = self.frame_for([dt.date(2023, 6, d) for d in (1, 2, 3, 4)], load)
-        profiles = diurnal_profile(frame, statistic="median")
+        profiles = diurnal_profile(frame)
         assert profiles[Season.JJA][10] == pytest.approx(100.0)
-        means = diurnal_profile(frame, statistic="mean")
-        assert means[Season.JJA][10] == pytest.approx((3 * 100.0 + 5000.0) / 4)
 
     def test_partial_day_leaves_nan_slots(self):
         times = day_of_times(dt.date(2023, 6, 1), n=12)  # first hour only
@@ -238,11 +232,6 @@ class TestDiurnalProfile:
         assert profile.shape == (288,)
         assert np.isfinite(profile[:12]).all()
         assert np.isnan(profile[12:]).all()
-
-    def test_unknown_statistic_rejected(self):
-        frame = self.frame_for([dt.date(2023, 6, 1)], lambda t: 1.0)
-        with pytest.raises(ValueError):
-            diurnal_profile(frame, statistic="mode")
 
 
 class TestSeasonalReference:
@@ -267,10 +256,8 @@ class TestSeasonalReference:
         weather = np.tile([20.0, 0.0, 15.0, 60.0, 19.0, 50.0], (times.size, 1))
         return build_merged_frame(times, cons, weather)
 
-    @pytest.mark.parametrize("statistic", ["median", "mean"])
-    def test_diurnal_profile(self, statistic):
+    def test_diurnal_profile(self):
         frame = self.frame()
-        reduce = np.median if statistic == "median" else np.mean
         groups = {}
         for t, value in zip(frame.times.tolist(), frame.consumption.tolist()):
             key = (self.season(t), t % SLOTS_PER_DAY)
@@ -278,8 +265,8 @@ class TestSeasonalReference:
         expected = {}
         for (season, slot), values in groups.items():
             profile = expected.setdefault(season, np.full(SLOTS_PER_DAY, np.nan))
-            profile[slot] = reduce(np.array(values))
-        got = diurnal_profile(frame, statistic=statistic)
+            profile[slot] = np.median(np.array(values))
+        got = diurnal_profile(frame)
         assert list(got) == [s for s in Season if s in expected]
         for season, profile in expected.items():
             assert np.array_equal(got[season], profile, equal_nan=True)
@@ -399,6 +386,18 @@ class TestEvalReport:
         assert lines[1].startswith("naive,test,rmse,10.5")
         r2_row = [l for l in lines if l.startswith("lstm,test/DJF,r2")][0]
         assert r2_row == "lstm,test/DJF,r2,,25,watts"
+
+    @pytest.mark.parametrize("units", ["joules", "scaled"])
+    def test_reader_rejects_units_other_than_watts(self, tmp_path, units):
+        path = tmp_path / "report.json"
+        write_report_json(small_report(), path)
+        data = json.loads(path.read_text())
+        data["cells"][1]["metrics"]["units"] = units
+        path.write_text(json.dumps(data))
+        with raises_exactly(CorruptArtifactError,
+                            f"cannot read report {path}: "
+                            f"units must be 'watts', got {units!r}"):
+            read_report_json(path)
 
 
 class TestAuxWriters:

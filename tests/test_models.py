@@ -3,16 +3,10 @@ import numpy as np
 import pytest
 
 from gridcast.errors import ShapeError
-from gridcast.models import (
-    LstmSpec,
-    MlpSpec,
-    build_lstm,
-    build_mlp,
-    lstm_predict,
-    mlp_predict,
-)
+from gridcast.models import build_lstm, build_mlp, lstm_predict, mlp_predict
 from gridcast.nn import load_model, save_model, train, TrainConfig
-from gridcast.preprocess import fit_scaler, make_windows, transform
+from gridcast.nn.layers import EVAL_CHUNK
+from gridcast.preprocess import WindowBatch, fit_scaler, make_windows, transform
 from helpers import raises_exactly
 
 
@@ -34,6 +28,8 @@ class TestSpecs:
         assert kinds == ["dense", "dropout", "dense", "dropout", "dense"]
         widths = [l["n_out"] for l in build_mlp().spec() if l["kind"] == "dense"]
         assert widths == [64, 32, 1]
+        rates = [l["rate"] for l in build_mlp().spec() if l["kind"] == "dropout"]
+        assert rates == pytest.approx([0.2, 0.1])
 
     def test_lstm_layer_layout(self):
         spec = build_lstm().spec()
@@ -41,17 +37,6 @@ class TestSpecs:
         assert spec[0]["hidden"] == 50
         assert spec[0]["activation"] == "relu"
         assert spec[1]["rate"] == pytest.approx(0.2)
-
-    def test_custom_widths_change_counts(self):
-        small = build_mlp(MlpSpec(n_features=3, hidden_1=4, hidden_2=2))
-        assert (sum(p.size for p in small.params())
-                == (3 * 4 + 4) + (4 * 2 + 2) + (2 + 1))
-
-    def test_invalid_spec_rejected(self):
-        with pytest.raises(ValueError):
-            MlpSpec(hidden_1=0)
-        with pytest.raises(ValueError):
-            LstmSpec(window_length=0)
 
 
 class TestMlpPredict:
@@ -83,14 +68,14 @@ class TestMlpPredict:
     def test_r2_identical_in_watts_and_scaled_units(self):
         # Min-max scaling is affine, so R^2 computed on watt outputs must
         # match R^2 computed in scaled space after a short training run.
+        # Dropout stays on in training, as in production.
         rng = np.random.default_rng(2)
         features, _ = self.make_data(rng, n=200)
         targets = 40.0 * features[:, 0] + 300.0 + rng.normal(0, 25, size=200)
         f_scaler, t_scaler = fitted_scalers(features, targets)
         x = transform(features, f_scaler)
         y = transform(targets, t_scaler)
-        model = build_mlp(MlpSpec(dropout_1=0.0, dropout_2=0.0),
-                          rng=np.random.default_rng(3))
+        model = build_mlp(rng=np.random.default_rng(3))
         config = TrainConfig(batch_size=50, max_epochs=30, patience=30,
                              learning_rate=3e-3)
         train(model, (x, y), (x, y), config, np.random.default_rng(4))
@@ -113,7 +98,7 @@ class TestMlpPredict:
         model = build_mlp()
         widened = np.column_stack([features, targets])
         with raises_exactly(ShapeError,
-                            "model expects 7 feature columns, got 8"):
+                            "input has 8 columns, scaler was fitted on 7"):
             mlp_predict(model, widened, f_scaler, t_scaler)
 
     def test_one_dimensional_input_rejected(self):
@@ -121,17 +106,8 @@ class TestMlpPredict:
         features, targets = self.make_data(rng)
         f_scaler, t_scaler = fitted_scalers(features, targets)
         with raises_exactly(ShapeError,
-                            "expected a 2-D feature matrix, got ndim=1"):
+                            "1-D input is single-column but scaler has 7 columns"):
             mlp_predict(build_mlp(), features[0], f_scaler, t_scaler)
-
-    def test_unfitted_scalers_rejected(self):
-        rng = np.random.default_rng(7)
-        features, targets = self.make_data(rng)
-        f_scaler, t_scaler = fitted_scalers(features, targets)
-        with raises_exactly(ShapeError, "feature scaler has not been fitted"):
-            mlp_predict(build_mlp(), features, None, t_scaler)
-        with raises_exactly(ShapeError, "target scaler has not been fitted"):
-            mlp_predict(build_mlp(), features, f_scaler, None)
 
     def test_scaler_width_must_match_model(self):
         rng = np.random.default_rng(8)
@@ -139,23 +115,22 @@ class TestMlpPredict:
         narrow_scaler = fit_scaler(features[:, :3])
         t_scaler = fit_scaler(targets)
         with raises_exactly(ShapeError,
-                            "feature scaler covers 3 columns, model expects 7"):
+                            "input has 7 columns, scaler was fitted on 3"):
             mlp_predict(build_mlp(), features, narrow_scaler, t_scaler)
 
 
 class TestLstmPredict:
-    def make_windows(self, rng, n=120, spec=LstmSpec()):
+    def make_windows(self, rng, n=120):
         series = rng.uniform(50.0, 2000.0, size=n)
         t_scaler = fit_scaler(series)
-        windows = make_windows(transform(series, t_scaler), spec.window_length)
+        windows = make_windows(transform(series, t_scaler), 24)
         return windows, t_scaler
 
     def test_constant_series_through_zero_model(self):
-        spec = LstmSpec()
         series = np.full(60, 700.0)
         scaler = fit_scaler(np.array([0.0, 1400.0]))
-        windows = make_windows(transform(series, scaler), spec.window_length)
-        pred = lstm_predict(build_lstm(spec), windows, scaler, spec)
+        windows = make_windows(transform(series, scaler), 24)
+        pred = lstm_predict(build_lstm(), windows, scaler)
         # Zero weights keep every hidden state at zero, so the head emits
         # scaled 0 for every window: the scaler minimum in watts.
         assert np.allclose(pred, 0.0)
@@ -169,33 +144,28 @@ class TestLstmPredict:
         assert np.all(np.isfinite(pred))
 
     def test_batch_partitioning_leaves_predictions_unchanged(self):
+        # Enough windows for two network calls of 2 * EVAL_CHUNK rows and
+        # a short third one; scoring slices of them one call each must
+        # agree to rounding.
         rng = np.random.default_rng(12)
-        windows, scaler = self.make_windows(rng, n=130)
+        windows, scaler = self.make_windows(rng, n=4 * EVAL_CHUNK + 130)
         model = build_lstm(rng=np.random.default_rng(13))
-        whole = lstm_predict(model, windows, scaler, batch_size=4096)
-        parts = lstm_predict(model, windows, scaler, batch_size=16)
+        whole = lstm_predict(model, windows, scaler)
+        parts = np.concatenate([
+            lstm_predict(model, WindowBatch(windows.inputs[i:i + 16],
+                                            windows.targets[i:i + 16]), scaler)
+            for i in range(0, len(windows), 16)])
         assert np.allclose(whole, parts, rtol=0.0, atol=1e-9)
 
-    def test_wrong_window_length_rejected(self):
-        rng = np.random.default_rng(14)
-        windows, scaler = self.make_windows(rng, spec=LstmSpec(window_length=12))
-        with raises_exactly(ShapeError,
-                            "expected windows of length 24, got 12"):
-            lstm_predict(build_lstm(), windows, scaler)
-
     def test_wrong_feature_dim_rejected(self):
+        # The network reads one value per step; wider windows fail in the
+        # LSTM layer rather than being truncated.
         rng = np.random.default_rng(15)
         windows, scaler = self.make_windows(rng)
-        wide_spec = LstmSpec(n_features=2)
+        wide = WindowBatch(np.repeat(windows.inputs, 2, axis=2), windows.targets)
         with raises_exactly(ShapeError,
-                            "expected 2 feature(s) per step, got 1"):
-            lstm_predict(build_lstm(wide_spec), windows, scaler, wide_spec)
-
-    def test_unfitted_target_scaler_rejected(self):
-        rng = np.random.default_rng(16)
-        windows, _ = self.make_windows(rng)
-        with raises_exactly(ShapeError, "target scaler has not been fitted"):
-            lstm_predict(build_lstm(), windows, None)
+                            "lstm layer expects (B, L, 1), got (96, 24, 2)"):
+            lstm_predict(build_lstm(), wide, scaler)
 
 
 class TestSerializationRoundTrip:

@@ -277,18 +277,19 @@ class TestEvalRetainsNothing:
         assert np.array_equal(evaluated, trained)
 
     def test_production_lstm_inference_memory(self):
-        # One 4,096-window chunk of the production model, 24 steps each.
-        # Caching all 24 steps in float32 would hold about 150 MiB. The
-        # chunk is named, not left to the default: at EVAL_CHUNK = 1,024 a
-        # cached chunk would hold about 38 MiB and pass the peak bound.
+        # One eval call of 4,096 windows on the production model, 24 steps
+        # each. Caching all 24 steps in float32 would hold about 150 MiB.
+        # The network is called directly: predict_batches passes it at
+        # most 2 * EVAL_CHUNK rows, whose cache could pass the peak bound.
         model = build_lstm(rng=np.random.default_rng(20))
-        x = np.random.default_rng(21).normal(size=(4096, 24, 1))
+        x = np.random.default_rng(21).normal(
+            size=(4096, 24, 1)).astype(np.float32)
         mib = 2 ** 20
         tracemalloc.start()
         try:
             before, _ = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
-            out = predict_batches(model, x, batch_size=4096)
+            out = model.forward(x, train=False)
             after, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -175,21 +175,25 @@ class TestTrain:
 
 class TestPredictBatches:
     def test_partitioning_does_not_change_predictions(self):
-        # BLAS may pick different kernels for different operand shapes,
-        # so bit-for-bit equality across partitionings is not a float64
-        # guarantee; agreement to ~1 ulp of the output scale is.
+        # Three network calls (2, 2 and 1 EVAL_CHUNK blocks, then 100
+        # rows) against one call per 15 rows. BLAS may pick different
+        # kernels for different operand shapes, so bit-for-bit equality
+        # across partitionings is not a float64 guarantee; agreement to
+        # ~1 ulp of the output scale is.
         rng = np.random.default_rng(30)
         model = Network([Dense(3, 16, "relu", rng=rng), Dense(16, 1, rng=rng)])
-        x = rng.normal(size=(100, 3))
-        whole = predict_batches(model, x, batch_size=100)
-        parts = predict_batches(model, x, batch_size=15)  # 7 uneven chunks
+        x = rng.normal(size=(5 * EVAL_CHUNK + 100, 3))
+        whole = predict_batches(model, x)
+        parts = np.concatenate([predict_batches(model, x[i:i + 15])
+                                for i in range(0, x.shape[0], 15)])
         assert np.abs(whole - parts).max() < 1e-12
 
     def test_covers_every_row(self):
+        # Two full calls and an uneven third: 2 * 2 * EVAL_CHUNK + 37 rows.
         rng = np.random.default_rng(31)
         model = Network([Dense(2, 4, "relu", rng=rng), Dense(4, 1, rng=rng)])
-        x = rng.normal(size=(37, 2))
-        assert predict_batches(model, x, batch_size=10).shape == (37, 1)
+        x = rng.normal(size=(4 * EVAL_CHUNK + 37, 2))
+        assert predict_batches(model, x).shape == (4 * EVAL_CHUNK + 37, 1)
 
 
 def production_layout(kind, dtype):
