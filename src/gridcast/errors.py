@@ -40,10 +40,12 @@ class CorruptArtifactError(GridcastError):
 
 
 class ShapeError(GridcastError):
-    """A caller passed an array of the wrong shape, length or emptiness,
-    or called a method out of order (backward before a train-mode
-    forward, a prediction without a fitted scaler). This is a bug in the
-    calling code, not in the user's data."""
+    """A caller passed an array of the wrong shape, length, emptiness or
+    order (meter records not sorted by time) or an argument outside its
+    choices (an unknown stream kind), or called a method out of order
+    (backward before a train-mode forward, a prediction without a fitted
+    scaler, a frame built from weather not yet interpolated). This is a
+    bug in the calling code, not in the user's data."""
 
 
 class ZeroVarianceError(GridcastError):

@@ -4,7 +4,9 @@ Parsers are forgiving row by row but strict about structure: a missing
 column or an empty file is an error, while individual bad rows are
 dropped and counted so callers can assert exactly what was discarded.
 
-Both file kinds are read as columns by one reader, and both parse into
+Both file kinds are read as columns by one reader, ROW_CHUNK rows at a
+time: each block of texts becomes numbers before the next is read, so a
+file's rows are never held whole as Python strings. Both parse into
 columnar tables (see gridcast.types): a meter stream is one MeterRecords,
 an int64 array of slot indices beside a float64 array of watts, and a
 weather directory is one Weather, an int64 array of date ordinals beside
@@ -26,16 +28,18 @@ import csv
 import datetime as dt
 import re
 from dataclasses import dataclass
+from itertools import islice
 from operator import itemgetter
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from gridcast.errors import DataError
+from gridcast.errors import DataError, ShapeError
 from gridcast.types import (
     BAD_TIME,
     MAX_HOUSEHOLD_WATTS,
+    ROW_CHUNK,
     SLOTS_PER_DAY,
     TIMESTAMP_FORMAT,
     WEATHER_CSV_COLUMNS,
@@ -72,7 +76,7 @@ class MeterCsvSpec:
 
     def __post_init__(self):
         if self.kind not in STREAM_KINDS:
-            raise ValueError(f"kind must be one of {STREAM_KINDS}, got {self.kind!r}")
+            raise ShapeError(f"kind must be one of {STREAM_KINDS}, got {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -122,12 +126,13 @@ def _column_index(header: list[str], name: str) -> int:
     return len(header) - 1 - header[::-1].index(name)
 
 
-def _read_columns(path, names: Sequence[str]) -> list[list[str]]:
-    """Stripped texts of the named columns, one list per name, each with
-    one text per data row.
+def _read_columns(path, names: Sequence[str]) -> Iterator[list[list[str]]]:
+    """Stripped texts of the named columns, ROW_CHUNK data rows at a time.
 
-    Follows csv.DictReader: blank lines are no rows, and a cell missing
-    from a short row reads as empty.
+    Each block is one list per name, each with one text per data row of
+    the block; the last block may be shorter. Follows csv.DictReader:
+    blank lines are no rows, and a cell missing from a short row reads as
+    empty.
     """
     with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
@@ -138,13 +143,16 @@ def _read_columns(path, names: Sequence[str]) -> list[list[str]]:
         if missing:
             raise DataError(f"{path}: missing column(s) {missing}")
         columns = [_column_index(header, c) for c in names]
-        rows = list(filter(None, reader))
-    if not rows:
-        raise DataError(f"{path}: header but no data rows")
-    width = max(columns) + 1
-    if min(map(len, rows)) < width:
-        rows = [row + [""] * (width - len(row)) for row in rows]
-    return [list(map(str.strip, map(itemgetter(c), rows))) for c in columns]
+        width = max(columns) + 1
+        rows_left = filter(None, reader)
+        rows = list(islice(rows_left, ROW_CHUNK))
+        if not rows:
+            raise DataError(f"{path}: header but no data rows")
+        while rows:
+            if min(map(len, rows)) < width:
+                rows = [row + [""] * (width - len(row)) for row in rows]
+            yield [list(map(str.strip, map(itemgetter(c), rows))) for c in columns]
+            rows = list(islice(rows_left, ROW_CHUNK))
 
 
 def _parse_floats(texts: list[str]) -> np.ndarray:
@@ -169,9 +177,11 @@ def parse_meter_csv(spec: MeterCsvSpec) -> MeterParseResult:
     blank or non-finite watts, |watts| above MAX_HOUSEHOLD_WATTS,
     negative watts, duplicate.
     """
-    ts_texts, watts_texts = _read_columns(spec.path, ["timestamp", "watts"])
-    times = parse_timestamps(ts_texts)
-    watts = _parse_floats(watts_texts)
+    time_blocks, watt_blocks = [], []
+    for ts_texts, watts_texts in _read_columns(spec.path, ("timestamp", "watts")):
+        time_blocks.append(parse_timestamps(ts_texts))
+        watt_blocks.append(_parse_floats(watts_texts))
+    times, watts = np.concatenate(time_blocks), np.concatenate(watt_blocks)
     readable = times != BAD_TIME
     bad_ts = len(times) - int(readable.sum())
     if bad_ts > len(times) / 2:
@@ -203,22 +213,27 @@ def _parse_weather_csv(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     missing and an unparseable or implausible one is demoted to missing.
     """
     month = (int(path.name[:4]), int(path.name[4:6]))
-    date_texts, *cell_texts = _read_columns(path, ("date",) + WEATHER_CSV_COLUMNS)
-    ordinals = np.empty(len(date_texts), dtype=np.int64)
-    for i, text in enumerate(date_texts):
-        try:
-            date = dt.date.fromisoformat(text)
-        except ValueError:
-            ordinals[i] = _BAD_DATE
-            continue
-        ordinals[i] = (date.toordinal() if (date.year, date.month) == month
-                       else _MISFILED)
+    blocks = []
+    for date_texts, *cell_texts in _read_columns(
+            path, ("date",) + WEATHER_CSV_COLUMNS):
+        ordinals = np.empty(len(date_texts), dtype=np.int64)
+        for i, text in enumerate(date_texts):
+            try:
+                date = dt.date.fromisoformat(text)
+            except ValueError:
+                ordinals[i] = _BAD_DATE
+                continue
+            ordinals[i] = (date.toordinal() if (date.year, date.month) == month
+                           else _MISFILED)
+        blocks.append((ordinals,
+                       np.column_stack([_parse_floats(c) for c in cell_texts]),
+                       np.column_stack([list(map(bool, c)) for c in cell_texts])))
+    ordinals, values, present = map(np.concatenate, zip(*blocks))
     in_month = np.flatnonzero(ordinals > 0)
     # np.unique sorts and, with return_index, points at first occurrences.
     dates, first = np.unique(ordinals[in_month], return_index=True)
     kept = in_month[first]
-    values = np.column_stack([_parse_floats(c) for c in cell_texts])[kept]
-    present = np.column_stack([list(map(bool, c)) for c in cell_texts])[kept]
+    values, present = values[kept], present[kept]
     invalid = present & ~weather_plausible(values)
     values[invalid] = np.nan
     counts = np.array([np.sum(ordinals == _BAD_DATE), len(in_month) - len(dates),
@@ -279,7 +294,7 @@ def _require_sorted_records(records: MeterRecords, label: str) -> None:
     if unordered.size:
         i = int(unordered[0])
         cur, prev = format_timestamps(records.times[[i + 1, i]])
-        raise ValueError(
+        raise ShapeError(
             f"{label} records must be strictly sorted by time; "
             f"{cur} follows {prev}")
 
@@ -322,7 +337,7 @@ def build_frame(meter: MeterRecords,
         raise DataError("no meter records")
     incomplete = weather.dates[np.isnan(weather.values).any(axis=1)]
     if incomplete.size:
-        raise ValueError(
+        raise ShapeError(
             f"weather for {dt.date.fromordinal(int(incomplete[0]))} still "
             f"has missing fields; interpolate first")
     meter_days = meter.times // SLOTS_PER_DAY

@@ -73,7 +73,7 @@ from gridcast.preprocess import (
     transform,
 )
 from gridcast.synth import generate
-from gridcast.types import MergedFrame, MeterRecords, format_timestamps
+from gridcast.types import ROW_CHUNK, MergedFrame, MeterRecords, format_timestamps
 
 
 @dataclass(frozen=True)
@@ -296,15 +296,21 @@ def run_experiment(config: ExperimentConfig,
         save_scalers(scalers, out / "scalers.json")
         predictions_dir = out / "predictions"
         predictions_dir.mkdir(exist_ok=True)
-        # Every file shares its timestamp and actual columns.
-        prefixes = list(map("{},{!r},".format,
-                            format_timestamps(target_times), actual.tolist()))
-        for name, pred in predictions.items():
-            with open(predictions_dir / f"{name}.csv", "w",
-                      encoding="utf-8", newline="") as handle:
+        with contextlib.ExitStack() as files:
+            handles = [files.enter_context(open(
+                predictions_dir / f"{name}.csv", "w", encoding="utf-8",
+                newline="")) for name in predictions]
+            for handle in handles:
                 handle.write("timestamp,actual,predicted\n")
-                handle.writelines(map("{}{!r}\n".format, prefixes,
-                                      pred.tolist()))
+            for start in range(0, len(targets), ROW_CHUNK):
+                rows = slice(start, start + ROW_CHUNK)
+                # Every file shares its timestamp and actual columns.
+                prefixes = list(map("{},{!r},".format,
+                                    format_timestamps(target_times[rows]),
+                                    actual[rows].tolist()))
+                for handle, pred in zip(handles, predictions.values()):
+                    handle.writelines(map("{}{!r}\n".format, prefixes,
+                                          pred[rows].tolist()))
         if trained:
             models_dir = out / "models"
             models_dir.mkdir(exist_ok=True)

@@ -26,6 +26,7 @@ consumption = grid + generation.
 """
 from __future__ import annotations
 
+import contextlib
 import datetime as dt
 import math
 from dataclasses import dataclass, field
@@ -35,6 +36,7 @@ import numpy as np
 
 from gridcast.errors import InvalidConfigError
 from gridcast.types import (
+    ROW_CHUNK,
     SLOTS_PER_DAY,
     WEATHER_CSV_COLUMNS,
     MergedFrame,
@@ -287,18 +289,23 @@ def write_csvs(frame: MergedFrame, truth: SynthTruth, out_dir) -> WrittenFiles:
     weather_dir.mkdir(exist_ok=True)
 
     solar_household = bool(np.any(truth.generation != 0.0))
-    meter_paths = []
     if solar_household:
-        specs = [("grid.csv", truth.grid), ("solar.csv", truth.generation)]
+        streams = {"grid.csv": truth.grid, "solar.csv": truth.generation}
     else:
-        specs = [("meter.csv", truth.total)]
-    stamps = format_timestamps(frame.times)
-    for name, series in specs:
-        path = out_dir / name
-        with open(path, "w", encoding="utf-8", newline="") as handle:
+        streams = {"meter.csv": truth.total}
+    meter_paths = [out_dir / name for name in streams]
+    with contextlib.ExitStack() as files:
+        handles = [files.enter_context(open(path, "w", encoding="utf-8",
+                                            newline=""))
+                   for path in meter_paths]
+        for handle in handles:
             handle.write("timestamp,watts\n")
-            handle.writelines(map("{},{!r}\n".format, stamps, series.tolist()))
-        meter_paths.append(path)
+        for start in range(0, len(frame.times), ROW_CHUNK):
+            rows = slice(start, start + ROW_CHUNK)
+            stamps = format_timestamps(frame.times[rows])
+            for handle, series in zip(handles, streams.values()):
+                handle.writelines(map("{},{!r}\n".format, stamps,
+                                      series[rows].tolist()))
 
     header = "date," + ",".join(WEATHER_CSV_COLUMNS)
     by_month: dict[str, list[str]] = {}

@@ -27,6 +27,11 @@ import numpy as np
 SLOTS_PER_DAY = 288
 TIMESTAMP_FORMAT = "%Y-%m-%d %H:%M"
 
+# Row files (meter and weather CSVs, merged.csv, predictions) are read and
+# written this many rows at a time, so no row's text outlives its block:
+# as Python strings a row costs hundreds of bytes, as numbers sixteen.
+ROW_CHUNK = 4096
+
 # Canonical weather field names, in the column order used everywhere:
 # merged CSV files, feature matrices, and correlation tables.
 WEATHER_FIELDS = ("max_temp", "rainfall", "temp_9am", "rh_9am", "temp_3pm", "rh_3pm")
@@ -326,19 +331,23 @@ class MergedFrame:
             raise ValueError("time_decimal column disagrees with timestamps")
 
     def to_csv(self, path: str | Path) -> None:
-        """Write the frame with full float precision (repr round-trips).
+        """Write the frame with full float precision (repr round-trips),
+        ROW_CHUNK rows at a time.
 
         Lines end in CRLF, as the csv module's default dialect writes them;
         this is the documented format of merged.csv, the only artifact
         whose lines do not end in LF. A csv reader takes either; a reader
         that splits lines on LF must strip the CR from the last column.
         """
-        columns = [format_timestamps(self.times)]
-        for values in (self.consumption, *self.weather.T, self.time_decimal):
-            columns.append(list(map(repr, values.tolist())))
         with open(path, "w", newline="") as fh:
             fh.write(",".join(MERGED_CSV_COLUMNS) + "\r\n")
-            fh.writelines(",".join(row) + "\r\n" for row in zip(*columns))
+            for start in range(0, len(self.times), ROW_CHUNK):
+                rows = slice(start, start + ROW_CHUNK)
+                columns = [format_timestamps(self.times[rows])]
+                for values in (self.consumption[rows], *self.weather[rows].T,
+                               self.time_decimal[rows]):
+                    columns.append(list(map(repr, values.tolist())))
+                fh.writelines(",".join(row) + "\r\n" for row in zip(*columns))
 
     @classmethod
     def from_csv(cls, path: str | Path, validate: bool = True) -> "MergedFrame":

@@ -35,3 +35,16 @@ def test_every_exception_class_is_raised_or_caught():
             elif isinstance(node, ast.ExceptHandler) and node.type is not None:
                 used |= _names(node.type)
     assert defined and sorted(defined - used) == []
+
+
+def test_ingest_raises_only_classes_from_errors():
+    # A ValueError is no GridcastError, so the CLI would print its
+    # traceback instead of one labelled line.
+    defined = {name for name, obj in inspect.getmembers(errors, inspect.isclass)
+               if obj.__module__ == errors.__name__}
+    tree = ast.parse((SRC / "ingest.py").read_text(encoding="utf-8"))
+    raised = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            raised |= _names(node.exc)
+    assert raised and sorted(raised - defined) == []

@@ -1,10 +1,11 @@
 """Ingestion tests: parsing, gap filling, merging, frame assembly."""
 import datetime as dt
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from gridcast.errors import DataError
+from gridcast.errors import DataError, ShapeError
 from gridcast.ingest import (
     MeterCsvSpec,
     MeterDrops,
@@ -17,6 +18,7 @@ from gridcast.ingest import (
 )
 from gridcast.types import (
     MAX_HOUSEHOLD_WATTS,
+    ROW_CHUNK,
     WEATHER_FIELDS,
     MeterRecords,
     Weather,
@@ -194,8 +196,27 @@ class TestParseMeterCsv:
         assert len(result.records) == 1
         assert result.drops.blank_watts == 2
 
+    def test_traced_peak_per_row_does_not_hold_the_file_as_text(self, tmp_path):
+        # Held whole as Python strings, a row costs about 410 bytes at the
+        # peak; read ROW_CHUNK rows at a time, each block becomes numbers
+        # before the next is read (about 77 bytes a row).
+        n = 16 * ROW_CHUNK
+        times = slot_index(dt.date(2023, 3, 1)) + np.arange(n)
+        watts = np.random.default_rng(3).uniform(0, 3000, n).tolist()
+        path = tmp_path / "meter.csv"
+        write_meter(path, list(map("{},{!r}".format,
+                                   format_timestamps(times), watts)))
+        tracemalloc.start()
+        try:
+            parsed = parse_meter_csv(MeterCsvSpec(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert parsed.records.times.tolist() == times.tolist()
+        assert peak <= 128 * n
+
     def test_unknown_stream_kind_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
+        with pytest.raises(ShapeError):
             MeterCsvSpec(tmp_path / "m.csv", kind="wind")
 
 
@@ -434,7 +455,7 @@ class TestMergeSolar:
 
     def test_unsorted_input_rejected(self):
         out_of_order = records(record(1, 0, 5, 1.0), record(1, 0, 0, 1.0))
-        with pytest.raises(ValueError):
+        with pytest.raises(ShapeError):
             merge_solar(out_of_order, records(record(1, 0, 0, 1.0)))
 
 
@@ -478,7 +499,7 @@ class TestBuildFrame:
 
     def test_incomplete_weather_rejected(self):
         incomplete = Weather([ordinal(1)], [[20.0] + [np.nan] * 5])
-        with pytest.raises(ValueError, match="2023-03-01 still has missing"):
+        with pytest.raises(ShapeError, match="2023-03-01 still has missing"):
             build_frame(records(record(1, 0, 0, 1.0)), incomplete)
 
     def test_empty_meter_rejected(self):

@@ -23,7 +23,7 @@ import pytest
 
 from gridcast.errors import DataError
 from gridcast.ingest import MeterCsvSpec, load_weather_dir, parse_meter_csv
-from gridcast.types import TIMESTAMP_FORMAT, WEATHER_CSV_COLUMNS
+from gridcast.types import ROW_CHUNK, TIMESTAMP_FORMAT, WEATHER_CSV_COLUMNS
 from helpers import raises_exactly
 
 
@@ -339,3 +339,112 @@ def test_weather_loader_equals_row_by_row_reference(tmp_path, name):
     assert (got.bad_dates, got.duplicates, got.misfiled,
             got.invalid_cells) == drops
     assert dates and sum(drops) + sum(map(sum, missing)) > 0
+
+
+# Files of several ROW_CHUNK blocks, with each defect placed where one
+# block ends and the next begins. Row numbers count data rows: blank
+# lines are no rows, so block k holds rows [k * ROW_CHUNK, (k + 1) * ROW_CHUNK).
+_BLOCKS = 3
+
+
+def _chunked_meter_lines(rng) -> list[str]:
+    n = _BLOCKS * ROW_CHUNK + 50
+    lines = [f"{_stamp(0, i)},{rng.uniform(0, 3000)!r}" for i in range(n)]
+    # A duplicate: its first copy ends block 0, its repeat starts block 1.
+    lines[ROW_CHUNK] = f"{_stamp(0, ROW_CHUNK - 1)},{rng.uniform(0, 3000)!r}"
+    # A run of bad timestamps and blank watts across the edge of blocks 1, 2.
+    for i in range(2 * ROW_CHUNK - 6, 2 * ROW_CHUNK + 6):
+        stamp, watts = lines[i].split(",")
+        lines[i] = f"2023-02-30 00:00,{watts}" if i % 2 else f"{stamp}, "
+    # A short row only the last block holds: its watts cell reads empty.
+    lines[_BLOCKS * ROW_CHUNK + 7] = _stamp(0, _BLOCKS * ROW_CHUNK + 7)
+    # Blank lines at the edge of blocks 2 and 3; blank lines are no rows.
+    edge = 3 * ROW_CHUNK
+    return lines[:edge] + ["", "", ""] + lines[edge:] + [""]
+
+
+@pytest.mark.parametrize("bom", [False, True])
+def test_parser_equals_reference_across_row_chunks(tmp_path, bom):
+    lines = _chunked_meter_lines(np.random.default_rng(7))
+    path = tmp_path / "meter.csv"
+    text = "\r\n".join(["timestamp,watts"] + lines) + "\r\n"
+    path.write_bytes((("\ufeff" if bom else "") + text).encode("utf-8"))
+    spec = MeterCsvSpec(path)
+    times, watts, drops = reference_parse(spec)
+    parsed = parse_meter_csv(spec)
+    assert parsed.records.times.tolist() == times
+    assert (parsed.records.watts.view(np.int64).tolist()
+            == np.array(watts, dtype=np.float64).view(np.int64).tolist())
+    got = parsed.drops
+    assert (got.bad_timestamps, got.blank_watts, got.implausible_watts,
+            got.negative_watts, got.duplicates) == drops == (6, 7, 0, 0, 1)
+    # The duplicate keeps its first copy, the one at the end of block 0.
+    first = lines[ROW_CHUNK - 1].split(",")[1]
+    assert float(first) in watts
+
+
+def test_majority_bad_is_decided_after_the_last_chunk(tmp_path):
+    # Block 0 is clean; the bad rows fill block 1 and start block 2.
+    clean = [f"{_stamp(0, i)},1.0" for i in range(ROW_CHUNK)]
+    bad = ["2023-02-30 00:00,1.0"] * (ROW_CHUNK + 1)
+    path = tmp_path / "meter.csv"
+    path.write_text("\n".join(["timestamp,watts"] + clean + bad) + "\n")
+    spec = MeterCsvSpec(path)
+    message = (f"{path}: {ROW_CHUNK + 1} of {2 * ROW_CHUNK + 1} timestamps "
+               "unreadable; is the format string '%Y-%m-%d %H:%M' right?")
+    with raises_exactly(DataError, message):
+        reference_parse(spec)
+    with raises_exactly(DataError, message):
+        parse_meter_csv(spec)
+
+
+def _chunked_weather_rows(rng) -> list[list[str]]:
+    """One March file of several blocks: its 31 days among rows that add
+    no day (misfiled, unreadable and repeated dates), with defects at the
+    block edges."""
+    def day(d):
+        return _weather_row(rng, dt.date(2023, 3, d))
+
+    fillers = ["2023-04-01", "not a date", "2023-03-01"]
+    rows = [[fillers[i % 3]] + day(1)[1:] for i in range(_BLOCKS * ROW_CHUNK + 40)]
+    rows[0] = day(1)
+    for d in range(2, 28):
+        rows[400 * d] = day(d)
+    # A new day ends block 0 and its repeat starts block 1: the first wins.
+    rows[ROW_CHUNK - 1], rows[ROW_CHUNK] = day(28), day(28)
+    # Across the edge of blocks 1 and 2, bad dates alternate with new days
+    # whose cells are blank, unparseable or implausible.
+    for i in (2 * ROW_CHUNK - 3, 2 * ROW_CHUNK - 1, 2 * ROW_CHUNK + 1):
+        rows[i][0] = "2023-02-30"
+    rows[2 * ROW_CHUNK - 2] = day(29)
+    rows[2 * ROW_CHUNK - 2][1:4] = ["", "oops", "500"]
+    rows[2 * ROW_CHUNK] = day(30)
+    rows[2 * ROW_CHUNK][4:7] = ["", "-1", ""]
+    # A short row only the last block holds: its missing cells read empty.
+    rows[_BLOCKS * ROW_CHUNK + 3] = ["2023-03-31", "20.5"]
+    # Blank lines at the edge of blocks 2 and 3.
+    edge = 3 * ROW_CHUNK
+    return rows[:edge] + [[], []] + rows[edge:]
+
+
+@pytest.mark.parametrize("bom", [False, True])
+def test_weather_loader_equals_reference_across_row_chunks(tmp_path, bom):
+    rng = np.random.default_rng(8)
+    march = _chunked_weather_rows(rng)
+    april = _month_rows(rng, 2023, 4, 20)
+    for name, rows in (("202303.csv", march), ("202304.csv", april)):
+        text = "\n".join([_WEATHER_HEADER] + [",".join(r) for r in rows]) + "\n"
+        (tmp_path / name).write_bytes(
+            (("\ufeff" if bom else "") + text).encode("utf-8"))
+    dates, rows, drops = reference_weather(tmp_path)
+    weather, got, n_files = load_weather_dir(tmp_path)
+    assert n_files == 2
+    assert weather.dates.tolist() == dates
+    missing = [[v is None for v in row] for row in rows]
+    assert np.isnan(weather.values).tolist() == missing
+    expected = np.array([[0.0 if v is None else v for v in row] for row in rows])
+    got_bits = np.where(np.isnan(weather.values), 0.0, weather.values)
+    assert got_bits.view(np.int64).tolist() == expected.view(np.int64).tolist()
+    assert (got.bad_dates, got.duplicates, got.misfiled,
+            got.invalid_cells) == drops
+    assert len(dates) == 51 and all(drops)

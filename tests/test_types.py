@@ -1,6 +1,7 @@
 """Tests for the core vocabulary: slot indices, seasons, meter records,
 weather, frames."""
 import datetime as dt
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from gridcast.types import (
     BAD_TIME,
     MERGED_CSV_COLUMNS,
+    ROW_CHUNK,
     SEASONS,
     SLOTS_PER_DAY,
     WEATHER_FIELDS,
@@ -224,6 +226,33 @@ class TestMergedFrame:
         header = path.read_text().splitlines()[0]
         assert header == ",".join(MERGED_CSV_COLUMNS)
         assert header.split(",")[:2] == ["timestamp", "consumption_w"]
+
+    def test_csv_is_written_in_row_chunks(self, tmp_path):
+        # The whole frame's text at once took 5.7 MiB for 8,640 rows and
+        # 45.3 MiB for 69,120; one ROW_CHUNK block at a time, the peak
+        # does not grow with the rows.
+        def traced_write(n):
+            frame = _small_frame(n)
+            frame.consumption[:] = np.linspace(0.1, 5000.3, n)
+            path = tmp_path / f"merged-{n}.csv"
+            tracemalloc.start()
+            try:
+                frame.to_csv(path)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return frame, path, peak
+
+        frame, path, small = traced_write(2 * ROW_CHUNK + 5)
+        _, _, large = traced_write(16 * ROW_CHUNK)
+        assert large <= 1.5 * small
+        # Rows at the block edges are written as one whole-frame pass would.
+        rows = zip(format_timestamps(frame.times), frame.consumption.tolist(),
+                   frame.weather.tolist(), frame.time_decimal.tolist())
+        expected = [",".join([t, repr(c), *map(repr, w), repr(d)])
+                    for t, c, w, d in rows]
+        assert (path.read_bytes().decode().split("\r\n")
+                == [",".join(MERGED_CSV_COLUMNS)] + expected + [""])
 
 
 def _boundary_slots():
