@@ -44,8 +44,9 @@ class ShapeError(GridcastError):
     order (meter records not sorted by time) or an argument outside its
     choices (an unknown stream kind), or called a method out of order
     (backward before a train-mode forward, a prediction without a fitted
-    scaler, a frame built from weather not yet interpolated). This is a
-    bug in the calling code, not in the user's data."""
+    scaler, a frame built from weather not yet interpolated or without
+    a day for one of its rows). This is a bug in the calling code, not in
+    the user's data."""
 
 
 class ZeroVarianceError(GridcastError):

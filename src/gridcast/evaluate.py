@@ -152,7 +152,9 @@ def diurnal_profile(frame: MergedFrame) -> dict[Season, np.ndarray]:
     # The mean of the two middle values, as np.median takes it.
     table.flat[keys] = (ranked[starts + (counts - 1) // 2]
                         + ranked[starts + counts // 2]) / 2
-    return {SEASONS[code]: table[code] for code in np.unique(keys // SLOTS_PER_DAY)}
+    # keys are sorted, so each season present is met as one run of codes.
+    return {SEASONS[code]: table[code]
+            for code in dict.fromkeys((keys // SLOTS_PER_DAY).tolist())}
 
 
 def pairwise_correlation(columns) -> np.ndarray:
@@ -181,7 +183,7 @@ def pairwise_correlation(columns) -> np.ndarray:
 
 def correlation_matrix(frame: MergedFrame) -> np.ndarray:
     """7x7 correlation of the six weather fields and consumption."""
-    stacked = np.column_stack([frame.weather, frame.consumption])
+    stacked = np.column_stack([frame.row_weather(), frame.consumption])
     return pairwise_correlation(stacked)
 
 

@@ -47,7 +47,6 @@ from gridcast.types import (
     MergedFrame,
     MeterRecords,
     Weather,
-    build_merged_frame,
     format_timestamps,
     parse_timestamps,
     weather_plausible,
@@ -327,7 +326,7 @@ def merge_solar(grid: MeterRecords,
 
 def build_frame(meter: MeterRecords,
                 weather: Weather) -> tuple[MergedFrame, int]:
-    """Broadcast each day's weather onto its 5-minute meter rows.
+    """Pair the meter rows with the daily weather table.
 
     Meter rows on dates with no weather are dropped; returns the frame
     and that count.  If nothing remains the date ranges are disjoint and
@@ -335,17 +334,10 @@ def build_frame(meter: MeterRecords,
     """
     if not len(meter):
         raise DataError("no meter records")
-    incomplete = weather.dates[np.isnan(weather.values).any(axis=1)]
-    if incomplete.size:
-        raise ShapeError(
-            f"weather for {dt.date.fromordinal(int(incomplete[0]))} still "
-            f"has missing fields; interpolate first")
-    meter_days = meter.times // SLOTS_PER_DAY
-    covered = np.isin(meter_days, weather.dates)
+    covered = np.isin(meter.times // SLOTS_PER_DAY, weather.dates)
     if not covered.any():
         raise DataError("no meter dates fall inside the weather range")
-    rows = np.searchsorted(weather.dates, meter_days[covered])
-    frame = build_merged_frame(meter.times[covered], meter.watts[covered],
-                               weather.values[rows])
+    rows = slice(None) if covered.all() else covered
+    frame = MergedFrame(meter.times[rows], meter.watts[rows], weather)
     frame.validate()
     return frame, len(meter) - int(covered.sum())

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from gridcast.errors import CorruptArtifactError, SeriesTooShortError, ShapeError
-from gridcast.types import WEATHER_FIELDS, MergedFrame
+from gridcast.types import WEATHER_FIELDS, MergedFrame, time_decimal
 
 # Model feature columns, in order: six weather fields then decimal hour.
 FEATURE_COLUMNS = WEATHER_FIELDS + ("time_decimal",)
@@ -174,5 +174,6 @@ def make_windows(series: np.ndarray, window_length: int) -> WindowBatch:
 
 
 def feature_matrix(frame: MergedFrame) -> np.ndarray:
-    """(N, 7) model inputs, one row per frame row, ordered as FEATURE_COLUMNS."""
-    return np.column_stack([frame.weather, frame.time_decimal])
+    """(N, 7) model inputs, one row per frame row, ordered as FEATURE_COLUMNS:
+    the weather of the row's day, then its decimal hour."""
+    return np.column_stack([frame.row_weather(), time_decimal(frame.times)])

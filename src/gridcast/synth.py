@@ -40,7 +40,7 @@ from gridcast.types import (
     SLOTS_PER_DAY,
     WEATHER_CSV_COLUMNS,
     MergedFrame,
-    build_merged_frame,
+    Weather,
     format_timestamps,
 )
 
@@ -160,7 +160,8 @@ def generate(config: SynthConfig) -> tuple[MergedFrame, SynthTruth]:
     Weather, day-level load structure, and spikes come from independent
     child seeds, and the solar path draws nothing, so toggling the solar
     flag (or changing its parameters) leaves the underlying household
-    realization bit-identical.
+    realization bit-identical. The frame's consumption is ``truth.total``
+    itself, not a copy.
     """
     seeds = np.random.SeedSequence(config.seed).spawn(3)
     weather_rng = np.random.default_rng(seeds[0])
@@ -203,11 +204,11 @@ def generate(config: SynthConfig) -> tuple[MergedFrame, SynthTruth]:
     slots = np.arange(SLOTS_PER_DAY, dtype=np.float64)
     morning_centers = (config.morning_center_slot + jitter[:, 0])[:, None]
     evening_centers = (config.evening_center_slot + jitter[:, 1])[:, None]
-    bumps = (config.morning_peak_w
-             * _gaussian_bump(slots, morning_centers, config.peak_width_slots)
-             + config.evening_peak_w
-             * _gaussian_bump(slots, evening_centers, config.peak_width_slots))
-    diurnal = multiplier[:, None] * bumps
+    diurnal = config.morning_peak_w * _gaussian_bump(
+        slots, morning_centers, config.peak_width_slots)
+    diurnal += config.evening_peak_w * _gaussian_bump(
+        slots, evening_centers, config.peak_width_slots)
+    diurnal *= multiplier[:, None]
 
     seasonal_daily = config.seasonal_amplitude_w * season_phase
     weather_load_daily = (config.weather_gain_w_per_c
@@ -230,8 +231,6 @@ def generate(config: SynthConfig) -> tuple[MergedFrame, SynthTruth]:
     diurnal_flat = diurnal.ravel()
     seasonal_flat = np.repeat(seasonal_daily, SLOTS_PER_DAY)
     weather_flat = np.repeat(weather_load_daily, SLOTS_PER_DAY)
-    raw = (config.base_load_w + diurnal_flat + seasonal_flat + weather_flat
-           + spikes + noise)
 
     if config.solar:
         half_width_h = 6.0 + 1.3 * season_phase  # longer days in summer
@@ -250,12 +249,17 @@ def generate(config: SynthConfig) -> tuple[MergedFrame, SynthTruth]:
         generation = np.zeros(n)
         selfuse = np.zeros(n)
 
-    total = np.maximum(config.floor_w, raw + selfuse)
+    # Summed in place, term by term in the formula's order, so the sum
+    # keeps its bits and no temporary of N rows is made.
+    total = diurnal_flat + config.base_load_w
+    for term in (seasonal_flat, weather_flat, spikes, noise, selfuse):
+        total += term
+    np.maximum(config.floor_w, total, out=total)
     grid = total - generation
 
-    times = config.start_date.toordinal() * SLOTS_PER_DAY + np.arange(n)
-    weather_rows = np.repeat(weather_daily, SLOTS_PER_DAY, axis=0)
-    frame = build_merged_frame(times, total, weather_rows)
+    first_day = config.start_date.toordinal()
+    frame = MergedFrame(first_day * SLOTS_PER_DAY + np.arange(n), total,
+                        Weather(first_day + np.arange(days), weather_daily))
     frame.validate()
     truth = SynthTruth(
         diurnal=diurnal_flat, seasonal=seasonal_flat,
@@ -309,10 +313,10 @@ def write_csvs(frame: MergedFrame, truth: SynthTruth, out_dir) -> WrittenFiles:
 
     header = "date," + ",".join(WEATHER_CSV_COLUMNS)
     by_month: dict[str, list[str]] = {}
-    for index in range(0, len(frame.times), SLOTS_PER_DAY):
-        date = dt.date.fromordinal(int(frame.times[index]) // SLOTS_PER_DAY)
-        row = frame.weather[index]
-        line = date.isoformat() + "," + ",".join(repr(float(v)) for v in row)
+    for ordinal, row in zip(frame.weather.dates.tolist(),
+                            frame.weather.values.tolist()):
+        date = dt.date.fromordinal(ordinal)
+        line = date.isoformat() + "," + ",".join(map(repr, row))
         by_month.setdefault(date.strftime("%Y%m"), []).append(line)
     weather_paths = []
     for label in sorted(by_month):

@@ -15,7 +15,6 @@ local time; no timezone or DST arithmetic is applied anywhere.
 """
 from __future__ import annotations
 
-import csv
 import datetime as dt
 from dataclasses import dataclass
 from enum import Enum
@@ -23,6 +22,8 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+
+from gridcast.errors import ShapeError
 
 SLOTS_PER_DAY = 288
 TIMESTAMP_FORMAT = "%Y-%m-%d %H:%M"
@@ -70,17 +71,17 @@ _SEPARATORS = {4: "-", 7: "-", 10: " ", 13: ":"}
 def slot_index(date: dt.date, hour: int = 0, minute: int = 0) -> int:
     """The slot index of one time on the 5-minute grid.
 
-    Raises ValueError for an hour or minute out of range and for a
+    Raises ShapeError for an hour or minute out of range and for a
     minute off the 5-minute grid.
     """
     if not isinstance(date, dt.date):
-        raise ValueError(f"date must be a datetime.date, got {type(date).__name__}")
+        raise ShapeError(f"date must be a datetime.date, got {type(date).__name__}")
     if not (0 <= hour <= 23):
-        raise ValueError(f"hour out of range: {hour}")
+        raise ShapeError(f"hour out of range: {hour}")
     if not (0 <= minute <= 59):
-        raise ValueError(f"minute out of range: {minute}")
+        raise ShapeError(f"minute out of range: {minute}")
     if minute % 5 != 0:
-        raise ValueError(f"minute must lie on the 5-minute grid: {minute}")
+        raise ShapeError(f"minute must lie on the 5-minute grid: {minute}")
     return date.toordinal() * SLOTS_PER_DAY + hour * 12 + minute // 5
 
 
@@ -223,11 +224,11 @@ class MeterRecords:
         times = np.asarray(self.times, dtype=np.int64)
         watts = np.asarray(self.watts, dtype=np.float64)
         if times.ndim != 1 or times.shape != watts.shape:
-            raise ValueError(
+            raise ShapeError(
                 f"times shape {times.shape} and watts shape {watts.shape} "
                 f"must be equal and one-dimensional")
         if not np.all(np.isfinite(watts)):
-            raise ValueError("watts must be finite")
+            raise ShapeError("watts must be finite")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "watts", watts)
 
@@ -265,18 +266,18 @@ class Weather:
         dates = np.asarray(self.dates, dtype=np.int64)
         values = np.asarray(self.values, dtype=np.float64)
         if dates.ndim != 1 or values.shape != (len(dates), len(WEATHER_FIELDS)):
-            raise ValueError(
+            raise ShapeError(
                 f"dates shape {dates.shape} and values shape {values.shape} "
                 f"must be (D,) and (D, {len(WEATHER_FIELDS)})")
         unordered = np.flatnonzero(np.diff(dates) <= 0)
         if unordered.size:
             i = int(unordered[0])
-            raise ValueError(
+            raise ShapeError(
                 f"weather dates must strictly increase; "
                 f"{dt.date.fromordinal(int(dates[i + 1]))} follows "
                 f"{dt.date.fromordinal(int(dates[i]))}")
         if not np.all(weather_plausible(values) | np.isnan(values)):
-            raise ValueError("weather values outside plausible ranges")
+            raise ShapeError("weather values outside plausible ranges")
         object.__setattr__(self, "dates", dates)
         object.__setattr__(self, "values", values)
 
@@ -286,53 +287,60 @@ class Weather:
 
 @dataclass(frozen=True)
 class MergedFrame:
-    """The analysis table: one row per meter reading, with that day's
-    weather broadcast onto every row and a decimal-hour column.
+    """The analysis table: one row per meter reading, and the daily
+    weather of the rows' dates.
 
-    ``times`` holds int64 slot indices. Column order of ``weather``
-    follows WEATHER_FIELDS. Invariants are enforced by validate():
-    strictly increasing times, finite consumption, complete in-range
-    weather, and time_decimal consistent with the clock.
+    Row i is ``consumption[i]`` watts at slot index ``times[i]``; its
+    weather is the day of ``weather`` with its date, which row_weather()
+    gathers where a caller reads it, and its decimal hour is
+    ``time_decimal(times[i])``. The table may hold days that no row has.
+    Invariants are enforced by validate(): strictly increasing times,
+    finite consumption, and a complete weather day for every row's date.
     """
 
     times: np.ndarray        # (N,) int64 slot indices
     consumption: np.ndarray  # (N,) watts
-    weather: np.ndarray      # (N, 6)
-    time_decimal: np.ndarray  # (N,)
+    weather: Weather
 
     def __len__(self) -> int:
         return len(self.times)
 
+    def row_weather(self, rows=slice(None)) -> np.ndarray:
+        """(n, 6) weather of the selected rows, each its date's day: a copy."""
+        days = self.times[rows] // SLOTS_PER_DAY
+        return self.weather.values[np.searchsorted(self.weather.dates, days)]
+
     def validate(self) -> None:
         n = len(self.times)
         if self.times.shape != (n,) or self.times.dtype != np.int64:
-            raise ValueError(
+            raise ShapeError(
                 f"times must be a one-dimensional int64 array, got "
                 f"shape {self.times.shape} dtype {self.times.dtype}")
         if self.consumption.shape != (n,):
-            raise ValueError(f"consumption shape {self.consumption.shape} != ({n},)")
-        if self.weather.shape != (n, len(WEATHER_FIELDS)):
-            raise ValueError(f"weather shape {self.weather.shape} != ({n}, {len(WEATHER_FIELDS)})")
-        if self.time_decimal.shape != (n,):
-            raise ValueError(f"time_decimal shape {self.time_decimal.shape} != ({n},)")
+            raise ShapeError(f"consumption shape {self.consumption.shape} != ({n},)")
         if n and (self.times.min() < _FIRST_SLOT or self.times.max() > _LAST_SLOT):
-            raise ValueError("times outside the years 1 to 9999")
+            raise ShapeError("times outside the years 1 to 9999")
         unordered = np.flatnonzero(np.diff(self.times) <= 0)
         if unordered.size:
             at = format_timestamps(self.times[unordered[:1] + 1])[0]
-            raise ValueError(f"times not strictly increasing at {at}")
+            raise ShapeError(f"times not strictly increasing at {at}")
         if not np.all(np.isfinite(self.consumption)):
-            raise ValueError("consumption contains non-finite values")
-        if not np.all(np.isfinite(self.weather)):
-            raise ValueError("weather contains missing or non-finite values")
-        if not np.all(weather_plausible(self.weather)):
-            raise ValueError("weather values outside plausible ranges")
-        if not np.array_equal(self.time_decimal, time_decimal(self.times)):
-            raise ValueError("time_decimal column disagrees with timestamps")
+            raise ShapeError("consumption contains non-finite values")
+        days = self.times // SLOTS_PER_DAY
+        uncovered = days[~np.isin(days, self.weather.dates)]
+        if uncovered.size:
+            raise ShapeError(
+                f"no weather for {dt.date.fromordinal(int(uncovered[0]))}")
+        incomplete = self.weather.dates[np.isnan(self.weather.values).any(axis=1)]
+        if incomplete.size:
+            raise ShapeError(
+                f"weather for {dt.date.fromordinal(int(incomplete[0]))} still "
+                f"has missing fields; interpolate first")
 
     def to_csv(self, path: str | Path) -> None:
         """Write the frame with full float precision (repr round-trips),
-        ROW_CHUNK rows at a time.
+        ROW_CHUNK rows at a time: each row with its day's weather and its
+        decimal hour.
 
         Lines end in CRLF, as the csv module's default dialect writes them;
         this is the documented format of merged.csv, the only artifact
@@ -343,58 +351,9 @@ class MergedFrame:
             fh.write(",".join(MERGED_CSV_COLUMNS) + "\r\n")
             for start in range(0, len(self.times), ROW_CHUNK):
                 rows = slice(start, start + ROW_CHUNK)
-                columns = [format_timestamps(self.times[rows])]
-                for values in (self.consumption[rows], *self.weather[rows].T,
-                               self.time_decimal[rows]):
+                times = self.times[rows]
+                columns = [format_timestamps(times)]
+                for values in (self.consumption[rows], *self.row_weather(rows).T,
+                               time_decimal(times)):
                     columns.append(list(map(repr, values.tolist())))
                 fh.writelines(",".join(row) + "\r\n" for row in zip(*columns))
-
-    @classmethod
-    def from_csv(cls, path: str | Path, validate: bool = True) -> "MergedFrame":
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise ValueError(f"{path}: empty file")
-            if tuple(header) != MERGED_CSV_COLUMNS:
-                raise ValueError(f"{path}: unexpected header {header}")
-            rows = list(reader)
-        width = len(MERGED_CSV_COLUMNS)
-        for row in rows:
-            if len(row) < width:
-                raise ValueError(f"{path}: row {row} has fewer than {width} cells")
-        texts = [row[0] for row in rows]
-        times = parse_timestamps(texts)
-        unreadable = np.flatnonzero(times == BAD_TIME)
-        if unreadable.size:
-            raise ValueError(f"{path}: unreadable timestamp {texts[unreadable[0]]!r}")
-        values = np.array([[float(v) for v in row[1:width]] for row in rows],
-                          dtype=np.float64).reshape(-1, width - 1)
-        frame = cls(
-            times=times,
-            consumption=values[:, 0].copy(),
-            weather=values[:, 1:1 + len(WEATHER_FIELDS)].copy(),
-            time_decimal=values[:, -1].copy(),
-        )
-        if validate:
-            frame.validate()
-        return frame
-
-
-def build_merged_frame(
-    times: Sequence[int],
-    consumption: Sequence[float],
-    weather_rows: Sequence[Sequence[float]],
-) -> MergedFrame:
-    """Assemble a MergedFrame from slot indices, computing time_decimal.
-
-    Every column is a fresh array, so the frame shares no memory with
-    its inputs.
-    """
-    times = np.array(times, dtype=np.int64)
-    return MergedFrame(
-        times=times,
-        consumption=np.array(consumption, dtype=np.float64),
-        weather=np.array(weather_rows, dtype=np.float64).reshape(-1, len(WEATHER_FIELDS)),
-        time_decimal=time_decimal(times),
-    )

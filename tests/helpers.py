@@ -1,7 +1,12 @@
 """Small helpers that several test modules share."""
 import re
 
+import numpy as np
 import pytest
+
+from gridcast.types import SLOTS_PER_DAY, MergedFrame, Weather
+
+MILD_DAY = (21.0, 0.0, 15.0, 70.0, 20.0, 50.0)
 
 
 def raises_exactly(cls, message: str):
@@ -15,3 +20,14 @@ def metrics_of(report, model: str):
         if cell.model == model and cell.subset == "test":
             return cell.metrics
     return None
+
+
+def frame_of(times, consumption, weather=MILD_DAY):
+    """A MergedFrame of these rows whose weather table has one day for each
+    date they touch: ``weather`` on every day, or, for a (D, 6) array, its
+    row d on the d-th date."""
+    times = np.asarray(times, dtype=np.int64)
+    dates = np.unique(times // SLOTS_PER_DAY)
+    values = np.broadcast_to(np.asarray(weather, dtype=np.float64), (len(dates), 6))
+    return MergedFrame(times, np.asarray(consumption, dtype=np.float64),
+                       Weather(dates, values.copy()))

@@ -264,8 +264,8 @@ def test_solar_features_lift_static_model(grid_run, solar_run):
 
     frame_grid, _ = generate(SynthConfig())
     frame_solar, _ = generate(SynthConfig(solar=True))
-    corr_grid = pearson(frame_grid.weather[:, 0], frame_grid.consumption)
-    corr_solar = pearson(frame_solar.weather[:, 0], frame_solar.consumption)
+    corr_grid = pearson(frame_grid.row_weather()[:, 0], frame_grid.consumption)
+    corr_solar = pearson(frame_solar.row_weather()[:, 0], frame_solar.consumption)
 
     ok = (
         mlp_grid is not None and mlp_solar is not None

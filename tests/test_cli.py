@@ -1,4 +1,5 @@
 """Tests for the command-line interface."""
+import csv
 import json
 import shutil
 import subprocess
@@ -8,10 +9,11 @@ import numpy as np
 import pytest
 
 from gridcast.cli import main
+from gridcast.config import load_config
 from gridcast.errors import SeriesTooShortError
 from gridcast.evaluate import read_report_json
 from gridcast.ingest import MeterCsvSpec, MeterDrops, parse_meter_csv
-from gridcast.types import MergedFrame
+from gridcast.synth import generate
 from helpers import metrics_of
 
 
@@ -61,6 +63,12 @@ def test_out_flag_beats_env_beats_config(tmp_path, monkeypatch):
     assert (tmp_path / "flag" / "meter.csv").is_file()
 
 
+def merged_rows(path):
+    """The data rows of a merged.csv, as the csv module reads them."""
+    with open(path, newline="") as handle:
+        return list(csv.reader(handle))[1:]
+
+
 def test_ingest_round_trips_merged_frame(tmp_path, capsys):
     synth_config = write_config(tmp_path, "synth.json",
                                 **small_flat(tmp_path, **{"synth.days": 4}))
@@ -77,8 +85,12 @@ def test_ingest_round_trips_merged_frame(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "meter rows 1152 dropped 0" in stdout
     assert "frame rows 1152" in stdout
-    frame = MergedFrame.from_csv(tmp_path / "merged" / "merged.csv")
-    assert len(frame.times) == 4 * 288
+    merged = tmp_path / "merged" / "merged.csv"
+    assert len(merged_rows(merged)) == 4 * 288
+    # The frame read back from synth's files is the frame synth generated.
+    expected = tmp_path / "expected.csv"
+    generate(load_config(synth_config).synth)[0].to_csv(expected)
+    assert merged.read_bytes() == expected.read_bytes()
 
 
 def _three_day_household(tmp_path):
@@ -106,9 +118,10 @@ def test_ingest_demotes_a_non_finite_weather_cell(tmp_path, capsys):
     capsys.readouterr()
     assert main(["ingest", "--config", str(files_config)]) == 0
     assert "weather days 3 from 1 files dropped 0" in capsys.readouterr().out
-    frame = MergedFrame.from_csv(tmp_path / "merged" / "merged.csv")
+    rows = merged_rows(tmp_path / "merged" / "merged.csv")
     filled = np.interp(1.0, [0.0, 2.0], [rain[0], rain[2]])
-    assert frame.weather[::288, 1].tolist() == [rain[0], filled, rain[2]]
+    # Column 3 is rainfall_mm, after timestamp, consumption_w and max_temp_c.
+    assert [float(row[3]) for row in rows[::288]] == [rain[0], filled, rain[2]]
 
 
 def test_ingest_ignores_a_weather_file_for_no_real_month(tmp_path, capsys):
@@ -368,6 +381,29 @@ def test_stages_communicate_through_files_across_processes(tmp_path):
     via_files = read_report_json(out_dir / "report.json")
     assert (metrics_of(direct, "naive").rmse
             == metrics_of(via_files, "naive").rmse)
+
+
+@pytest.mark.parametrize("source", ["synth", "files"])
+def test_compare_does_not_import_numpy_ma(tmp_path, source):
+    # numpy.ma takes about 18 ms to import, and numpy 2.4 imports it for
+    # an np.unique call that asks for neither indices nor counts.
+    flat = small_flat(tmp_path)
+    if source == "files":
+        data = tmp_path / "data"
+        synth_config = write_config(tmp_path, "synth.json", **flat)
+        assert main(["synth", "--config", str(synth_config),
+                     "--out", str(data)]) == 0
+        flat.update({"source": "files",
+                     "files.meter": str(data / "meter.csv"),
+                     "files.weather_dir": str(data / "weather")})
+    config = write_config(tmp_path, **flat)
+    probe = ("import sys\n"
+             "from gridcast.cli import main\n"
+             f"code = main(['compare', '--config', {str(config)!r}])\n"
+             "print(code, 'numpy.ma' in sys.modules, file=sys.stderr)\n")
+    done = subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True, text=True, timeout=300)
+    assert done.stderr.splitlines()[-1] == "0 False", done.stderr
 
 
 def test_default_config_literal(tmp_path, monkeypatch):

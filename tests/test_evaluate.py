@@ -32,8 +32,8 @@ from gridcast.evaluate import (
     write_report_csv,
     write_report_json,
 )
-from gridcast.types import SLOTS_PER_DAY, Season, build_merged_frame, slot_index
-from helpers import raises_exactly
+from gridcast.types import SLOTS_PER_DAY, Season, slot_index
+from helpers import frame_of, raises_exactly
 
 
 def day_of_times(date, n=288):
@@ -192,13 +192,8 @@ class TestStratifyBySeason:
 
 class TestDiurnalProfile:
     def frame_for(self, dates, consumption_fn):
-        times, cons, weather = [], [], []
-        for date in dates:
-            for t in day_of_times(date):
-                times.append(t)
-                cons.append(consumption_fn(t))
-                weather.append([20.0, 0.0, 15.0, 60.0, 19.0, 50.0])
-        return build_merged_frame(times, cons, weather)
+        times = [t for date in dates for t in day_of_times(date)]
+        return frame_of(times, [consumption_fn(t) for t in times])
 
     def test_constant_consumption_gives_flat_profile(self):
         frame = self.frame_for([dt.date(2023, 6, 1)], lambda t: 350.0)
@@ -226,8 +221,7 @@ class TestDiurnalProfile:
 
     def test_partial_day_leaves_nan_slots(self):
         times = day_of_times(dt.date(2023, 6, 1), n=12)  # first hour only
-        frame = build_merged_frame(
-            times, [100.0] * 12, [[20.0, 0.0, 15.0, 60.0, 19.0, 50.0]] * 12)
+        frame = frame_of(times, [100.0] * 12)
         profile = diurnal_profile(frame)[Season.JJA]
         assert profile.shape == (288,)
         assert np.isfinite(profile[:12]).all()
@@ -252,9 +246,7 @@ class TestSeasonalReference:
         start = slot_index(dt.date(2023, 11, 20))
         times = start + np.arange(460 * SLOTS_PER_DAY)
         times = times[rng.random(times.size) > 0.1]
-        cons = rng.gamma(2.0, 300.0, size=times.size)
-        weather = np.tile([20.0, 0.0, 15.0, 60.0, 19.0, 50.0], (times.size, 1))
-        return build_merged_frame(times, cons, weather)
+        return frame_of(times, rng.gamma(2.0, 300.0, size=times.size))
 
     def test_diurnal_profile(self):
         frame = self.frame()
@@ -322,16 +314,20 @@ class TestCorrelationMatrix:
             pairwise_correlation(np.ones((1, 3)))
 
     def test_frame_correlation_shape_and_labels(self):
+        # 12 days of 4 readings, each day with its own weather.
         rng = np.random.default_rng(12)
-        times = day_of_times(dt.date(2023, 9, 1), n=48)
+        start = dt.date(2023, 9, 1)
+        times = [t for d in range(12)
+                 for t in day_of_times(start + dt.timedelta(days=d), n=4)]
         cons = rng.uniform(100, 900, size=48)
-        weather = rng.uniform(1, 50, size=(48, 6))
-        frame = build_merged_frame(times, cons, weather)
+        daily = rng.uniform(1, 50, size=(12, 6))
+        frame = frame_of(times, cons, daily)
         matrix = correlation_matrix(frame)
         assert matrix.shape == (7, 7)
         assert len(CORRELATION_COLUMNS) == 7
         assert CORRELATION_COLUMNS[-1] == "consumption_w"
         # consumption row matches direct pearson against each weather column
+        weather = np.repeat(daily, 4, axis=0)
         for i in range(6):
             assert matrix[6, i] == pytest.approx(
                 pearson(cons, weather[:, i]), abs=1e-12)

@@ -16,14 +16,18 @@ from gridcast.ingest import (
     merge_solar,
     parse_meter_csv,
 )
+from gridcast.evaluate import correlation_matrix, pairwise_correlation
+from gridcast.preprocess import feature_matrix
 from gridcast.types import (
     MAX_HOUSEHOLD_WATTS,
     ROW_CHUNK,
+    SLOTS_PER_DAY,
     WEATHER_FIELDS,
     MeterRecords,
     Weather,
     format_timestamps,
     slot_index,
+    time_decimal,
 )
 from helpers import raises_exactly
 
@@ -393,7 +397,7 @@ class TestInterpolateWeather:
             interpolate_weather(weather_table((1, None), (2, None)))
 
     def test_unsorted_days_rejected(self):
-        with pytest.raises(ValueError, match="2023-03-01 follows 2023-03-02"):
+        with pytest.raises(ShapeError, match="2023-03-01 follows 2023-03-02"):
             weather_table((2, 20.0), (1, 20.0))
 
     def test_empty_rejected(self):
@@ -471,8 +475,8 @@ class TestBuildFrame:
         frame, dropped_no_weather = build_frame(meter, self.complete_days(1))
         assert len(frame.times) == 288
         assert dropped_no_weather == 0
-        assert np.all(frame.weather[:, 0] == 25.0)
-        assert np.unique(frame.weather, axis=0).shape[0] == 1
+        assert np.all(frame.row_weather()[:, 0] == 25.0)
+        assert np.unique(frame.row_weather(), axis=0).shape[0] == 1
 
     def test_uncovered_dates_dropped_and_counted(self):
         meter = records(record(1, 10, 0, 100.0), record(1, 10, 5, 110.0),
@@ -511,4 +515,47 @@ class TestBuildFrame:
                           for h in range(3) for m in range(0, 60, 5)])
         frame, _ = build_frame(meter, self.complete_days(1))
         frame.validate()  # raises on any invariant breach
-        assert frame.time_decimal[13] == pytest.approx(1 + 5 / 60)
+        assert time_decimal(frame.times)[13] == pytest.approx(1 + 5 / 60)
+
+    def test_frame_keeps_the_meter_rows_without_copying_them(self):
+        meter = records(record(1, 0, 0, 1.0), record(2, 0, 0, 2.0))
+        frame, _ = build_frame(meter, self.complete_days(1, 2))
+        assert np.shares_memory(frame.times, meter.times)
+        assert np.shares_memory(frame.consumption, meter.watts)
+
+    def test_matrices_match_a_row_by_row_reference(self, tmp_path):
+        # Meter rows on March 1, 2, 4 and 5; weather for March 1, 2, 3, 5
+        # and 6, one cell of it blank. So March 3 and 6 have weather but no
+        # rows, and the March 4 rows have no weather and are dropped.
+        rng = np.random.default_rng(31)
+        times = [slot_index(dt.date(2023, 3, day)) + slot
+                 for day in (1, 2, 4, 5) for slot in range(0, SLOTS_PER_DAY, 7)]
+        watts = rng.uniform(100.0, 900.0, len(times)).tolist()
+        write_meter(tmp_path / "meter.csv",
+                    [f"{t},{w!r}" for t, w in zip(format_timestamps(times), watts)])
+        low = np.array([10.0, 0.0, 5.0, 20.0, 8.0, 20.0])
+        daily = low + rng.uniform(0.0, 30.0, (5, 6))
+        cells = [list(map(repr, day)) for day in daily.tolist()]
+        cells[1][2] = ""  # temp_9am of March 2
+        (tmp_path / "weather").mkdir()
+        write_weather(tmp_path / "weather" / "202303.csv",
+                      [f"2023-03-0{day}," + ",".join(c)
+                       for day, c in zip((1, 2, 3, 5, 6), cells)])
+        weather, _, _ = load_weather_dir(tmp_path / "weather")
+        assert np.isnan(weather.values).sum() == 1
+        filled = interpolate_weather(weather)
+        meter = parse_meter_csv(MeterCsvSpec(tmp_path / "meter.csv")).records
+        frame, dropped = build_frame(meter, filled)
+        assert dropped == len(times) // 4 and len(frame) == 3 * len(times) // 4
+
+        by_date = dict(zip(filled.dates.tolist(), filled.values.tolist()))
+        features, stacked = [], []
+        for t, w in zip(frame.times.tolist(), frame.consumption.tolist()):
+            day_weather = by_date[t // SLOTS_PER_DAY]
+            slot = t % SLOTS_PER_DAY
+            features.append(day_weather + [slot // 12 + slot % 12 * 5 / 60.0])
+            stacked.append(day_weather + [w])
+        assert np.array_equal(feature_matrix(frame), np.array(features))
+        assert np.array_equal(correlation_matrix(frame),
+                              pairwise_correlation(np.array(stacked)),
+                              equal_nan=True)

@@ -20,8 +20,8 @@ from gridcast.preprocess import (
     save_scalers,
     transform,
 )
-from gridcast.types import build_merged_frame, slot_index
-from helpers import raises_exactly
+from gridcast.types import slot_index
+from helpers import MILD_DAY, frame_of, raises_exactly
 
 
 class TestScaler:
@@ -219,9 +219,8 @@ class TestFeatureMatrix:
 
     def test_features_pair_weather_with_decimal_hour(self):
         times = [slot_index(dt.date(2023, 3, 1), 19, 15), slot_index(dt.date(2023, 3, 1), 19, 20)]
-        weather = [[21.0, 0.0, 15.0, 70.0, 20.0, 50.0]] * 2
-        frame = build_merged_frame(times, [400.0, 410.0], weather)
+        frame = frame_of(times, [400.0, 410.0])
         features = feature_matrix(frame)
         assert features.shape == (2, 7)
         assert features[0, 6] == 19.25
-        assert np.array_equal(features[:, :6], frame.weather)
+        assert features[:, :6].tolist() == [list(MILD_DAY)] * 2

@@ -2,6 +2,7 @@
 import dataclasses
 import datetime as dt
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -49,7 +50,8 @@ def test_row_count_and_time_grid():
     frame, _ = generate(SynthConfig(days=4, seed=1))
     assert len(frame.times) == 4 * SLOTS_PER_DAY
     assert frame.consumption.shape == (4 * SLOTS_PER_DAY,)
-    assert frame.weather.shape == (4 * SLOTS_PER_DAY, 6)
+    assert frame.weather.values.shape == (4, 6)
+    assert frame.row_weather().shape == (4 * SLOTS_PER_DAY, 6)
     first, second = frame.times[0], frame.times[1]
     assert first == slot_index(SynthConfig().start_date, 0, 0)
     assert second == slot_index(SynthConfig().start_date, 0, 5)
@@ -59,9 +61,36 @@ def test_row_count_and_time_grid():
 
 def test_weather_constant_within_each_day():
     frame, _ = generate(SynthConfig(days=5, seed=2))
+    first = SynthConfig().start_date.toordinal()
+    assert frame.weather.dates.tolist() == list(range(first, first + 5))
     for day in range(5):
-        block = frame.weather[day * SLOTS_PER_DAY:(day + 1) * SLOTS_PER_DAY]
-        assert np.all(block == block[0])
+        block = frame.row_weather(slice(day * SLOTS_PER_DAY,
+                                        (day + 1) * SLOTS_PER_DAY))
+        assert np.all(block == frame.weather.values[day])
+
+
+def test_frame_holds_sixteen_bytes_per_row_and_its_weather_days():
+    # A row's weather and decimal hour are derived where they are read.
+    frame, _ = generate(SynthConfig(days=60, seed=2))
+    held = (frame.times.nbytes + frame.consumption.nbytes
+            + frame.weather.dates.nbytes + frame.weather.values.nbytes)
+    assert held <= 16 * len(frame) + 56 * len(frame.weather)
+    assert len(frame.weather) == 60
+
+
+def test_generate_traced_peak_per_row():
+    # Per-row weather and a copy of each column took 266 B/row, and 124
+    # without them; the truth's nine series and the frame's times alone
+    # hold 80. A per-row weather array would add 48.
+    config = SynthConfig(days=240, seed=4, solar=True)
+    tracemalloc.start()
+    try:
+        frame, truth = generate(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert frame.consumption is truth.total
+    assert peak <= 150 * len(frame)
 
 
 def test_constant_base_when_everything_off():
@@ -75,7 +104,7 @@ def test_same_seed_is_bit_identical():
     a_frame, a_truth = generate(SynthConfig(days=6, seed=42))
     b_frame, b_truth = generate(SynthConfig(days=6, seed=42))
     assert np.array_equal(a_frame.consumption, b_frame.consumption)
-    assert np.array_equal(a_frame.weather, b_frame.weather)
+    assert np.array_equal(a_frame.weather.values, b_frame.weather.values)
     assert np.array_equal(a_frame.times, b_frame.times)
     assert np.array_equal(a_truth.spikes, b_truth.spikes)
     assert np.array_equal(a_truth.noise, b_truth.noise)
@@ -94,7 +123,7 @@ def test_solar_toggle_preserves_household_randomness():
     assert np.array_equal(off.diurnal, on.diurnal)
     assert np.array_equal(off.spikes, on.spikes)
     assert np.array_equal(off.noise, on.noise)
-    assert np.array_equal(off_frame.weather, on_frame.weather)
+    assert np.array_equal(off_frame.weather.values, on_frame.weather.values)
     assert np.any(on.generation > 0.0)
     assert np.all(off.generation == 0.0)
 
@@ -222,7 +251,7 @@ def test_spike_plateaus_have_expected_shape():
 
 def test_weather_is_internally_consistent():
     frame, _ = generate(SynthConfig(days=120, seed=7))
-    max_temp, rain, t9, rh9, t3, rh3 = frame.weather.T
+    max_temp, rain, t9, rh9, t3, rh3 = frame.weather.values.T
     assert np.all(max_temp >= t3)
     assert np.all(max_temp >= t9)
     assert (t3 - t9).mean() > 0.0
@@ -233,7 +262,7 @@ def test_weather_is_internally_consistent():
 
 def test_rainy_days_run_cooler():
     frame, _ = generate(SynthConfig(days=400, seed=8))
-    daily = frame.weather[::SLOTS_PER_DAY]
+    daily = frame.weather.values
     assert pearson(daily[:, 1], daily[:, 0]) < 0.0
 
 
@@ -254,7 +283,7 @@ def test_solar_generation_shape():
 def test_cloud_tracks_rainfall():
     config = SynthConfig(days=200, seed=5, solar=True)
     frame, truth = generate(config)
-    rainfall = frame.weather[::SLOTS_PER_DAY, 1]
+    rainfall = frame.weather.values[:, 1]
     wet, dry = rainfall > 2.0, rainfall == 0.0
     assert wet.any() and dry.any()
     assert truth.cloud[wet].mean() > truth.cloud[dry].mean()
@@ -262,7 +291,7 @@ def test_cloud_tracks_rainfall():
 
 def test_solar_strengthens_temperature_correlation():
     frame, truth = generate(SynthConfig(solar=True))
-    max_temp = frame.weather[:, 0]
+    max_temp = frame.row_weather()[:, 0]
     assert pearson(max_temp, truth.total) > pearson(max_temp, truth.grid)
     hours = frame.times % SLOTS_PER_DAY // 12
     midday = (hours >= 10) & (hours < 15)
@@ -309,7 +338,8 @@ def test_csv_round_trip_plain(tmp_path):
     assert dropped_no_weather == 0
     assert np.array_equal(rebuilt.times, frame.times)
     assert np.array_equal(rebuilt.consumption, frame.consumption)
-    assert np.array_equal(rebuilt.weather, frame.weather)
+    assert np.array_equal(rebuilt.weather.dates, frame.weather.dates)
+    assert np.array_equal(rebuilt.weather.values, frame.weather.values)
 
 
 def test_csv_round_trip_solar(tmp_path):

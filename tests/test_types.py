@@ -1,11 +1,13 @@
 """Tests for the core vocabulary: slot indices, seasons, meter records,
 weather, frames."""
+import csv
 import datetime as dt
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from gridcast.errors import ShapeError
 from gridcast.types import (
     BAD_TIME,
     MERGED_CSV_COLUMNS,
@@ -17,7 +19,6 @@ from gridcast.types import (
     MeterRecords,
     Season,
     Weather,
-    build_merged_frame,
     format_timestamps,
     parse_timestamps,
     season_codes,
@@ -25,6 +26,7 @@ from gridcast.types import (
     time_decimal,
     weather_plausible,
 )
+from helpers import MILD_DAY, frame_of
 
 
 def tp(y, m, d, hh, mm):
@@ -37,15 +39,15 @@ def season_of(t):
 
 class TestTimePoint:
     def test_rejects_off_grid_minute(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ShapeError):
             tp(2023, 3, 1, 10, 3)
 
     def test_rejects_out_of_range_fields(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ShapeError):
             tp(2023, 3, 1, 24, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ShapeError):
             tp(2023, 3, 1, -1, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ShapeError):
             tp(2023, 3, 1, 0, 60)
 
     def test_ordering_is_chronological(self):
@@ -119,9 +121,9 @@ class TestSeason:
 class TestMeterRecord:
     def test_rejects_non_finite_watts(self):
         t = [tp(2023, 3, 1, 0, 0)]
-        with pytest.raises(ValueError):
+        with pytest.raises(ShapeError):
             MeterRecords(t, [float("nan")])
-        with pytest.raises(ValueError):
+        with pytest.raises(ShapeError):
             MeterRecords(t, [float("inf")])
 
     def test_negative_watts_representable(self):
@@ -143,7 +145,7 @@ class TestWeather:
         assert weather.dates.dtype == np.int64
         assert weather.values.dtype == np.float64
         assert weather.values[1].tolist() == [21.0, 0.0, 15.0, 70.0, 20.0, 50.0]
-        with pytest.raises(ValueError, match="shape"):
+        with pytest.raises(ShapeError, match="shape"):
             Weather([738945], [[21.0, 0.0, 15.0]])
 
     def test_validation(self):
@@ -152,7 +154,7 @@ class TestWeather:
                              ("max_temp", 90.0), ("rainfall", np.inf)):
             values = np.full((1, len(WEATHER_FIELDS)), np.nan)
             values[0, WEATHER_FIELDS.index(field)] = value
-            with pytest.raises(ValueError, match="plausible"):
+            with pytest.raises(ShapeError, match="plausible"):
                 Weather([day], values)
 
     def test_plausible_ranges(self):
@@ -166,8 +168,14 @@ class TestWeather:
 
 def _small_frame(n=6):
     times = tp(2023, 3, 1, 0, 0) + np.arange(n)
-    weather = [[21.0, 0.0, 15.0, 70.0, 20.0, 50.0]] * n
-    return build_merged_frame(times, [400.0 + i for i in range(n)], weather)
+    return frame_of(times, [400.0 + i for i in range(n)])
+
+
+def _merged_rows(path):
+    """merged.csv's header and rows as the csv module reads them."""
+    with open(path, newline="") as handle:
+        header, *rows = csv.reader(handle)
+    return header, rows
 
 
 class TestMergedFrame:
@@ -178,33 +186,41 @@ class TestMergedFrame:
         frame = _small_frame()
         times = frame.times.copy()
         times[[0, 1]] = times[[1, 0]]
-        bad = MergedFrame(times, frame.consumption, frame.weather, frame.time_decimal)
-        with pytest.raises(ValueError, match="strictly increasing"):
+        bad = MergedFrame(times, frame.consumption, frame.weather)
+        with pytest.raises(ShapeError, match="strictly increasing"):
             bad.validate()
 
     def test_validate_rejects_duplicate_times(self):
         frame = _small_frame()
         times = frame.times.copy()
         times[1] = times[0]
-        bad = MergedFrame(times, frame.consumption, frame.weather, frame.time_decimal)
-        with pytest.raises(ValueError, match="strictly increasing"):
+        bad = MergedFrame(times, frame.consumption, frame.weather)
+        with pytest.raises(ShapeError, match="strictly increasing"):
+            bad.validate()
+
+    def test_validate_rejects_a_row_whose_date_has_no_weather_day(self):
+        times = tp(2023, 3, 1, 23, 50) + np.arange(4)  # two rows on March 2
+        march_first = Weather([dt.date(2023, 3, 1).toordinal()], [MILD_DAY])
+        bad = MergedFrame(times, np.full(4, 400.0), march_first)
+        with pytest.raises(ShapeError, match="no weather for 2023-03-02"):
             bad.validate()
 
     def test_validate_rejects_missing_weather(self):
-        frame = _small_frame()
-        weather = frame.weather.copy()
-        weather[2, 3] = np.nan
-        bad = MergedFrame(frame.times, frame.consumption, weather, frame.time_decimal)
-        with pytest.raises(ValueError, match="weather"):
-            bad.validate()
+        frame = frame_of(tp(2023, 3, 1, 12, 0) + np.arange(3) * SLOTS_PER_DAY,
+                         [400.0] * 3)
+        frame.weather.values[1, 3] = np.nan
+        with pytest.raises(ShapeError,
+                           match="weather for 2023-03-02 still has missing"):
+            frame.validate()
 
-    def test_validate_rejects_wrong_time_decimal(self):
-        frame = _small_frame()
-        decimals = frame.time_decimal.copy()
-        decimals[0] += 0.5
-        bad = MergedFrame(frame.times, frame.consumption, frame.weather, decimals)
-        with pytest.raises(ValueError, match="time_decimal"):
-            bad.validate()
+    def test_row_weather_is_the_day_of_each_row(self):
+        times = np.array([tp(2023, 3, 1, 0, 0), tp(2023, 3, 1, 23, 55),
+                          tp(2023, 3, 3, 12, 0)])
+        values = [[10.0 + d, 0.0, 5.0, 50.0, 9.0, 40.0] for d in range(3)]
+        frame = MergedFrame(times, np.ones(3), Weather(
+            [dt.date(2023, 3, d).toordinal() for d in (1, 2, 3)], values))
+        assert frame.row_weather().tolist() == [values[0], values[0], values[2]]
+        assert frame.row_weather(slice(1, 3)).tolist() == [values[0], values[2]]
 
     def test_csv_round_trip_is_exact(self, tmp_path):
         frame = _small_frame(8)
@@ -212,12 +228,13 @@ class TestMergedFrame:
         frame.consumption[:] = np.linspace(400.123456789, 5000.987654321, 8)
         path = tmp_path / "merged.csv"
         frame.to_csv(path)
-        loaded = MergedFrame.from_csv(path)
-        assert loaded.times.dtype == np.int64
-        assert np.array_equal(loaded.times, frame.times)
-        assert np.array_equal(loaded.consumption, frame.consumption)
-        assert np.array_equal(loaded.weather, frame.weather)
-        assert np.array_equal(loaded.time_decimal, frame.time_decimal)
+        header, rows = _merged_rows(path)
+        assert tuple(header) == MERGED_CSV_COLUMNS
+        assert np.array_equal(parse_timestamps([r[0] for r in rows]), frame.times)
+        values = np.array([[float(v) for v in r[1:]] for r in rows])
+        assert np.array_equal(values[:, 0], frame.consumption)
+        assert np.array_equal(values[:, 1:7], frame.row_weather())
+        assert np.array_equal(values[:, 7], time_decimal(frame.times))
 
     def test_csv_header(self, tmp_path):
         frame = _small_frame()
@@ -248,7 +265,8 @@ class TestMergedFrame:
         assert large <= 1.5 * small
         # Rows at the block edges are written as one whole-frame pass would.
         rows = zip(format_timestamps(frame.times), frame.consumption.tolist(),
-                   frame.weather.tolist(), frame.time_decimal.tolist())
+                   frame.row_weather().tolist(),
+                   time_decimal(frame.times).tolist())
         expected = [",".join([t, repr(c), *map(repr, w), repr(d)])
                     for t, c, w, d in rows]
         assert (path.read_bytes().decode().split("\r\n")
