@@ -15,12 +15,7 @@ from gridcast.types import SLOTS_PER_DAY
 BASELINE_LAGS = {"naive": 1, "seasonal-naive": SLOTS_PER_DAY}
 
 
-def persistence_forecast(series, lag: int, targets) -> np.ndarray:
-    """The lag forecast at each target row: ``series[targets - lag]``.
-
-    Every target must lie at least ``lag`` rows into the series; the
-    caller checks that, since a negative row would wrap to the end.
-    """
-    if lag < 1:
-        raise ValueError(f"lag must be at least 1, got {lag}")
-    return np.asarray(series, dtype=np.float64)[np.asarray(targets) - lag]
+def persistence_forecast(series, lag_rows) -> np.ndarray:
+    """The persistence forecast of each target: the reading at its lag
+    row (``pipeline.Alignment.lag_rows``), as float64."""
+    return np.asarray(series, dtype=np.float64)[lag_rows]

@@ -102,7 +102,7 @@ class MetricSet:
 
     def __post_init__(self):
         if self.n < 1:
-            raise ValueError(f"sample count must be positive, got {self.n}")
+            raise ShapeError(f"sample count must be positive, got {self.n}")
 
 
 def compute_metrics(pred, actual) -> MetricSet:
@@ -206,7 +206,7 @@ class ReportCell:
     def from_dict(cls, item: dict) -> "ReportCell":
         m = item["metrics"]
         if m["units"] != UNITS:
-            raise ValueError(f"units must be {UNITS!r}, got {m['units']!r}")
+            raise ShapeError(f"units must be {UNITS!r}, got {m['units']!r}")
         return cls(model=item["model"], subset=item["slice"],
                    metrics=MetricSet(rmse=m["rmse"], mae=m["mae"], r2=m["r2"],
                                      n=m["n"]))
@@ -241,7 +241,7 @@ def read_report_json(path) -> EvalReport:
     try:
         return EvalReport.from_dict(
             json.loads(Path(path).read_text(encoding="utf-8")))
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, ShapeError) as exc:
         raise CorruptArtifactError(f"cannot read report {path}: {exc}") from exc
 
 

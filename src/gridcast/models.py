@@ -50,7 +50,7 @@ def build_mlp(rng: np.random.Generator | None = None) -> Network:
 def build_lstm(rng: np.random.Generator | None = None) -> Network:
     """The window-to-next-step regressor; without ``rng`` every weight is 0."""
     return Network([
-        LSTM(1, 50, "relu", rng=rng, dtype=COMPUTE_DTYPE),
+        LSTM(1, 50, rng=rng, dtype=COMPUTE_DTYPE),
         Dropout(0.2),
         Dense(50, 1, rng=rng, dtype=COMPUTE_DTYPE),
     ])

@@ -94,7 +94,7 @@ class Dense:
                  rng: np.random.Generator | None = None,
                  dtype: np.dtype | type = np.float64):
         if activation not in ("identity", "relu"):
-            raise ValueError(f"unsupported dense activation: {activation}")
+            raise ShapeError(f"unsupported dense activation: {activation}")
         self.n_in = n_in
         self.n_out = n_out
         self.activation = activation
@@ -141,8 +141,8 @@ class Dropout:
     unchanged. Eval mode is the identity."""
 
     def __init__(self, rate: float):
-        if not (0.0 <= rate < 1.0):
-            raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
+        if not (0.0 < rate < 1.0):
+            raise ShapeError(f"dropout rate must be in (0, 1), got {rate}")
         self.rate = rate
         self._mask = None
 
@@ -151,12 +151,8 @@ class Dropout:
         self._mask = None
         if not train:
             return x
-        if self.rate == 0.0:
-            # Draws nothing from rng, so later shuffles see the same stream.
-            self._mask = 1.0
-            return x
         if rng is None:
-            raise ValueError("dropout in train mode requires a random generator")
+            raise ShapeError("dropout in train mode requires a random generator")
         self._mask = (rng.random(x.shape) >= self.rate).astype(x.dtype)
         return x * self._mask / (1.0 - self.rate)
 
@@ -183,14 +179,14 @@ class LSTM:
 
         f = sigmoid(W_f [h, x] + b_f)        forget
         i = sigmoid(W_i [h, x] + b_i)        input
-        g = act(W_c [h, x] + b_c)            cell candidate
+        g = relu(W_c [h, x] + b_c)           cell candidate
         o = sigmoid(W_o [h, x] + b_o)        output
         c_t = f * c_prev + i * g
-        h_t = o * act(c_t)
+        h_t = o * relu(c_t)
 
-    ``activation`` selects act: the classic cell uses tanh; the relu
-    variant swaps relu into the candidate and the hidden output while
-    the gate sigmoids stay untouched.
+    This is the paper's relu variant: relu replaces the classic cell's
+    tanh in the candidate and the hidden output, while the gate sigmoids
+    stay untouched.
 
     The four gate matrices live as row blocks of one (4H, H+F) array in
     the order f, i, c, o, so each step costs one matmul. One cell,
@@ -200,14 +196,11 @@ class LSTM:
 
     GATE_ORDER = ("f", "i", "c", "o")
 
-    def __init__(self, n_in: int, hidden: int, activation: str = "tanh",
+    def __init__(self, n_in: int, hidden: int,
                  rng: np.random.Generator | None = None,
                  dtype: np.dtype | type = np.float64):
-        if activation not in ("tanh", "relu"):
-            raise ValueError(f"unsupported cell activation: {activation}")
         self.n_in = n_in
         self.hidden = hidden
-        self.activation = activation
         h = hidden
         # Each gate block is (H, H+F): fan_in = H+F, fan_out = H.
         self.W = np.vstack([
@@ -218,17 +211,6 @@ class LSTM:
         self.db = np.zeros_like(self.b)
         self._cache = None
 
-    def _act(self, z, out=None):
-        return np.tanh(z, out=out) if self.activation == "tanh" else relu(z, out=out)
-
-    def _act_grad_from(self, value, pre):
-        # d act / d pre, expressed from whichever of (value, pre) is cheap.
-        # The relu mask is bool: multiplying by it gives the same bits as
-        # multiplying by a 0/1 float mask, without the cast.
-        if self.activation == "tanh":
-            return 1.0 - value * value
-        return pre > 0.0
-
     def _cell(self, hx, c_prev, z, f, i, g, o, c, ig, a, h) -> None:
         """One batched step from hx = [h_prev, x_t] and c_prev, written
         into the buffers given; z and ig = i * g are scratch. The eval
@@ -238,12 +220,12 @@ class LSTM:
         z += self.b
         sigmoid(z[:, 0 * hsz:1 * hsz], out=f)
         sigmoid(z[:, 1 * hsz:2 * hsz], out=i)
-        self._act(z[:, 2 * hsz:3 * hsz], out=g)
+        relu(z[:, 2 * hsz:3 * hsz], out=g)
         sigmoid(z[:, 3 * hsz:4 * hsz], out=o)
         np.multiply(f, c_prev, out=c)
         np.multiply(i, g, out=ig)
         c += ig
-        self._act(c, out=a)
+        relu(c, out=a)
         np.multiply(o, a, out=h)
 
     def forward(self, x: np.ndarray, train: bool = False,
@@ -270,11 +252,11 @@ class LSTM:
 
     def _bptt_state(self, batch: int, length: int) -> tuple[np.ndarray, ...]:
         """What backward() reads, hx, c and the gates f, i, g, o, then the
-        cell's scratch z, ig and a = act(c_t), each one step wide.
+        cell's scratch z, ig and a = relu(c_t), each one step wide.
 
         Row t of hx is [h_(t-1), x_t]; row 0 of c, like the h columns of
         row 0 of hx, is the zero initial state, which no step overwrites.
-        backward() recomputes each step's act(c_t) from c into a, with the
+        backward() recomputes each step's relu(c_t) from c into a, with the
         forward's own call, so it gets the same bits without a slab of
         them. The next batch of the same shape reuses these arrays: fresh
         ones of this size come from newly mapped pages, and faulting them
@@ -367,14 +349,16 @@ class LSTM:
         dc = np.zeros((batch, hsz), dtype=dtype)
         # Each step writes its four gate gradients into the column blocks
         # f, i, c, o of this one array, in place of a concatenate.
+        # The relu masks are bool: multiplying by one gives the same bits
+        # as multiplying by a 0/1 float mask, without the cast.
         dz = np.empty((batch, 4 * hsz), dtype=dtype)
         for t in range(length - 1, -1, -1):
             f, i, g, o = (s[t] for s in gates)
-            self._act(c[t + 1], out=a)
-            dc = dc + dh * o * self._act_grad_from(a, c[t + 1])
+            relu(c[t + 1], out=a)
+            dc = dc + dh * o * (c[t + 1] > 0.0)
             dz[:, 0 * hsz:1 * hsz] = dc * c[t] * f * (1.0 - f)
             dz[:, 1 * hsz:2 * hsz] = dc * g * i * (1.0 - i)
-            dz[:, 2 * hsz:3 * hsz] = dc * i * self._act_grad_from(g, g)
+            dz[:, 2 * hsz:3 * hsz] = dc * i * (g > 0.0)
             dz[:, 3 * hsz:4 * hsz] = dh * a * o * (1.0 - o)
             self.dW += dz.T @ hx[t]
             self.db += dz.sum(axis=0)
@@ -392,7 +376,7 @@ class LSTM:
 
     def spec(self) -> dict:
         return {"kind": "lstm", "n_in": self.n_in, "hidden": self.hidden,
-                "activation": self.activation}
+                "activation": "relu"}
 
 
 class Network:

@@ -29,19 +29,19 @@ def _build_layer(entry: dict, dtype: np.dtype):
     if kind == "dense":
         return Dense(entry["n_in"], entry["n_out"], entry["activation"],
                      dtype=dtype)
-    if kind == "lstm":
-        return LSTM(entry["n_in"], entry["hidden"], entry["activation"],
-                    dtype=dtype)
+    if kind == "lstm" and entry["activation"] == "relu":
+        return LSTM(entry["n_in"], entry["hidden"], dtype=dtype)
     if kind == "dropout":
         return Dropout(entry["rate"])
-    raise ValueError(f"unknown layer kind in model file: {kind!r}")
+    raise ShapeError(f"unsupported layer in model file: {entry}")
 
 
 def load_model(path: str | Path) -> tuple[Network, dict]:
     """Rebuild a saved network; returns (model, metadata).
 
     Raises CorruptArtifactError, naming the file, when it is not a model
-    file in this format: truncated, not an archive, or missing entries.
+    file in this format: truncated, not an archive, missing entries, or a
+    layer gridcast does not build (an lstm whose activation is not relu).
     """
     try:
         with np.load(path, allow_pickle=False) as archive:

@@ -78,9 +78,8 @@ class EarlyStopper:
         return self.epochs_since_improvement >= self.patience
 
     def restore(self, params) -> None:
-        """Copy the best-epoch snapshot back into the live parameters."""
-        if self._snapshot is None:
-            return
+        """Copy the best-epoch snapshot back into the live parameters;
+        train() always has one, as epoch 1's finite loss beats inf."""
         for p, s in zip(params, self._snapshot):
             np.copyto(p, s)
 

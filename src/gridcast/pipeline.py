@@ -1,10 +1,15 @@
 """End-to-end experiment runner: data -> preprocess -> train -> report.
 
-All roster models are scored on the identical test targets: the rows a
-window-fed model can reach, i.e. everything from window_length slots
-into the test slice onward.  Baselines are looked up at the same rows
-so the metric table compares like with like.  ``predict`` is the one
-prediction path; ``gridcast evaluate`` calls it too.
+Row contract.  ``Alignment`` owns every row index a run reads.  The
+first floor(split_ratio * n) rows train and the rest test.  A target row
+t is predicted from its window rows t - window_length ... t - 1 (the
+lstm), its own feature row t (the mlp) or its lag row t - lag (a
+baseline), and is scored against the reading at row t.  The scalers and
+the mlp train on every train row; the lstm trains on the train rows
+whose window lies in the train slice.  Every roster model is scored at
+the same test targets, the test rows whose window lies in the test
+slice, so the metric table compares like with like.  ``predict`` is the
+one prediction path; ``gridcast evaluate`` calls it too.
 
 Artifacts land in one directory per run:
 
@@ -65,6 +70,7 @@ from gridcast.nn.serialize import save_model
 from gridcast.nn.training import TrainingHistory, train
 from gridcast.preprocess import (
     ScalerParams,
+    WindowBatch,
     chronological_split,
     feature_matrix,
     fit_scaler,
@@ -86,11 +92,37 @@ class ExperimentResult:
 
 @dataclass(frozen=True)
 class Alignment:
-    """Where the test targets sit: rows [boundary+window, n)."""
+    """The row contract (module docstring): train rows end at ``boundary``
+    and the shared test ``targets`` are rows [boundary + window, n)."""
 
     boundary: int
     window: int
     targets: np.ndarray
+
+    @property
+    def train_rows(self) -> slice:
+        """The rows the scalers are fitted on and the mlp trains on."""
+        return slice(0, self.boundary)
+
+    def windows(self, series: np.ndarray, scaler: ScalerParams, dtype,
+                train: bool = False) -> WindowBatch:
+        """The scaled window rows t - window ... t - 1 of ``series``, in
+        ``dtype``, for each lstm train target (``train``) or test target
+        t, with row t as its target. Only the rows they read are scaled
+        and copied, once: each window is a read-only view of that copy."""
+        first, stop = ((self.window, self.boundary) if train
+                       else (int(self.targets[0]), int(self.targets[-1]) + 1))
+        rows = transform(series[first - self.window:stop], scaler)
+        return make_windows(rows.astype(dtype), self.window)
+
+    def lag_rows(self, name: str) -> np.ndarray:
+        """Row t - lag of each test target t, for the baseline ``name``."""
+        lag = BASELINE_LAGS[name]
+        if lag > self.targets[0]:
+            raise SeriesTooShortError(
+                f"{name} needs {lag} rows of history before "
+                f"the first test target (have {self.targets[0]})")
+        return self.targets - lag
 
 
 def alignment(config: ExperimentConfig, n_rows: int) -> Alignment:
@@ -166,31 +198,19 @@ def predict(name: str, model: Network | None, frame: MergedFrame,
     no model or scalers. The networks take the fitted "features" and
     "target" scalers.
     """
-    targets = align.targets
     if name in BASELINE_LAGS:
-        lag = BASELINE_LAGS[name]
-        if lag > targets[0]:
-            raise SeriesTooShortError(
-                f"{name} needs {lag} rows of history before "
-                f"the first test target (have {targets[0]})")
-        return persistence_forecast(frame.consumption, lag, targets)
+        return persistence_forecast(frame.consumption, align.lag_rows(name))
     if name == "mlp":
-        return mlp_predict(model, feature_matrix(frame)[targets],
+        return mlp_predict(model, feature_matrix(frame, align.targets),
                            scalers["features"], scalers["target"])
-    y_scaled = transform(frame.consumption.reshape(-1, 1),
-                         scalers["target"]).ravel()
     # In the network's dtype, so an older float64 file keeps its bits.
-    windows = make_windows(
-        y_scaled[align.boundary:].astype(model.params()[0].dtype), align.window)
+    windows = align.windows(frame.consumption, scalers["target"],
+                            model.params()[0].dtype)
     return lstm_predict(model, windows, scalers["target"])
 
 
 # Child stream of the experiment seed that each network draws from.
 _SEED_STREAMS = {"mlp": 0, "lstm": 1}
-
-
-def _validation_cut(n_rows: int, fraction: float) -> int:
-    return n_rows - max(1, int(fraction * n_rows))
 
 
 def _fit_network(name: str, config: ExperimentConfig, frame: MergedFrame,
@@ -204,21 +224,18 @@ def _fit_network(name: str, config: ExperimentConfig, frame: MergedFrame,
     """
     rng = np.random.default_rng(np.random.SeedSequence(
         config.seed, spawn_key=(_SEED_STREAMS[name],)))
-    boundary = align.boundary
-    y_scaled = transform(frame.consumption[:boundary], scalers["target"])
     if name == "mlp":
         model = build_mlp(rng=rng)
-        inputs = transform(feature_matrix(frame)[:boundary],
-                           scalers["features"])
-        targets = y_scaled
+        rows = align.train_rows
+        inputs = transform(feature_matrix(frame, rows), scalers["features"])
+        targets = transform(frame.consumption[rows], scalers["target"])
     else:
         model = build_lstm(rng=rng)
-        # The windows view their own copy in the network's dtype.
-        windows = make_windows(
-            y_scaled.astype(model.params()[0].dtype), align.window)
-        del y_scaled
+        windows = align.windows(frame.consumption, scalers["target"],
+                                model.params()[0].dtype, train=True)
         inputs, targets = windows.inputs, windows.targets
-    cut = _validation_cut(len(targets), config.train.validation_fraction)
+    n = len(targets)
+    cut = n - max(1, int(config.train.validation_fraction * n))
     history = train(model, (inputs[:cut], targets[:cut]),
                     (inputs[cut:], targets[cut:]), config.train, rng)
     return model, history
@@ -235,10 +252,10 @@ def run_experiment(config: ExperimentConfig,
         y = frame.consumption
         n = len(y)
         align = alignment(config, n)
-        boundary, targets = align.boundary, align.targets
+        targets = align.targets
         scalers = {
-            "features": fit_scaler(feature_matrix(frame)[:boundary]),
-            "target": fit_scaler(y[:boundary].reshape(-1, 1)),
+            "features": fit_scaler(feature_matrix(frame, align.train_rows)),
+            "target": fit_scaler(y[align.train_rows].reshape(-1, 1)),
         }
 
     # --- train and predict --------------------------------------------------
@@ -273,8 +290,8 @@ def run_experiment(config: ExperimentConfig,
             "config_hash": config_hash(config),
             "seed": config.seed,
             "rows": n,
-            "train_rows": boundary,
-            "test_rows": n - boundary,
+            "train_rows": align.boundary,
+            "test_rows": n - align.boundary,
             "scored_targets": len(targets),
             "epochs": {name: len(h.train_loss) for name, h in histories.items()},
             "best_epoch": {name: h.best_epoch for name, h in histories.items()},

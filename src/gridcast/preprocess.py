@@ -132,7 +132,7 @@ def chronological_split(n: int, ratio: float) -> int:
     before the boundary precedes everything after.
     """
     if not (0.0 < ratio < 1.0):
-        raise ValueError(f"ratio must lie strictly between 0 and 1, got {ratio}")
+        raise ShapeError(f"ratio must lie strictly between 0 and 1, got {ratio}")
     if n < 2:
         raise SeriesTooShortError(f"need at least 2 rows to split, got {n}")
     return int(math.floor(ratio * n))
@@ -162,7 +162,7 @@ def make_windows(series: np.ndarray, window_length: int) -> WindowBatch:
     if series.ndim != 1:
         raise ShapeError(f"expected a 1-D series, got shape {series.shape}")
     if window_length < 1:
-        raise ValueError(f"window_length must be >= 1, got {window_length}")
+        raise ShapeError(f"window_length must be >= 1, got {window_length}")
     n = series.shape[0]
     if n <= window_length:
         raise SeriesTooShortError(
@@ -173,7 +173,9 @@ def make_windows(series: np.ndarray, window_length: int) -> WindowBatch:
                        targets=series[window_length:])
 
 
-def feature_matrix(frame: MergedFrame) -> np.ndarray:
-    """(N, 7) model inputs, one row per frame row, ordered as FEATURE_COLUMNS:
-    the weather of the row's day, then its decimal hour."""
-    return np.column_stack([frame.row_weather(), time_decimal(frame.times)])
+def feature_matrix(frame: MergedFrame, rows=slice(None)) -> np.ndarray:
+    """(n, 7) model inputs of the selected frame rows (a slice or an index
+    array), ordered as FEATURE_COLUMNS: the weather of each row's day, then
+    its decimal hour."""
+    return np.column_stack([frame.row_weather(rows),
+                            time_decimal(frame.times[rows])])

@@ -138,7 +138,7 @@ def test_analytic_gradients_match_finite_differences():
         worst_mlp = max(worst_mlp, _worst_relative_error(mlp, x, y))
 
         rng = np.random.default_rng(1000 + seed)
-        lstm = Network([LSTM(1, 4, "relu", rng=rng), Dense(4, 1, rng=rng)])
+        lstm = Network([LSTM(1, 4, rng=rng), Dense(4, 1, rng=rng)])
         head = lstm.layers[-1]
         head.b[:] = rng.normal(size=head.b.shape) * 0.1
         xs = rng.normal(size=(3, 5, 1))

@@ -110,7 +110,7 @@ class TestNoSilentUpcast:
 
     def test_directly_built_layers_stay_float64(self):
         rng = np.random.default_rng(2)
-        net = Network([LSTM(1, 4, "relu", rng=rng), Dropout(0.2),
+        net = Network([LSTM(1, 4, rng=rng), Dropout(0.2),
                        Dense(4, 1, rng=rng)])
         x = rng.uniform(0.0, 1.0, size=(8, 5, 1))
         out = net.forward(x, train=True, rng=rng)
@@ -150,7 +150,7 @@ class TestSavedRunsKeepTheirDtype:
         # The layout build_lstm() saved before it switched to float32.
         windows, scaler = self.windows()
         rng = np.random.default_rng(6)
-        model = Network([LSTM(1, 50, "relu", rng=rng), Dropout(0.2),
+        model = Network([LSTM(1, 50, rng=rng), Dropout(0.2),
                          Dense(50, 1, rng=rng)])
         path = tmp_path / "lstm64.npz"
         save_model(model, path)
@@ -167,7 +167,7 @@ class TestSavedRunsKeepTheirDtype:
         align = alignment(ExperimentConfig(), len(y))
         scaler = fit_scaler(y[:align.boundary])
         rng = np.random.default_rng(7)
-        model = Network([LSTM(1, 50, "relu", rng=rng), Dropout(0.2),
+        model = Network([LSTM(1, 50, rng=rng), Dropout(0.2),
                          Dense(50, 1, rng=rng)])
         windows = make_windows(transform(y, scaler)[align.boundary:],
                                align.window)

@@ -32,6 +32,25 @@ def randomize_biases(model, rng, scale=0.1):
             layer.b[:] = rng.normal(size=layer.b.shape) * scale
 
 
+# How far every relu input of an LSTM check stays from the kink at 0:
+# a hundred times the finite-difference step, so that no perturbation of
+# one parameter or input carries a pre-activation across it.
+KINK_MARGIN = 100 * H_STEP
+
+
+def distance_from_relu_kinks(lstm, x):
+    """The smallest |z| over the relu inputs z of a train-mode forward of
+    ``x``: each step's candidate pre-activation and each nonzero cell
+    state. A cell state of exactly 0 is no kink: it stays 0 while every
+    candidate that fed it stays negative."""
+    lstm.forward(x, train=True)
+    hx, c = lstm._cache[:2]
+    hsz = lstm.hidden
+    candidate = hx[:-1] @ lstm.W[2 * hsz:3 * hsz].T + lstm.b[2 * hsz:3 * hsz]
+    state = np.abs(c[1:])
+    return min(np.abs(candidate).min(), state[state > 0.0].min())
+
+
 def numeric_gradients(loss_fn, params, h=H_STEP):
     """Central finite differences, one scalar at a time."""
     grads = []
@@ -119,33 +138,27 @@ class TestLstmGradients:
     @pytest.mark.parametrize("seed", range(5))
     def test_relu_cell_every_parameter(self, seed):
         rng = np.random.default_rng(seed)
-        model = Network([LSTM(1, 4, "relu", rng=rng), Dense(4, 1, rng=rng)])
-        x = rng.normal(size=(3, 5, 1))
-        y = rng.normal(size=(3, 1))
-        assert check_model_gradients(model, x, y) < TOLERANCE
-
-    @pytest.mark.parametrize("seed", range(5, 10))
-    def test_tanh_cell_every_parameter(self, seed):
-        rng = np.random.default_rng(seed)
-        model = Network([LSTM(1, 4, "tanh", rng=rng), Dense(4, 1, rng=rng)])
+        model = Network([LSTM(1, 4, rng=rng), Dense(4, 1, rng=rng)])
         x = rng.normal(size=(3, 5, 1))
         y = rng.normal(size=(3, 1))
         assert check_model_gradients(model, x, y) < TOLERANCE
 
     def test_longer_window(self):
         rng = np.random.default_rng(42)
-        model = Network([LSTM(1, 3, "tanh", rng=rng), Dense(3, 1, rng=rng)])
+        model = Network([LSTM(1, 3, rng=rng), Dense(3, 1, rng=rng)])
         x = rng.normal(size=(2, 12, 1))
         y = rng.normal(size=(2, 1))
+        assert distance_from_relu_kinks(model.layers[0], x) > KINK_MARGIN
         assert check_model_gradients(model, x, y) < TOLERANCE
 
     def test_input_gradient_matches_finite_differences(self):
         # Perturb the inputs rather than the parameters: backward() must
         # also report d loss / d x correctly for BPTT to be trusted.
         rng = np.random.default_rng(43)
-        model = Network([LSTM(1, 3, "tanh", rng=rng), Dense(3, 1, rng=rng)])
+        model = Network([LSTM(1, 3, rng=rng), Dense(3, 1, rng=rng)])
         x = rng.normal(size=(2, 4, 1))
         y = rng.normal(size=(2, 1))
+        assert distance_from_relu_kinks(model.layers[0], x) > KINK_MARGIN
 
         pred = model.forward(x, train=True)
         _, grad = mse_loss(pred, y)

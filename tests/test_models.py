@@ -1,8 +1,11 @@
 """Model assembly and prediction-path tests."""
+import json
+import re
+
 import numpy as np
 import pytest
 
-from gridcast.errors import ShapeError
+from gridcast.errors import CorruptArtifactError, ShapeError
 from gridcast.models import build_lstm, build_mlp, lstm_predict, mlp_predict
 from gridcast.nn import load_model, save_model, train, TrainConfig
 from gridcast.nn.layers import EVAL_CHUNK
@@ -197,3 +200,21 @@ class TestSerializationRoundTrip:
         original = lstm_predict(model, windows, scaler)
         restored = lstm_predict(loaded, windows, scaler)
         assert np.array_equal(original, restored)
+
+    @pytest.mark.parametrize("layer, change", [
+        (0, {"activation": "tanh"}),
+        (1, {"rate": 0.0}),
+        (2, {"activation": "sigmoid"}),
+        (0, {"kind": "gru"}),
+    ], ids=["tanh-lstm", "rate-0-dropout", "sigmoid-dense", "unknown-kind"])
+    def test_load_refuses_a_layer_gridcast_does_not_build(self, tmp_path,
+                                                          layer, change):
+        model = build_lstm(rng=np.random.default_rng(24))
+        spec = model.spec()
+        spec[layer].update(change)
+        path = tmp_path / "lstm.npz"
+        np.savez(path, spec=np.array(json.dumps({"layers": spec})),
+                 **{f"param_{i}": p for i, p in enumerate(model.params())})
+        with pytest.raises(CorruptArtifactError, match=rf"\Acannot read "
+                           rf"model file {re.escape(str(path))}: "):
+            load_model(path)

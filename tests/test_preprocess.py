@@ -144,7 +144,7 @@ class TestChronologicalSplit:
 
     def test_bad_ratio(self):
         for ratio in (0.0, 1.0, -0.1, 1.5):
-            with pytest.raises(ValueError):
+            with pytest.raises(ShapeError):
                 chronological_split(10, ratio)
 
 
@@ -224,3 +224,19 @@ class TestFeatureMatrix:
         assert features.shape == (2, 7)
         assert features[0, 6] == 19.25
         assert features[:, :6].tolist() == [list(MILD_DAY)] * 2
+
+    @pytest.mark.parametrize("rows", [
+        slice(None), slice(3, 9), slice(0, 1), slice(11, None),
+        np.array([0, 4, 5, 11]), np.arange(2, 12), np.array([7])],
+        ids=["all", "slice", "first", "tail", "scattered", "range", "one"])
+    def test_selected_rows_equal_rows_of_the_whole_matrix(self, rows):
+        # Three days of four rows each, each day with its own weather, so a
+        # row that picked another row's day or hour would differ.
+        days = [dt.date(2023, 3, 1), dt.date(2023, 3, 2), dt.date(2023, 3, 5)]
+        times = [slot_index(day, hour, minute) for day in days
+                 for hour, minute in ((0, 0), (6, 35), (13, 5), (23, 55))]
+        weather = np.random.default_rng(8).uniform(0.0, 40.0, size=(3, 6))
+        frame = frame_of(times, np.arange(12.0), weather)
+        whole = feature_matrix(frame)
+        assert np.array_equal(feature_matrix(frame, rows), whole[rows])
+        assert feature_matrix(frame, rows).tobytes() == whole[rows].tobytes()

@@ -198,14 +198,14 @@ class TestPredictBatches:
 
 def production_layout(kind, dtype):
     """The layer stacks of gridcast.models in any dtype: kind is "mlp" or
-    the LSTM's cell activation."""
+    "relu", the LSTM."""
     rng = np.random.default_rng(32)
     if kind == "mlp":
         return Network([
             Dense(7, 64, "relu", rng=rng, dtype=dtype), Dropout(0.2),
             Dense(64, 32, "relu", rng=rng, dtype=dtype), Dropout(0.1),
             Dense(32, 1, rng=rng, dtype=dtype)])
-    return Network([LSTM(1, 50, kind, rng=rng, dtype=dtype), Dropout(0.2),
+    return Network([LSTM(1, 50, rng=rng, dtype=dtype), Dropout(0.2),
                     Dense(50, 1, rng=rng, dtype=dtype)])
 
 
@@ -229,7 +229,7 @@ class TestPredictBatchesBlocks:
     @pytest.mark.parametrize("cpus", [1, 2], ids=["helper-off", "helper-on"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64],
                              ids=["float32", "float64"])
-    @pytest.mark.parametrize("kind", ["relu", "tanh", "mlp"])
+    @pytest.mark.parametrize("kind", ["relu", "mlp"])
     def test_equals_serial_reference_bitwise(self, monkeypatch, kind, dtype,
                                              cpus):
         monkeypatch.setattr(layers, "_usable_cpus", lambda: cpus)
