@@ -38,9 +38,30 @@ def test_every_exception_class_is_raised_or_caught():
     assert defined and sorted(defined - used) == []
 
 
-def test_every_module_raises_only_classes_from_errors():
+def _raised_outside_errors(module: str) -> list[str]:
+    """Classes a module raises that errors.py does not define."""
+    defined = {name for name, obj in inspect.getmembers(errors, inspect.isclass)
+               if obj.__module__ == errors.__name__}
+    tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
+    raised = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            raised |= _names(node.exc)
+    assert raised
+    return sorted(raised - defined)
+
+
+def test_ingest_raises_only_classes_from_errors():
     # A ValueError is no GridcastError, so the CLI would print its
     # traceback instead of one labelled line.
+    assert _raised_outside_errors("ingest.py") == []
+
+
+def test_types_raises_only_classes_from_errors():
+    assert _raised_outside_errors("types.py") == []
+
+
+def test_every_module_raises_only_classes_from_errors():
     defined = {name for name, obj in inspect.getmembers(errors, inspect.isclass)
                if obj.__module__ == errors.__name__}
     outside = {}
