@@ -38,6 +38,5 @@ from gridcast.types import (  # noqa: F401
     format_timestamps,
     parse_timestamps,
     season_codes,
-    slot_index,
     time_decimal,
 )

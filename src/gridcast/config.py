@@ -4,7 +4,10 @@ Every key is optional; an empty object is a valid config describing the
 default synthetic grid-only experiment.  Unknown keys are rejected so a
 typo cannot silently fall back to a default.  Groups are spelled with
 dotted prefixes ("synth.days", "train.patience") but the document stays
-one level deep, so configs diff line by line.
+one level deep, so configs diff line by line.  Each value must have
+the JSON type of its key's default: an integer key takes an integer, a
+float key any number, synth.solar true or false, and models a list of
+strings; true and false are not numbers.
 
 Keys and defaults:
 
@@ -14,7 +17,9 @@ Keys and defaults:
     split_ratio        chronological train fraction       0.8
     window_length      history slots per window           24
     models             roster list                        all four
-    synth.*            every SynthConfig field            see synth module
+    synth.seed         generator seed                     0
+    synth.days         household length from 2023-03-01   200
+    synth.solar        rooftop solar (true / false)       false
     files.meter        plain meter CSV path               -
     files.grid         net-grid meter CSV path            -
     files.solar        solar generation CSV path          -
@@ -31,7 +36,6 @@ files.meter alone or files.grid + files.solar.
 from __future__ import annotations
 
 import dataclasses
-import datetime as dt
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -83,6 +87,8 @@ class ExperimentConfig:
         if self.source == "synth" and self.files is not None:
             raise InvalidConfigError(
                 "files.* keys make no sense with source 'synth'")
+        if self.seed < 0:
+            raise InvalidConfigError(f"seed must be non-negative, got {self.seed}")
         if not (0.0 < self.split_ratio < 1.0):
             raise InvalidConfigError("split_ratio must be in (0, 1)")
         if self.window_length < 1:
@@ -97,18 +103,6 @@ class ExperimentConfig:
                     f"unknown model {name!r}; choose from {MODEL_NAMES}")
 
 
-def _synth_to_flat(synth: SynthConfig) -> dict:
-    out = {}
-    for f in dataclasses.fields(SynthConfig):
-        value = getattr(synth, f.name)
-        if isinstance(value, dt.date):
-            value = value.isoformat()
-        elif isinstance(value, tuple):
-            value = list(value)
-        out[f"synth.{f.name}"] = value
-    return out
-
-
 def to_flat_dict(config: ExperimentConfig) -> dict:
     """Render the fully-resolved config as the flat JSON mapping."""
     flat = {
@@ -119,69 +113,57 @@ def to_flat_dict(config: ExperimentConfig) -> dict:
         "window_length": config.window_length,
         "models": list(config.models),
     }
-    flat.update(_synth_to_flat(config.synth))
-    if config.files is not None:
-        for f in dataclasses.fields(FileSource):
-            value = getattr(config.files, f.name)
-            if value is not None:
-                flat[f"files.{f.name}"] = value
-    for f in dataclasses.fields(TrainConfig):
-        flat[f"train.{f.name}"] = getattr(config.train, f.name)
+    for group in ("synth", "files", "train"):
+        record = getattr(config, group)
+        if record is not None:
+            for name, value in dataclasses.asdict(record).items():
+                if value is not None:
+                    flat[f"{group}.{name}"] = value
     return {key: flat[key] for key in sorted(flat)}
 
 
-_SYNTH_FIELDS = {f.name: f for f in dataclasses.fields(SynthConfig)}
-_TRAIN_FIELDS = {f.name for f in dataclasses.fields(TrainConfig)}
-_FILE_FIELDS = {f.name for f in dataclasses.fields(FileSource)}
-_TOP_KEYS = ("source", "seed", "out_dir", "split_ratio", "window_length",
-             "models")
+# Every key with a value of its type: the default, or "" for files.*.
+_KEY_TYPES = {**to_flat_dict(ExperimentConfig()),
+              **{f"files.{f.name}": "" for f in dataclasses.fields(FileSource)}}
+_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number",
+               str: "a string", list: "a list of strings"}
 
 
-def _coerce_synth(name: str, value):
-    if name == "start_date":
-        if not isinstance(value, str):
-            raise InvalidConfigError("synth.start_date must be 'YYYY-MM-DD'")
-        try:
-            return dt.date.fromisoformat(value)
-        except ValueError as exc:
-            raise InvalidConfigError(f"bad synth.start_date: {exc}") from exc
-    if name in ("spike_magnitude_w", "spike_duration_slots"):
-        if not (isinstance(value, list) and len(value) == 2):
-            raise InvalidConfigError(f"synth.{name} must be a [low, high] pair")
-        return tuple(value)
-    return value
+def _has_type(value, default) -> bool:
+    """Whether a JSON value has the type of the key's default: a bool only
+    for a bool, any other number for a float, strings in a list."""
+    if isinstance(value, bool) != isinstance(default, bool):
+        return False
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    if isinstance(default, list):
+        return isinstance(value, list) and all(isinstance(v, str) for v in value)
+    return isinstance(value, type(default))
 
 
 def from_flat_dict(data: dict) -> ExperimentConfig:
-    """Build a config from the flat mapping, rejecting unknown keys."""
+    """Build a config from the flat mapping, rejecting unknown keys and
+    values of the wrong type."""
     if not isinstance(data, dict):
         raise InvalidConfigError("config must be a JSON object")
-    top: dict = {}
-    synth_kwargs: dict = {}
-    train_kwargs: dict = {}
-    file_kwargs: dict = {}
+    groups: dict = {"": {}, "synth": {}, "files": {}, "train": {}}
     for key, value in data.items():
-        group, _, rest = key.partition(".")
-        if key in _TOP_KEYS:
-            top[key] = value
-        elif group == "synth" and rest in _SYNTH_FIELDS:
-            synth_kwargs[rest] = _coerce_synth(rest, value)
-        elif group == "train" and rest in _TRAIN_FIELDS:
-            train_kwargs[rest] = value
-        elif group == "files" and rest in _FILE_FIELDS:
-            file_kwargs[rest] = value
-        else:
+        if key not in _KEY_TYPES:
             raise InvalidConfigError(f"unknown config key: {key!r}")
-    if "models" in top:
-        if not isinstance(top["models"], list):
-            raise InvalidConfigError("models must be a list of model names")
-        top["models"] = tuple(top["models"])
+        default = _KEY_TYPES[key]
+        if not _has_type(value, default):
+            raise InvalidConfigError(
+                f"{key} must be {_TYPE_NAMES[type(default)]}, "
+                f"got {json.dumps(value)}")
+        group, _, name = key.rpartition(".")
+        groups[group][name] = tuple(value) if key == "models" else value
+    files = groups["files"]
     try:
         return ExperimentConfig(
-            synth=SynthConfig(**synth_kwargs),
-            files=FileSource(**file_kwargs) if file_kwargs else None,
-            train=TrainConfig(**train_kwargs),
-            **top,
+            synth=SynthConfig(**groups["synth"]),
+            files=FileSource(**files) if files else None,
+            train=TrainConfig(**groups["train"]),
+            **groups[""],
         )
     except TypeError as exc:
         raise InvalidConfigError(str(exc)) from exc

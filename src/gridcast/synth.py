@@ -2,34 +2,44 @@
 
 Produces a 5-minute consumption series plus matching daily weather with
 known ground-truth components, so end-to-end behaviour can be asserted
-against construction instead of unavailable real data.
+against construction instead of unavailable real data. The household
+has one fixed shape, a stand-in for the paper's two Melbourne houses:
+only its seed, its length in days from FIRST_DAY and its rooftop solar
+are chosen.
 
 Consumption is assembled per day d and slot x as
 
-    load = base
-         + mult(d) * (morning bump(x) + evening bump(x))   diurnal
-         + seasonal cosine(d)                              yearly cycle
-         + gain * max(0, max_temp(d) - comfort)            cooling
-         + appliance spike plateaus                        random events
-         + Gaussian noise                                  meter jitter
+    load = 450 W                                           base
+         + m(d) * (1000 W * b(x - 90 - j1(d))              07:30 peak
+                   + 1600 W * b(x - 222 - j2(d)))          18:30 peak
+         + 150 W * s(d)                                    yearly cycle
+         + 40 W/C * max(0, T(d) - 22 C)                    cooling
+         + Poisson(2)/day plateaus of U(800, 1800) W,      appliances
+           each 12 to 24 slots (60 to 120 minutes) long
+         + N(0, 110 W)                                     meter jitter
 
-floored at a small positive wattage.  The bumps repeat every day, which
-gives the series its strong lag-288 structure, but their height drifts
-day to day (AR(1)) and their centers jitter, so time-of-day features
-alone cannot fully predict them while recent history can.
+floored at 50 W, where b(u) = exp(-u^2 / (2 * 18^2)) is a bump 18
+slots wide and s(d) = cos(2 pi (day of year - 15) / 365.25) peaks in
+mid-January. The bumps repeat every day, which gives the series its
+strong lag-288 structure, but their height m(d) = max(0.1, 1 + a(d))
+drifts day to day (a is AR(1) with phi 0.93 and marginal std 0.9) and
+their centers jitter by j(d) = round(N(0, 5 slots)) within 12 slots, so
+time-of-day features alone cannot fully predict them while recent
+history can. Each day's maximum temperature is
+T(d) = 21 C + 6.5 C * s(d) + N(0, 3.5 C), and cool days bring rain.
 
 With the solar flag on the household also runs solar-tracking load
-(pool pump style) equal to a fraction of generation, generation follows
-a deterministic clear-sky arc damped by rainfall-derived cloud, the
-meter records net grid draw (negative while exporting), and total
-consumption = grid + generation.
+(pool pump style) equal to half of generation, generation follows a
+deterministic clear-sky arc of 4200 W peak damped by cloud
+min(0.85, 0.08 + 0.10/mm * rainfall), the meter records net grid draw
+(negative while exporting), and total consumption = grid + generation.
 """
 from __future__ import annotations
 
 import contextlib
 import datetime as dt
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -44,76 +54,24 @@ from gridcast.types import (
     format_timestamps,
 )
 
-_DAYS_PER_YEAR = 365.25
-_SUMMER_PEAK_DOY = 15.0  # mid-January
+FIRST_DAY = dt.date(2023, 3, 1)  # the paper's data starts here
 
 
 @dataclass(frozen=True)
 class SynthConfig:
-    """Generator knobs; defaults describe one plausible household."""
+    """The ``synth.*`` config keys."""
 
     seed: int = 0
     days: int = 200
-    start_date: dt.date = dt.date(2023, 3, 1)
-    base_load_w: float = 450.0
-    # diurnal double peak
-    morning_peak_w: float = 1000.0
-    evening_peak_w: float = 1600.0
-    morning_center_slot: int = 90   # 07:30
-    evening_center_slot: int = 222  # 18:30
-    peak_width_slots: float = 18.0
-    # day-to-day persistence of the diurnal cycle
-    peak_drift_phi: float = 0.93
-    peak_drift_std: float = 0.9
-    center_jitter_std_slots: float = 5.0
-    # appliance spike plateaus
-    spike_rate_per_day: float = 2.0
-    spike_magnitude_w: tuple[float, float] = (800.0, 1800.0)
-    spike_duration_slots: tuple[int, int] = (12, 24)  # 60 to 120 minutes
-    # slow drivers
-    seasonal_amplitude_w: float = 150.0
-    weather_gain_w_per_c: float = 40.0
-    comfort_temp_c: float = 22.0
-    noise_std_w: float = 110.0
-    floor_w: float = 50.0
-    # solar household
     solar: bool = False
-    solar_capacity_w: float = 4200.0
-    solar_cloud_gain_per_mm: float = 0.10
-    solar_selfuse_fraction: float = 0.5
-    # weather shape
-    temp_mean_c: float = 21.0
-    temp_seasonal_amplitude_c: float = 6.5
-    temp_noise_std_c: float = 3.5
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise InvalidConfigError(
+                f"synth.seed must be non-negative, got {self.seed}")
         if self.days < 2:
-            raise InvalidConfigError(f"days must be at least 2, got {self.days}")
-        non_negative = (
-            "base_load_w", "morning_peak_w", "evening_peak_w",
-            "peak_width_slots", "peak_drift_std", "center_jitter_std_slots",
-            "spike_rate_per_day", "seasonal_amplitude_w",
-            "weather_gain_w_per_c", "noise_std_w", "floor_w",
-            "solar_capacity_w", "solar_cloud_gain_per_mm",
-            "temp_seasonal_amplitude_c", "temp_noise_std_c",
-        )
-        for name in non_negative:
-            if getattr(self, name) < 0:
-                raise InvalidConfigError(f"{name} must be non-negative")
-        if not (0.0 <= self.peak_drift_phi < 1.0):
-            raise InvalidConfigError("peak_drift_phi must be in [0, 1)")
-        if not (0.0 <= self.solar_selfuse_fraction <= 1.0):
-            raise InvalidConfigError("solar_selfuse_fraction must be in [0, 1]")
-        lo, hi = self.spike_magnitude_w
-        if lo < 0 or hi < lo:
-            raise InvalidConfigError("spike magnitude range must be 0 <= lo <= hi")
-        dlo, dhi = self.spike_duration_slots
-        if dlo < 1 or dhi < dlo:
-            raise InvalidConfigError("spike duration range must be 1 <= lo <= hi")
-        for slot_name in ("morning_center_slot", "evening_center_slot"):
-            slot = getattr(self, slot_name)
-            if not (0 <= slot < SLOTS_PER_DAY):
-                raise InvalidConfigError(f"{slot_name} must be in [0, 288)")
+            raise InvalidConfigError(
+                f"synth.days must be at least 2, got {self.days}")
 
 
 @dataclass(frozen=True)
@@ -137,10 +95,9 @@ class SynthTruth:
     cloud: np.ndarray           # (days,)
 
 
-def _gaussian_bump(slots: np.ndarray, center: np.ndarray, width: float
-                   ) -> np.ndarray:
-    # slots (288,), center (days, 1) -> (days, 288)
-    return np.exp(-((slots[None, :] - center) ** 2) / (2.0 * width * width))
+def _gaussian_bump(slots: np.ndarray, center: np.ndarray) -> np.ndarray:
+    # slots (288,), center (days, 1) -> (days, 288); 18 slots wide
+    return np.exp(-((slots[None, :] - center) ** 2) / (2.0 * 18.0 * 18.0))
 
 
 def _ar1(rng: np.random.Generator, n: int, phi: float, std: float
@@ -159,9 +116,8 @@ def generate(config: SynthConfig) -> tuple[MergedFrame, SynthTruth]:
 
     Weather, day-level load structure, and spikes come from independent
     child seeds, and the solar path draws nothing, so toggling the solar
-    flag (or changing its parameters) leaves the underlying household
-    realization bit-identical. The frame's consumption is ``truth.total``
-    itself, not a copy.
+    flag leaves the underlying household realization bit-identical. The
+    frame's consumption is ``truth.total`` itself, not a copy.
     """
     seeds = np.random.SeedSequence(config.seed).spawn(3)
     weather_rng = np.random.default_rng(seeds[0])
@@ -170,14 +126,14 @@ def generate(config: SynthConfig) -> tuple[MergedFrame, SynthTruth]:
 
     days = config.days
     n = days * SLOTS_PER_DAY
-    dates = [config.start_date + dt.timedelta(days=d) for d in range(days)]
+    dates = [FIRST_DAY + dt.timedelta(days=d) for d in range(days)]
     doy = np.array([d.timetuple().tm_yday for d in dates], dtype=np.float64)
-    season_phase = np.cos(2.0 * np.pi * (doy - _SUMMER_PEAK_DOY) / _DAYS_PER_YEAR)
+    # cosine of the year, peaking on day 15 (mid-January)
+    season_phase = np.cos(2.0 * np.pi * (doy - 15.0) / 365.25)
 
     # --- daily weather ---------------------------------------------------
-    max_temp = (config.temp_mean_c
-                + config.temp_seasonal_amplitude_c * season_phase
-                + weather_rng.normal(0.0, config.temp_noise_std_c, days))
+    max_temp = (21.0 + 6.5 * season_phase
+                + weather_rng.normal(0.0, 3.5, days))  # C
     max_temp = np.clip(max_temp, -19.0, 54.0)
     # cool changes bring rain: rain probability falls with temperature
     rain_prob = np.clip(0.25 + 0.03 * (19.0 - max_temp), 0.05, 0.65)
@@ -194,38 +150,31 @@ def generate(config: SynthConfig) -> tuple[MergedFrame, SynthTruth]:
         [max_temp, rainfall, temp_9am, rh_9am, temp_3pm, rh_3pm])
 
     # --- day-level load structure ----------------------------------------
-    drift = _ar1(day_rng, days, config.peak_drift_phi, config.peak_drift_std)
+    drift = _ar1(day_rng, days, 0.93, 0.9)
     multiplier = np.maximum(0.1, 1.0 + drift)
-    jitter_shape = (days, 2)
-    jitter = np.rint(day_rng.normal(0.0, config.center_jitter_std_slots,
-                                    jitter_shape)).astype(np.int64)
-    jitter = np.clip(jitter, -12, 12)
+    jitter = np.rint(day_rng.normal(0.0, 5.0, (days, 2))).astype(np.int64)
+    jitter = np.clip(jitter, -12, 12)  # slots
 
     slots = np.arange(SLOTS_PER_DAY, dtype=np.float64)
-    morning_centers = (config.morning_center_slot + jitter[:, 0])[:, None]
-    evening_centers = (config.evening_center_slot + jitter[:, 1])[:, None]
-    diurnal = config.morning_peak_w * _gaussian_bump(
-        slots, morning_centers, config.peak_width_slots)
-    diurnal += config.evening_peak_w * _gaussian_bump(
-        slots, evening_centers, config.peak_width_slots)
+    morning_centers = (90 + jitter[:, 0])[:, None]   # 07:30
+    evening_centers = (222 + jitter[:, 1])[:, None]  # 18:30
+    diurnal = 1000.0 * _gaussian_bump(slots, morning_centers)  # W
+    diurnal += 1600.0 * _gaussian_bump(slots, evening_centers)
     diurnal *= multiplier[:, None]
 
-    seasonal_daily = config.seasonal_amplitude_w * season_phase
-    weather_load_daily = (config.weather_gain_w_per_c
-                          * np.maximum(0.0, max_temp - config.comfort_temp_c))
+    seasonal_daily = 150.0 * season_phase  # W
+    weather_load_daily = 40.0 * np.maximum(0.0, max_temp - 22.0)  # W/C above 22 C
 
     # --- appliance spikes -------------------------------------------------
     spikes = np.zeros(n)
-    dlo, dhi = config.spike_duration_slots
-    mlo, mhi = config.spike_magnitude_w
     for day in range(days):
-        for _ in range(spike_rng.poisson(config.spike_rate_per_day)):
+        for _ in range(spike_rng.poisson(2.0)):  # events per day
             start = day * SLOTS_PER_DAY + int(spike_rng.integers(0, SLOTS_PER_DAY))
-            duration = int(spike_rng.integers(dlo, dhi + 1))
-            magnitude = spike_rng.uniform(mlo, mhi)
+            duration = int(spike_rng.integers(12, 25))  # 60 to 120 minutes
+            magnitude = spike_rng.uniform(800.0, 1800.0)  # W
             spikes[start:start + duration] += magnitude
 
-    noise = day_rng.normal(0.0, config.noise_std_w, n)
+    noise = day_rng.normal(0.0, 110.0, n)  # W
 
     # --- assembly ----------------------------------------------------------
     diurnal_flat = diurnal.ravel()
@@ -239,11 +188,9 @@ def generate(config: SynthConfig) -> tuple[MergedFrame, SynthTruth]:
              / (2.0 * half_width_h[:, None]))
         arc = np.where((u > 0.0) & (u < 1.0),
                        np.sin(np.pi * np.clip(u, 0.0, 1.0)) ** 1.5, 0.0)
-        cloud = np.clip(0.08 + config.solar_cloud_gain_per_mm * rainfall,
-                        0.0, 0.85)
-        generation = (config.solar_capacity_w * arc
-                      * (1.0 - cloud[:, None])).ravel()
-        selfuse = config.solar_selfuse_fraction * generation
+        cloud = np.clip(0.08 + 0.10 * rainfall, 0.0, 0.85)  # per mm of rain
+        generation = (4200.0 * arc * (1.0 - cloud[:, None])).ravel()  # W peak
+        selfuse = 0.5 * generation
     else:
         cloud = np.zeros(days)
         generation = np.zeros(n)
@@ -251,13 +198,13 @@ def generate(config: SynthConfig) -> tuple[MergedFrame, SynthTruth]:
 
     # Summed in place, term by term in the formula's order, so the sum
     # keeps its bits and no temporary of N rows is made.
-    total = diurnal_flat + config.base_load_w
+    total = diurnal_flat + 450.0  # W base load
     for term in (seasonal_flat, weather_flat, spikes, noise, selfuse):
         total += term
-    np.maximum(config.floor_w, total, out=total)
+    np.maximum(50.0, total, out=total)  # W floor
     grid = total - generation
 
-    first_day = config.start_date.toordinal()
+    first_day = FIRST_DAY.toordinal()
     frame = MergedFrame(first_day * SLOTS_PER_DAY + np.arange(n), total,
                         Weather(first_day + np.arange(days), weather_daily))
     frame.validate()

@@ -68,23 +68,6 @@ _DIGIT_COLUMNS = [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15]
 _SEPARATORS = {4: "-", 7: "-", 10: " ", 13: ":"}
 
 
-def slot_index(date: dt.date, hour: int = 0, minute: int = 0) -> int:
-    """The slot index of one time on the 5-minute grid.
-
-    Raises ShapeError for an hour or minute out of range and for a
-    minute off the 5-minute grid.
-    """
-    if not isinstance(date, dt.date):
-        raise ShapeError(f"date must be a datetime.date, got {type(date).__name__}")
-    if not (0 <= hour <= 23):
-        raise ShapeError(f"hour out of range: {hour}")
-    if not (0 <= minute <= 59):
-        raise ShapeError(f"minute out of range: {minute}")
-    if minute % 5 != 0:
-        raise ShapeError(f"minute must lie on the 5-minute grid: {minute}")
-    return date.toordinal() * SLOTS_PER_DAY + hour * 12 + minute // 5
-
-
 def _parse_fixed_width(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
     """Parse 16-character texts shaped like "2023-03-01 19:15".
 

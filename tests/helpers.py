@@ -9,6 +9,11 @@ from gridcast.types import SLOTS_PER_DAY, MergedFrame, Weather
 MILD_DAY = (21.0, 0.0, 15.0, 70.0, 20.0, 50.0)
 
 
+def slot(date, hour: int = 0, minute: int = 0) -> int:
+    """The slot index of a time on the 5-minute grid."""
+    return date.toordinal() * SLOTS_PER_DAY + hour * 12 + minute // 5
+
+
 def raises_exactly(cls, message: str):
     """pytest.raises for ``cls`` whose message is exactly ``message``."""
     return pytest.raises(cls, match=rf"\A{re.escape(message)}\Z")

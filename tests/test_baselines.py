@@ -7,8 +7,7 @@ import pytest
 from gridcast.baselines import BASELINE_LAGS, persistence_forecast
 from gridcast.errors import SeriesTooShortError
 from gridcast.pipeline import Alignment, predict
-from gridcast.types import slot_index
-from helpers import frame_of
+from helpers import frame_of, slot
 
 
 def brute_force_pairs(series, k):
@@ -95,7 +94,7 @@ class TestPersistenceForecast:
     def test_series_no_longer_than_lag_rejected(self):
         # The roster's prediction path refuses a lag reaching before row 0.
         n = 288
-        frame = frame_of(slot_index(dt.date(2023, 3, 1)) + np.arange(n),
+        frame = frame_of(slot(dt.date(2023, 3, 1)) + np.arange(n),
                          np.arange(n))
         align = Alignment(boundary=200, window=24, targets=np.arange(224, n))
         with pytest.raises(SeriesTooShortError) as exc_info:

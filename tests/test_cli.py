@@ -203,6 +203,24 @@ def test_bad_config_file_is_a_usage_error(tmp_path):
     assert main(["compare", "--config", str(unknown)]) == 2
 
 
+@pytest.mark.parametrize("key, value, argv", [
+    ("synth.days", 2.5, []), ("synth.days", "30", []),
+    ("synth.seed", -1, []), ("synth.seed", 1.5, []),
+    ("seed", "x", []), ("seed", -3, []),
+    ("window_length", 2.5, []), ("train.batch_size", 2.5, []),
+    ("synth.solar", "no", []), ("seed", None, ["--seed", "-1"]),
+])
+def test_bad_value_exits_2_naming_its_key(tmp_path, capsys, key, value, argv):
+    flat = {} if value is None else {key: value}
+    config = write_config(tmp_path, **flat)
+    assert main(["synth", "--config", str(config),
+                 "--out", str(tmp_path / "o"), *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("gridcast: ")
+    assert key in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_argparse_usage_errors_exit_2(tmp_path):
     with pytest.raises(SystemExit) as exc_info:
         main(["train"])  # --model is required

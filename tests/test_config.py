@@ -1,7 +1,8 @@
 """Tests for the flat JSON experiment config."""
 import dataclasses
-import datetime as dt
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +19,7 @@ from gridcast.config import (
 from gridcast.errors import InvalidConfigError
 from gridcast.nn.training import TrainConfig
 from gridcast.synth import SynthConfig
+from helpers import raises_exactly
 
 
 def test_empty_object_is_the_default_config():
@@ -37,8 +39,7 @@ def test_defaults():
 def test_flat_round_trip():
     config = ExperimentConfig(
         seed=9,
-        synth=SynthConfig(days=33, seed=4, solar=True,
-                          start_date=dt.date(2024, 1, 5)),
+        synth=SynthConfig(days=33, seed=4, solar=True),
         models=("lstm", "naive"),
         train=TrainConfig(max_epochs=7, learning_rate=0.01),
         split_ratio=0.75,
@@ -53,14 +54,17 @@ def test_flat_dict_is_actually_flat_and_json_safe():
         assert isinstance(key, str)
         assert isinstance(value, (str, int, float, bool, list))
     json.dumps(flat)
-    assert flat["synth.start_date"] == "2023-03-01"
-    assert flat["synth.spike_duration_slots"] == [12, 24]
+    assert len(flat) == 14
+    assert [key for key in flat if key.startswith("synth.")] == [
+        "synth.days", "synth.seed", "synth.solar"]
     assert list(flat) == sorted(flat)
 
 
 def test_unknown_keys_are_rejected():
     for bad in ({"synt.days": 5}, {"foo": 1}, {"train.momentum": 0.9},
-                {"synth.day": 5}, {"files.metre": "x"}):
+                {"synth.day": 5}, {"files.metre": "x"},
+                {"synth.noise_std_w": 110.0},
+                {"synth.start_date": "2023-03-01"}):
         with pytest.raises(InvalidConfigError):
             from_flat_dict(bad)
 
@@ -98,6 +102,8 @@ def test_bounds_validation():
         from_flat_dict({"train.validation_fraction": 1.0})
     with pytest.raises(InvalidConfigError):
         from_flat_dict({"train.learning_rate": 0.0})
+    with pytest.raises(InvalidConfigError):
+        from_flat_dict({"synth.days": 1})
 
 
 def test_file_source_combinations():
@@ -122,20 +128,32 @@ def test_file_source_combinations():
         from_flat_dict({"files.meter": "m.csv", "files.weather_dir": "w"})
 
 
-def test_synth_field_coercion():
-    config = from_flat_dict({"synth.start_date": "2022-07-01",
-                             "synth.spike_magnitude_w": [100, 200]})
-    assert config.synth.start_date == dt.date(2022, 7, 1)
-    assert config.synth.spike_magnitude_w == (100, 200)
-    with pytest.raises(InvalidConfigError):
-        from_flat_dict({"synth.start_date": "July 1"})
-    with pytest.raises(InvalidConfigError):
-        from_flat_dict({"synth.start_date": 20220701})
-    with pytest.raises(InvalidConfigError):
-        from_flat_dict({"synth.spike_magnitude_w": [1, 2, 3]})
-    # invalid synth values propagate the synth validation
-    with pytest.raises(InvalidConfigError):
-        from_flat_dict({"synth.days": 1})
+def test_values_must_have_their_keys_type():
+    # An integer key takes an int, a float key any number, and no number
+    # key takes true or false; test_synth checks the synth.* keys.
+    config = from_flat_dict({"split_ratio": 0.5, "train.learning_rate": 1})
+    assert config.train.learning_rate == 1
+    for bad in ({"seed": "x"}, {"seed": True}, {"window_length": 2.5},
+                {"train.batch_size": 2.5}, {"train.learning_rate": False},
+                {"source": 1}, {"out_dir": None}, {"models": ["naive", 1]},
+                {"files.meter": 3}):
+        key = next(iter(bad))
+        with pytest.raises(InvalidConfigError, match=rf"\A{re.escape(key)} must be "):
+            from_flat_dict(bad)
+    with raises_exactly(InvalidConfigError, "seed must be non-negative, got -3"):
+        from_flat_dict({"seed": -3})
+
+
+def test_readme_configuration_table_lists_every_key():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Configuration")[1]
+    section = section.split("\n## ")[0]
+    keys = []
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            keys += re.findall(r"`([^`]+)`", line.split("|")[1])
+    files = ["files.meter", "files.grid", "files.solar", "files.weather_dir"]
+    assert sorted(keys) == sorted(list(to_flat_dict(ExperimentConfig())) + files)
 
 
 def test_save_and_load_round_trip(tmp_path):

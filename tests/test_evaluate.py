@@ -32,12 +32,12 @@ from gridcast.evaluate import (
     write_report_csv,
     write_report_json,
 )
-from gridcast.types import SLOTS_PER_DAY, Season, slot_index
-from helpers import frame_of, raises_exactly
+from gridcast.types import SLOTS_PER_DAY, Season
+from helpers import frame_of, raises_exactly, slot
 
 
 def day_of_times(date, n=288):
-    return [slot_index(date) + slot for slot in range(n)]
+    return [slot(date) + k for k in range(n)]
 
 
 class TestRmse:
@@ -157,7 +157,7 @@ class TestComputeMetrics:
 
 class TestStratifyBySeason:
     def test_single_month_yields_single_stratum(self):
-        times = [slot_index(dt.date(2024, 1, d), 10, 0) for d in range(1, 11)]
+        times = [slot(dt.date(2024, 1, d), 10, 0) for d in range(1, 11)]
         rng = np.random.default_rng(5)
         actual = rng.uniform(100, 500, size=10)
         pred = actual + rng.normal(size=10)
@@ -168,7 +168,7 @@ class TestStratifyBySeason:
     def test_counts_partition_total(self):
         times = []
         for month in (1, 4, 7, 10, 12):
-            times += [slot_index(dt.date(2023, month, d), 0, 0) for d in range(1, 8)]
+            times += [slot(dt.date(2023, month, d), 0, 0) for d in range(1, 8)]
         rng = np.random.default_rng(6)
         actual = rng.uniform(size=len(times))
         pred = rng.uniform(size=len(times))
@@ -177,8 +177,8 @@ class TestStratifyBySeason:
         assert set(strata) == set(Season)
 
     def test_per_stratum_rmse_matches_filter_oracle(self):
-        times = [slot_index(dt.date(2023, 3, 1), 0, 0)] * 4 + \
-                [slot_index(dt.date(2023, 7, 1), 0, 0)] * 3
+        times = [slot(dt.date(2023, 3, 1), 0, 0)] * 4 + \
+                [slot(dt.date(2023, 7, 1), 0, 0)] * 3
         actual = np.array([1.0, 2.0, 3.0, 4.0, 10.0, 20.0, 30.0])
         pred = actual + np.array([1.0, -1.0, 1.0, -1.0, 2.0, 2.0, -2.0])
         strata = stratify_by_season(pred, actual, times)
@@ -243,7 +243,7 @@ class TestSeasonalReference:
         # 15 months from late November, with a random tenth of the rows
         # missing, so some slots of some seasons hold fewer values.
         rng = np.random.default_rng(21)
-        start = slot_index(dt.date(2023, 11, 20))
+        start = slot(dt.date(2023, 11, 20))
         times = start + np.arange(460 * SLOTS_PER_DAY)
         times = times[rng.random(times.size) > 0.1]
         return frame_of(times, rng.gamma(2.0, 300.0, size=times.size))

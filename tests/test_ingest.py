@@ -26,10 +26,9 @@ from gridcast.types import (
     MeterRecords,
     Weather,
     format_timestamps,
-    slot_index,
     time_decimal,
 )
-from helpers import raises_exactly
+from helpers import raises_exactly, slot
 
 WEATHER_HEADER = ("date,max_temp_c,rainfall_mm,temp_9am_c,rh_9am_pct,"
                   "temp_3pm_c,rh_3pm_pct")
@@ -76,7 +75,7 @@ class TestParseMeterCsv:
         assert len(result.records) == 3
         assert result.drops.total == 0
         assert result.records.watts[1] == 410.5
-        assert result.records.times[0] == slot_index(dt.date(2023, 3, 1), 0, 0)
+        assert result.records.times[0] == slot(dt.date(2023, 3, 1), 0, 0)
 
     def test_blank_watts_dropped_and_counted(self, tmp_path):
         rows = [f"2023-03-01 {h:02d}:{m:02d},500"
@@ -205,7 +204,7 @@ class TestParseMeterCsv:
         # peak; read ROW_CHUNK rows at a time, each block becomes numbers
         # before the next is read (about 77 bytes a row).
         n = 16 * ROW_CHUNK
-        times = slot_index(dt.date(2023, 3, 1)) + np.arange(n)
+        times = slot(dt.date(2023, 3, 1)) + np.arange(n)
         watts = np.random.default_rng(3).uniform(0, 3000, n).tolist()
         path = tmp_path / "meter.csv"
         write_meter(path, list(map("{},{!r}".format,
@@ -407,7 +406,7 @@ class TestInterpolateWeather:
 
 def record(day, hour, minute, watts):
     """One reading, as a (slot index, watts) pair."""
-    return slot_index(dt.date(2023, 3, day), hour, minute), watts
+    return slot(dt.date(2023, 3, day), hour, minute), watts
 
 
 def records(*readings):
@@ -528,8 +527,8 @@ class TestBuildFrame:
         # and 6, one cell of it blank. So March 3 and 6 have weather but no
         # rows, and the March 4 rows have no weather and are dropped.
         rng = np.random.default_rng(31)
-        times = [slot_index(dt.date(2023, 3, day)) + slot
-                 for day in (1, 2, 4, 5) for slot in range(0, SLOTS_PER_DAY, 7)]
+        times = [slot(dt.date(2023, 3, day)) + k
+                 for day in (1, 2, 4, 5) for k in range(0, SLOTS_PER_DAY, 7)]
         watts = rng.uniform(100.0, 900.0, len(times)).tolist()
         write_meter(tmp_path / "meter.csv",
                     [f"{t},{w!r}" for t, w in zip(format_timestamps(times), watts)])
@@ -552,8 +551,8 @@ class TestBuildFrame:
         features, stacked = [], []
         for t, w in zip(frame.times.tolist(), frame.consumption.tolist()):
             day_weather = by_date[t // SLOTS_PER_DAY]
-            slot = t % SLOTS_PER_DAY
-            features.append(day_weather + [slot // 12 + slot % 12 * 5 / 60.0])
+            of_day = t % SLOTS_PER_DAY
+            features.append(day_weather + [of_day // 12 + of_day % 12 * 5 / 60.0])
             stacked.append(day_weather + [w])
         assert np.array_equal(feature_matrix(frame), np.array(features))
         assert np.array_equal(correlation_matrix(frame),

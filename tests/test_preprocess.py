@@ -20,8 +20,7 @@ from gridcast.preprocess import (
     save_scalers,
     transform,
 )
-from gridcast.types import slot_index
-from helpers import MILD_DAY, frame_of, raises_exactly
+from helpers import MILD_DAY, frame_of, raises_exactly, slot
 
 
 class TestScaler:
@@ -218,7 +217,7 @@ class TestFeatureMatrix:
         )
 
     def test_features_pair_weather_with_decimal_hour(self):
-        times = [slot_index(dt.date(2023, 3, 1), 19, 15), slot_index(dt.date(2023, 3, 1), 19, 20)]
+        times = [slot(dt.date(2023, 3, 1), 19, 15), slot(dt.date(2023, 3, 1), 19, 20)]
         frame = frame_of(times, [400.0, 410.0])
         features = feature_matrix(frame)
         assert features.shape == (2, 7)
@@ -233,7 +232,7 @@ class TestFeatureMatrix:
         # Three days of four rows each, each day with its own weather, so a
         # row that picked another row's day or hour would differ.
         days = [dt.date(2023, 3, 1), dt.date(2023, 3, 2), dt.date(2023, 3, 5)]
-        times = [slot_index(day, hour, minute) for day in days
+        times = [slot(day, hour, minute) for day in days
                  for hour, minute in ((0, 0), (6, 35), (13, 5), (23, 55))]
         weather = np.random.default_rng(8).uniform(0.0, 40.0, size=(3, 6))
         frame = frame_of(times, np.arange(12.0), weather)
