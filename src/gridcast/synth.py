@@ -23,7 +23,7 @@ slots wide and s(d) = cos(2 pi (day of year - 15) / 365.25) peaks in
 mid-January. The bumps repeat every day, which gives the series its
 strong lag-288 structure, but their height m(d) = max(0.1, 1 + a(d))
 drifts day to day (a is AR(1) with phi 0.93 and marginal std 0.9) and
-their centers jitter by j(d) = round(N(0, 5 slots)) within 12 slots, so
+their centers jitter by j(d) = round(N(0, 5 slots)) clipped to +-12, so
 time-of-day features alone cannot fully predict them while recent
 history can. Each day's maximum temperature is
 T(d) = 21 C + 6.5 C * s(d) + N(0, 3.5 C), and cool days bring rain.
