@@ -112,6 +112,19 @@ def test_solar_toggle_preserves_household_randomness():
     assert np.all(off.generation == 0.0)
 
 
+def test_constant_base_when_everything_off():
+    # Taking every load term off the grid-only house leaves a constant
+    # 450 W base; the residual differs from it only by summation rounding.
+    frame, truth = generate(SynthConfig(days=10, seed=3))
+    assert np.all(truth.selfuse == 0.0)
+    assert np.all(truth.generation == 0.0)
+    assert np.all(frame.consumption > 50.0)  # no row sits on the floor
+    residual = frame.consumption - (
+        truth.diurnal + truth.seasonal + truth.weather_load
+        + truth.spikes + truth.noise)
+    np.testing.assert_allclose(residual, 450.0, rtol=0.0, atol=1e-9)
+
+
 def test_truth_components_reassemble_consumption():
     # A constant 450 W base under the components, floored at 50 W.
     frame, truth = generate(SynthConfig(days=10, seed=3, solar=True))
