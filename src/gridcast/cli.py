@@ -3,7 +3,7 @@
 Subcommands:
 
     synth      generate a synthetic household and write its CSV files
-    ingest     validate + merge meter/weather files into one merged CSV
+    ingest     load the configured meter/weather files and print row counts
     train      train a single roster model and write its artifacts
     evaluate   score one model from a finished run on the test slice
     compare    run the full configured roster end to end
@@ -13,7 +13,7 @@ Every subcommand accepts --config (path to the flat JSON config, or the
 literal word "default"), --seed (replaces both the experiment seed and
 the generator seed), and --out.  The output directory resolves as:
 --out flag, else the GRIDCAST_OUT environment variable, else the
-config's out_dir.
+config's out_dir.  ingest writes no file, so it ignores the directory.
 
 Exit codes: 0 success; 2 for usage problems (bad flags, bad config,
 subcommand inapplicable to the configured source); 1 for runtime
@@ -55,6 +55,7 @@ from gridcast.pipeline import (
 )
 from gridcast.preprocess import load_scalers
 from gridcast.synth import generate, write_csvs
+from gridcast.types import atomic_write
 
 # Not called here: perfbench/probes.py patches these names on this module
 # as well as on gridcast.pipeline, so they must stay bound.
@@ -82,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     specs = [
         ("synth", "generate synthetic household CSVs"),
-        ("ingest", "validate and merge meter/weather files"),
+        ("ingest", "check that the configured files load; write nothing"),
         ("train", "train one model"),
         ("evaluate", "score one model from a finished run"),
         ("compare", "run the full configured roster"),
@@ -152,13 +153,8 @@ def _cmd_ingest(args, config: ExperimentConfig, out: Path) -> int:
               f"{counts['grid_only']} solar-only {counts['solar_only']}")
     print(f"weather days {counts['weather_days']} from "
           f"{counts['weather_files']} files dropped {counts['weather_dropped']}")
-    target = out / "merged.csv"
-    with stage("write"):
-        out.mkdir(parents=True, exist_ok=True)
-        frame.to_csv(target)
     print(f"frame rows {len(frame)} "
           f"dropped-no-weather {counts['dropped_no_weather']}")
-    print(target)
     return 0
 
 
@@ -210,12 +206,10 @@ def _cmd_evaluate(args, config: ExperimentConfig, out: Path) -> int:
         predicted = predict(name, model, frame, align, scalers)
         cell = ReportCell(model=name, subset="test", metrics=compute_metrics(
             predicted, frame.consumption[align.targets]))
-    result_path = out / f"evaluate_{name}.json"
     with stage("write"):
-        out.mkdir(parents=True, exist_ok=True)
-        result_path.write_text(
-            json.dumps(cell.to_dict(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8")
+        with atomic_write(out / f"evaluate_{name}.json") as handle:
+            handle.write(
+                json.dumps(cell.to_dict(), indent=2, sort_keys=True) + "\n")
     write_report_rows([cell], sys.stdout)
     return 0
 

@@ -44,6 +44,7 @@ from pathlib import Path
 from gridcast.errors import InvalidConfigError
 from gridcast.nn.training import TrainConfig
 from gridcast.synth import SynthConfig
+from gridcast.types import atomic_write
 
 MODEL_NAMES = ("naive", "seasonal-naive", "mlp", "lstm")
 SOURCES = ("synth", "files")
@@ -183,7 +184,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 def save_config(config: ExperimentConfig, path: str | Path) -> None:
     text = json.dumps(to_flat_dict(config), indent=2, sort_keys=True)
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    with atomic_write(path) as handle:
+        handle.write(text + "\n")
 
 
 def config_hash(config: ExperimentConfig) -> str:

@@ -27,6 +27,7 @@ from gridcast.types import (
     WEATHER_FIELDS,
     MergedFrame,
     Season,
+    atomic_write,
     season_codes,
 )
 
@@ -231,8 +232,8 @@ class EvalReport:
 
 def write_report_json(report: EvalReport, path) -> None:
     """Reloadable JSON dump; floats keep full round-trip precision."""
-    text = json.dumps(report.to_dict(), indent=2, sort_keys=True)
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    with atomic_write(path) as handle:
+        handle.write(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
 
 
 def read_report_json(path) -> EvalReport:
@@ -262,7 +263,7 @@ def write_report_rows(cells, handle) -> None:
 
 def write_report_csv(report: EvalReport, path) -> None:
     """Plot-ready long table: one row per model x slice x metric."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    with atomic_write(path) as handle:
         handle.write("model,slice,metric,value,n,units\n")
         write_report_rows(report.cells, handle)
 
@@ -273,7 +274,7 @@ def write_correlation_csv(values: np.ndarray, path) -> None:
     n = len(CORRELATION_COLUMNS)
     if values.shape != (n, n):
         raise ShapeError(f"matrix shape {values.shape} does not fit {n} labels")
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    with atomic_write(path) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow([""] + list(CORRELATION_COLUMNS))
         for label, row in zip(CORRELATION_COLUMNS, values):
@@ -283,7 +284,7 @@ def write_correlation_csv(values: np.ndarray, path) -> None:
 
 def write_diurnal_csv(profiles: dict[Season, np.ndarray], path) -> None:
     """Long table of per-season typical days: season, slot, value."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    with atomic_write(path) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["season", "slot", "value"])
         for season in Season:

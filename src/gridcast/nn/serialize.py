@@ -16,12 +16,14 @@ import numpy as np
 
 from gridcast.errors import CorruptArtifactError, ShapeError
 from gridcast.nn.layers import LSTM, Dense, Dropout, Network
+from gridcast.types import atomic_write
 
 
 def save_model(model: Network, path: str | Path, metadata: dict | None = None) -> None:
     payload = {"layers": model.spec(), "metadata": metadata or {}}
     arrays = {f"param_{i}": p for i, p in enumerate(model.params())}
-    np.savez(path, spec=np.array(json.dumps(payload)), **arrays)
+    with atomic_write(path, "wb") as handle:
+        np.savez(handle, spec=np.array(json.dumps(payload)), **arrays)
 
 
 def _build_layer(entry: dict, dtype: np.dtype):

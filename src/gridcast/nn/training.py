@@ -35,6 +35,8 @@ class TrainConfig:
         for name in ("batch_size", "max_epochs", "patience"):
             if getattr(self, name) < 1:
                 raise InvalidConfigError(f"train.{name} must be at least 1")
+        if not math.isfinite(self.learning_rate):
+            raise InvalidConfigError("train.learning_rate must be finite")
         if self.learning_rate <= 0:
             raise InvalidConfigError("train.learning_rate must be positive")
         if not (0.0 < self.validation_fraction < 1.0):

@@ -24,6 +24,10 @@ Artifacts land in one directory per run:
     history/<name>.csv          per-epoch train/validation loss
     predictions/<name>.csv      timestamp, actual, predicted (watts)
 
+Each file is replaced whole (``types.atomic_write``).  The write stage
+removes report.json and the roster files of models outside the roster,
+then writes report.json last, so no other run's roster file is beside it.
+
 Randomness: the experiment seed drives model init and batch shuffling
 through two fixed-purpose child streams, 0 for the mlp and 1 for the
 lstm, so a run is reproducible bit for bit and dropping one model from
@@ -42,7 +46,13 @@ from pathlib import Path
 import numpy as np
 
 from gridcast.baselines import BASELINE_LAGS, persistence_forecast
-from gridcast.config import ExperimentConfig, config_hash, save_config, to_flat_dict
+from gridcast.config import (
+    MODEL_NAMES,
+    ExperimentConfig,
+    config_hash,
+    save_config,
+    to_flat_dict,
+)
 from gridcast.errors import GridcastError, PipelineError, SeriesTooShortError
 from gridcast.evaluate import (
     EvalReport,
@@ -79,7 +89,7 @@ from gridcast.preprocess import (
     transform,
 )
 from gridcast.synth import generate
-from gridcast.types import ROW_CHUNK, MergedFrame, MeterRecords, format_timestamps
+from gridcast.types import MergedFrame, MeterRecords, atomic_write, write_row_files
 
 
 @dataclass(frozen=True)
@@ -300,50 +310,35 @@ def run_experiment(config: ExperimentConfig,
 
     # --- write artifacts ------------------------------------------------------
     with stage("write"):
-        out.mkdir(parents=True, exist_ok=True)
+        # report.json marks a whole run: withdrawn first, written last.
+        (out / "report.json").unlink(missing_ok=True)
+        for name in MODEL_NAMES:
+            if name not in config.models:
+                for path in (f"predictions/{name}.csv", f"history/{name}.csv",
+                             f"models/{name}.npz"):
+                    (out / path).unlink(missing_ok=True)
         save_config(config, out / "config_resolved.json")
         run_info = {"created": dt.datetime.now(dt.timezone.utc).isoformat()}
-        (out / "run.json").write_text(
-            json.dumps(run_info, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8")
-        write_report_json(report, out / "report.json")
+        with atomic_write(out / "run.json") as handle:
+            handle.write(json.dumps(run_info, indent=2, sort_keys=True) + "\n")
         write_report_csv(report, out / "report.csv")
         write_correlation_csv(correlation_matrix(frame), out / "correlation.csv")
         write_diurnal_csv(diurnal_profile(frame), out / "diurnal.csv")
         save_scalers(scalers, out / "scalers.json")
-        predictions_dir = out / "predictions"
-        predictions_dir.mkdir(exist_ok=True)
-        with contextlib.ExitStack() as files:
-            handles = [files.enter_context(open(
-                predictions_dir / f"{name}.csv", "w", encoding="utf-8",
-                newline="")) for name in predictions]
-            for handle in handles:
-                handle.write("timestamp,actual,predicted\n")
-            for start in range(0, len(targets), ROW_CHUNK):
-                rows = slice(start, start + ROW_CHUNK)
-                # Every file shares its timestamp and actual columns.
-                prefixes = list(map("{},{!r},".format,
-                                    format_timestamps(target_times[rows]),
-                                    actual[rows].tolist()))
-                for handle, pred in zip(handles, predictions.values()):
-                    handle.writelines(map("{}{!r}\n".format, prefixes,
-                                          pred[rows].tolist()))
-        if trained:
-            models_dir = out / "models"
-            models_dir.mkdir(exist_ok=True)
-            for name, model in trained.items():
-                save_model(model, models_dir / f"{name}.npz",
-                           metadata={"model": name,
-                                     "config_hash": metadata["config_hash"]})
-        if histories:
-            history_dir = out / "history"
-            history_dir.mkdir(exist_ok=True)
-            for name, history in histories.items():
-                with open(history_dir / f"{name}.csv", "w",
-                          encoding="utf-8", newline="") as handle:
-                    handle.write("epoch,train_loss,val_loss\n")
-                    for i, (tl, vl) in enumerate(
-                            zip(history.train_loss, history.val_loss), 1):
-                        handle.write(f"{i},{float(tl)!r},{float(vl)!r}\n")
+        write_row_files(
+            {out / "predictions" / f"{name}.csv": pred
+             for name, pred in predictions.items()},
+            "timestamp,actual,predicted", target_times, shared=[actual])
+        for name, model in trained.items():
+            save_model(model, out / "models" / f"{name}.npz",
+                       metadata={"model": name,
+                                 "config_hash": metadata["config_hash"]})
+        for name, history in histories.items():
+            with atomic_write(out / "history" / f"{name}.csv") as handle:
+                handle.write("epoch,train_loss,val_loss\n")
+                for i, (tl, vl) in enumerate(
+                        zip(history.train_loss, history.val_loss), 1):
+                    handle.write(f"{i},{float(tl)!r},{float(vl)!r}\n")
+        write_report_json(report, out / "report.json")
     return ExperimentResult(report=report, out_dir=out,
                             target_indices=targets, predictions=predictions)

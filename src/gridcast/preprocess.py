@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from gridcast.errors import CorruptArtifactError, SeriesTooShortError, ShapeError
-from gridcast.types import WEATHER_FIELDS, MergedFrame, time_decimal
+from gridcast.types import WEATHER_FIELDS, MergedFrame, atomic_write, time_decimal
 
 # Model feature columns, in order: six weather fields then decimal hour.
 FEATURE_COLUMNS = WEATHER_FIELDS + ("time_decimal",)
@@ -27,7 +27,6 @@ class ScalerParams:
 
     x_min: np.ndarray
     x_max: np.ndarray
-    columns: tuple[str, ...] | None = None
 
     @property
     def n_columns(self) -> int:
@@ -54,16 +53,12 @@ def _as_columns(x: np.ndarray, n_columns: int | None = None) -> np.ndarray:
     return x
 
 
-def fit_scaler(train: np.ndarray, columns: tuple[str, ...] | None = None) -> ScalerParams:
+def fit_scaler(train: np.ndarray) -> ScalerParams:
     """Capture per-column min and max from training rows only."""
     data = _as_columns(train)
     if data.size == 0:
         raise ShapeError("cannot fit a scaler on zero rows")
-    return ScalerParams(
-        x_min=data.min(axis=0),
-        x_max=data.max(axis=0),
-        columns=columns,
-    )
+    return ScalerParams(x_min=data.min(axis=0), x_max=data.max(axis=0))
 
 
 def transform(x: np.ndarray, params: ScalerParams) -> np.ndarray:
@@ -91,7 +86,6 @@ def inverse_transform(y: np.ndarray, params: ScalerParams) -> np.ndarray:
 
 def scaler_to_dict(params: ScalerParams) -> dict:
     return {
-        "columns": list(params.columns) if params.columns else None,
         "x_min": [float(v) for v in params.x_min],
         "x_max": [float(v) for v in params.x_max],
     }
@@ -101,7 +95,6 @@ def scaler_from_dict(payload: dict) -> ScalerParams:
     return ScalerParams(
         x_min=np.asarray(payload["x_min"], dtype=np.float64),
         x_max=np.asarray(payload["x_max"], dtype=np.float64),
-        columns=tuple(payload["columns"]) if payload.get("columns") else None,
     )
 
 
@@ -111,8 +104,8 @@ def save_scalers(scalers: dict[str, ScalerParams], path: str | Path) -> None:
     Floats are written by repr, so they load back bit for bit.
     """
     payload = {name: scaler_to_dict(params) for name, params in scalers.items()}
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                          encoding="utf-8")
+    with atomic_write(path) as handle:
+        handle.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def load_scalers(path: str | Path) -> dict[str, ScalerParams]:

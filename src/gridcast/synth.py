@@ -36,7 +36,6 @@ min(0.85, 0.08 + 0.10/mm * rainfall), the meter records net grid draw
 """
 from __future__ import annotations
 
-import contextlib
 import datetime as dt
 import math
 from dataclasses import dataclass
@@ -46,12 +45,12 @@ import numpy as np
 
 from gridcast.errors import InvalidConfigError
 from gridcast.types import (
-    ROW_CHUNK,
     SLOTS_PER_DAY,
     WEATHER_CSV_COLUMNS,
     MergedFrame,
     Weather,
-    format_timestamps,
+    atomic_write,
+    write_row_files,
 )
 
 FIRST_DAY = dt.date(2023, 3, 1)  # the paper's data starts here
@@ -235,28 +234,13 @@ def write_csvs(frame: MergedFrame, truth: SynthTruth, out_dir) -> WrittenFiles:
     reproduces the frame exactly.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    weather_dir = out_dir / "weather"
-    weather_dir.mkdir(exist_ok=True)
-
     solar_household = bool(np.any(truth.generation != 0.0))
     if solar_household:
-        streams = {"grid.csv": truth.grid, "solar.csv": truth.generation}
+        streams = {out_dir / "grid.csv": truth.grid,
+                   out_dir / "solar.csv": truth.generation}
     else:
-        streams = {"meter.csv": truth.total}
-    meter_paths = [out_dir / name for name in streams]
-    with contextlib.ExitStack() as files:
-        handles = [files.enter_context(open(path, "w", encoding="utf-8",
-                                            newline=""))
-                   for path in meter_paths]
-        for handle in handles:
-            handle.write("timestamp,watts\n")
-        for start in range(0, len(frame.times), ROW_CHUNK):
-            rows = slice(start, start + ROW_CHUNK)
-            stamps = format_timestamps(frame.times[rows])
-            for handle, series in zip(handles, streams.values()):
-                handle.writelines(map("{},{!r}\n".format, stamps,
-                                      series[rows].tolist()))
+        streams = {out_dir / "meter.csv": truth.total}
+    write_row_files(streams, "timestamp,watts", frame.times)
 
     header = "date," + ",".join(WEATHER_CSV_COLUMNS)
     by_month: dict[str, list[str]] = {}
@@ -267,8 +251,8 @@ def write_csvs(frame: MergedFrame, truth: SynthTruth, out_dir) -> WrittenFiles:
         by_month.setdefault(date.strftime("%Y%m"), []).append(line)
     weather_paths = []
     for label in sorted(by_month):
-        path = weather_dir / f"{label}.csv"
-        path.write_text(header + "\n" + "\n".join(by_month[label]) + "\n",
-                        encoding="utf-8")
+        path = out_dir / "weather" / f"{label}.csv"
+        with atomic_write(path) as handle:
+            handle.write(header + "\n" + "\n".join(by_month[label]) + "\n")
         weather_paths.append(path)
-    return WrittenFiles(meter=tuple(meter_paths), weather=tuple(weather_paths))
+    return WrittenFiles(meter=tuple(streams), weather=tuple(weather_paths))

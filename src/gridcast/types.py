@@ -15,7 +15,9 @@ local time; no timezone or DST arithmetic is applied anywhere.
 """
 from __future__ import annotations
 
+import contextlib
 import datetime as dt
+import os
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -28,13 +30,13 @@ from gridcast.errors import ShapeError
 SLOTS_PER_DAY = 288
 TIMESTAMP_FORMAT = "%Y-%m-%d %H:%M"
 
-# Row files (meter and weather CSVs, merged.csv, predictions) are read and
-# written this many rows at a time, so no row's text outlives its block:
-# as Python strings a row costs hundreds of bytes, as numbers sixteen.
+# Row files (meter and weather CSVs, predictions) are read and written
+# this many rows at a time, so no row's text outlives its block: as
+# Python strings a row costs hundreds of bytes, as numbers sixteen.
 ROW_CHUNK = 4096
 
 # Canonical weather field names, in the column order used everywhere:
-# merged CSV files, feature matrices, and correlation tables.
+# weather CSV files, feature matrices, and correlation tables.
 WEATHER_FIELDS = ("max_temp", "rainfall", "temp_9am", "rh_9am", "temp_3pm", "rh_3pm")
 
 # CSV headers carry units; in-memory names above do not.
@@ -46,8 +48,6 @@ WEATHER_CSV_COLUMNS = (
     "temp_3pm_c",
     "rh_3pm_pct",
 )
-
-MERGED_CSV_COLUMNS = ("timestamp", "consumption_w") + WEATHER_CSV_COLUMNS + ("time_decimal",)
 
 # Plausible range of each weather field, in WEATHER_FIELDS order:
 # temperatures in [-20, 55] C, rainfall at least 0 mm, humidity in [0, 100] %.
@@ -320,23 +320,44 @@ class MergedFrame:
                 f"weather for {dt.date.fromordinal(int(incomplete[0]))} still "
                 f"has missing fields; interpolate first")
 
-    def to_csv(self, path: str | Path) -> None:
-        """Write the frame with full float precision (repr round-trips),
-        ROW_CHUNK rows at a time: each row with its day's weather and its
-        decimal hour.
 
-        Lines end in CRLF, as the csv module's default dialect writes them;
-        this is the documented format of merged.csv, the only artifact
-        whose lines do not end in LF. A csv reader takes either; a reader
-        that splits lines on LF must strip the CR from the last column.
-        """
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(MERGED_CSV_COLUMNS) + "\r\n")
-            for start in range(0, len(self.times), ROW_CHUNK):
-                rows = slice(start, start + ROW_CHUNK)
-                times = self.times[rows]
-                columns = [format_timestamps(times)]
-                for values in (self.consumption[rows], *self.row_weather(rows).T,
-                               time_decimal(times)):
-                    columns.append(list(map(repr, values.tolist())))
-                fh.writelines(",".join(row) + "\r\n" for row in zip(*columns))
+@contextlib.contextmanager
+def atomic_write(path: str | Path, mode: str = "w"):
+    """Every file gridcast writes goes through here ("w": UTF-8 text with
+    LF lines, "wb": bytes), its directory made first. The handle writes a
+    temporary file beside ``path`` that replaces it when the block ends;
+    if the block raises, the temporary file is removed and ``path`` keeps
+    what it held."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    text = "b" not in mode
+    handle = open(temp, mode, encoding="utf-8" if text else None,
+                  newline="" if text else None)
+    try:
+        with handle:
+            yield handle
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+
+
+def write_row_files(files: dict[Path, np.ndarray], header: str,
+                    times: np.ndarray, shared: Sequence[np.ndarray] = ()) -> None:
+    """Write one CSV per ``files`` entry (a path and its own column),
+    ROW_CHUNK rows at a time: row i is the timestamp of ``times[i]``, then
+    the repr of row i of each ``shared`` column and of the own column."""
+    with contextlib.ExitStack() as stack:
+        handles = [stack.enter_context(atomic_write(path)) for path in files]
+        for handle in handles:
+            handle.write(header + "\n")
+        for start in range(0, len(times), ROW_CHUNK):
+            rows = slice(start, start + ROW_CHUNK)
+            prefixes = format_timestamps(times[rows])
+            for column in shared:
+                prefixes = list(map("{},{!r}".format, prefixes,
+                                    column[rows].tolist()))
+            for handle, column in zip(handles, files.values()):
+                handle.writelines(map("{},{!r}\n".format, prefixes,
+                                      column[rows].tolist()))

@@ -1,6 +1,6 @@
 """Tests for the command-line interface."""
-import csv
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -13,6 +13,7 @@ from gridcast.config import load_config
 from gridcast.errors import SeriesTooShortError
 from gridcast.evaluate import read_report_json
 from gridcast.ingest import MeterCsvSpec, MeterDrops, parse_meter_csv
+from gridcast.pipeline import load_frame
 from gridcast.synth import generate
 from helpers import metrics_of
 
@@ -63,12 +64,6 @@ def test_out_flag_beats_env_beats_config(tmp_path, monkeypatch):
     assert (tmp_path / "flag" / "meter.csv").is_file()
 
 
-def merged_rows(path):
-    """The data rows of a merged.csv, as the csv module reads them."""
-    with open(path, newline="") as handle:
-        return list(csv.reader(handle))[1:]
-
-
 def test_ingest_round_trips_merged_frame(tmp_path, capsys):
     synth_config = write_config(tmp_path, "synth.json",
                                 **small_flat(tmp_path, **{"synth.days": 4}))
@@ -82,15 +77,17 @@ def test_ingest_round_trips_merged_frame(tmp_path, capsys):
            "files.weather_dir": str(tmp_path / "data" / "weather"),
            "out_dir": str(tmp_path / "merged")})
     assert main(["ingest", "--config", str(files_config)]) == 0
-    stdout = capsys.readouterr().out
-    assert "meter rows 1152 dropped 0" in stdout
-    assert "frame rows 1152" in stdout
-    merged = tmp_path / "merged" / "merged.csv"
-    assert len(merged_rows(merged)) == 4 * 288
+    assert capsys.readouterr().out.splitlines() == [
+        "meter rows 1152 dropped 0", "weather days 4 from 1 files dropped 0",
+        "frame rows 1152 dropped-no-weather 0"]
+    assert not (tmp_path / "merged").exists()  # ingest writes nothing
     # The frame read back from synth's files is the frame synth generated.
-    expected = tmp_path / "expected.csv"
-    generate(load_config(synth_config).synth)[0].to_csv(expected)
-    assert merged.read_bytes() == expected.read_bytes()
+    frame, _ = load_frame(load_config(files_config))
+    expected, _ = generate(load_config(synth_config).synth)
+    assert np.array_equal(frame.times, expected.times)
+    assert np.array_equal(frame.consumption, expected.consumption)
+    assert np.array_equal(frame.weather.dates, expected.weather.dates)
+    assert np.array_equal(frame.weather.values, expected.weather.values)
 
 
 def _three_day_household(tmp_path):
@@ -118,10 +115,10 @@ def test_ingest_demotes_a_non_finite_weather_cell(tmp_path, capsys):
     capsys.readouterr()
     assert main(["ingest", "--config", str(files_config)]) == 0
     assert "weather days 3 from 1 files dropped 0" in capsys.readouterr().out
-    rows = merged_rows(tmp_path / "merged" / "merged.csv")
+    frame, _ = load_frame(load_config(files_config))
     filled = np.interp(1.0, [0.0, 2.0], [rain[0], rain[2]])
-    # Column 3 is rainfall_mm, after timestamp, consumption_w and max_temp_c.
-    assert [float(row[3]) for row in rows[::288]] == [rain[0], filled, rain[2]]
+    # Column 1 is rainfall, after max_temp.
+    assert frame.weather.values[:, 1].tolist() == [rain[0], filled, rain[2]]
 
 
 def test_ingest_ignores_a_weather_file_for_no_real_month(tmp_path, capsys):
@@ -209,6 +206,8 @@ def test_bad_config_file_is_a_usage_error(tmp_path):
     ("seed", "x", []), ("seed", -3, []),
     ("window_length", 2.5, []), ("train.batch_size", 2.5, []),
     ("synth.solar", "no", []), ("seed", None, ["--seed", "-1"]),
+    ("train.learning_rate", float("nan"), []),
+    ("train.learning_rate", float("inf"), []),
 ])
 def test_bad_value_exits_2_naming_its_key(tmp_path, capsys, key, value, argv):
     flat = {} if value is None else {key: value}
@@ -360,6 +359,100 @@ def test_evaluate_missing_artifacts(tmp_path):
     assert main(["evaluate", "--model", "lstm", "--config", str(config)]) == 2
 
 
+def _files_under(root):
+    return sorted(p.relative_to(root).as_posix() for p in root.rglob("*")
+                  if p.is_file())
+
+
+def test_a_reused_run_directory_holds_only_the_last_run(tmp_path, capsys):
+    # A naive-only compare over a naive + lstm run once left the lstm's
+    # files beside the new report.json, and evaluate --model lstm scored
+    # the old network under the new scalers and exited 0.
+    run_dir = tmp_path / "X"
+    first = write_config(tmp_path, "first.json", **small_flat(
+        tmp_path, **{"synth.days": 12, "models": ["naive", "lstm"]}))
+    assert main(["compare", "--config", str(first),
+                 "--out", str(run_dir)]) == 0
+    assert "models/lstm.npz" in _files_under(run_dir)
+    second = write_config(tmp_path, "second.json", **small_flat(
+        tmp_path, **{"synth.days": 12, "models": ["naive"]}))
+    assert main(["compare", "--config", str(second), "--seed", "5",
+                 "--out", str(run_dir)]) == 0
+    assert _files_under(run_dir) == [
+        "config_resolved.json", "correlation.csv", "diurnal.csv",
+        "predictions/naive.csv", "report.csv", "report.json", "run.json",
+        "scalers.json"]
+    capsys.readouterr()
+    assert main(["evaluate", "--model", "lstm", "--config", str(second),
+                 "--seed", "5", "--run-dir", str(run_dir),
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("gridcast: missing artifact: ")
+
+
+def test_a_failed_write_stage_leaves_no_report_and_no_temporary_file(
+        tmp_path, capsys, monkeypatch):
+    # Each file is put in place by one os.replace, and report.json by the
+    # last. Make each replace in turn fail, over a finished run.
+    config = write_config(tmp_path, **small_flat(
+        tmp_path, models=["naive", "mlp"]))
+    done = tmp_path / "done"
+    real_replace = os.replace
+    replaced = []
+
+    def counting(src, dst):
+        replaced.append(dst)
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", counting)
+    assert main(["compare", "--config", str(config), "--out", str(done)]) == 0
+    assert replaced[-1] == done / "report.json"
+    written = _files_under(done)
+    assert len(replaced) == len(written) == 11
+    for fail_at in range(len(replaced)):
+        out = tmp_path / f"fail-{fail_at}"
+        shutil.copytree(done, out)
+        calls = []
+
+        def failing(src, dst):
+            calls.append(dst)
+            if len(calls) > fail_at:
+                raise OSError(f"no space left writing {dst}")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", failing)
+        capsys.readouterr()
+        assert main(["compare", "--config", str(config),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("gridcast: [write] no space left writing ")
+        left = _files_under(out)
+        assert "report.json" not in left
+        # No temporary file is left, and no file that the run names.
+        assert set(left) <= set(written), left
+
+
+@pytest.mark.parametrize("model", ["mlp", "lstm"])
+def test_train_writes_the_bytes_compare_writes(tmp_path, compared_roster,
+                                               model):
+    # README, Determinism: one model's run writes the same files as the
+    # whole roster's, and the same weights under another config_hash.
+    config, roster = compared_roster
+    one = tmp_path / "one"
+    assert main(["train", "--model", model, "--config", str(config),
+                 "--out", str(one)]) == 0
+    for name in (f"predictions/{model}.csv", f"history/{model}.csv",
+                 "scalers.json", "correlation.csv", "diurnal.csv"):
+        assert (one / name).read_bytes() == (roster / name).read_bytes(), name
+    with np.load(one / "models" / f"{model}.npz") as alone, \
+            np.load(roster / "models" / f"{model}.npz") as together:
+        names = [k for k in together.files if k.startswith("param_")]
+        assert names and sorted(alone.files) == sorted(together.files)
+        for key in names:
+            assert np.array_equal(alone[key], together[key])
+            assert alone[key].dtype == together[key].dtype
+
+
 def test_stages_communicate_through_files_across_processes(tmp_path):
     """synth -> ingest -> train run as separate OS processes."""
     data_dir, out_dir = tmp_path / "data", tmp_path / "out"
@@ -381,7 +474,7 @@ def test_stages_communicate_through_files_across_processes(tmp_path):
     assert synth.returncode == 0, synth.stderr
     ingest = run("ingest", "--config", str(files_config))
     assert ingest.returncode == 0, ingest.stderr
-    assert (out_dir / "merged.csv").is_file()
+    assert not out_dir.exists()  # ingest writes nothing
     train = run("train", "--model", "naive", "--config", str(files_config))
     assert train.returncode == 0, train.stderr
     assert "naive,test,rmse," in train.stdout
@@ -499,8 +592,9 @@ def _synth_under_a_file(tmp_path, monkeypatch, stored):
     return ["synth", "--config", str(config), "--out", _under_a_file(tmp_path)]
 
 
-def _ingest_under_a_file(tmp_path, monkeypatch, stored):
-    return ["ingest", "--config", str(_three_day_household(tmp_path)),
+def _compare_under_a_file(tmp_path, monkeypatch, stored):
+    config = write_config(tmp_path, **small_flat(tmp_path, models=["naive"]))
+    return ["compare", "--config", str(config),
             "--out", _under_a_file(tmp_path)]
 
 
@@ -528,11 +622,11 @@ def _report_onto_a_directory(tmp_path, monkeypatch, stored):
 @pytest.mark.parametrize("stage, make_argv", [
     ("generate", _failing_generate),
     ("write", _synth_under_a_file),
-    ("write", _ingest_under_a_file),
+    ("write", _compare_under_a_file),
     ("write", _evaluate_under_a_file),
     ("load", _report_from_garbage),
     ("write", _report_onto_a_directory),
-], ids=["synth-generate", "synth-write", "ingest-write", "evaluate-write",
+], ids=["synth-generate", "synth-write", "compare-write", "evaluate-write",
         "report-load", "report-write"])
 def test_every_runtime_failure_names_its_stage(
         tmp_path, monkeypatch, capsys, stored_lstm_run, stage, make_argv):

@@ -4,6 +4,7 @@ Expected values are computed by hand or by independent brute-force
 enumeration inside the tests, never by the code under test.
 """
 import datetime as dt
+import json
 
 import numpy as np
 import pytest
@@ -97,17 +98,24 @@ class TestScaler:
         assert out[1, 1, 0] == pytest.approx(2.0)
 
     def test_json_round_trip(self, tmp_path):
-        params = fit_scaler(np.array([[1.1, -2.2], [3.3, 4.4]]), columns=("a", "b"))
+        params = fit_scaler(np.array([[1.1, -2.2], [3.3, 4.4]]))
         target = fit_scaler(np.array([0.1, 0.7, 1e-17]))
         path = tmp_path / "scalers.json"
         save_scalers({"features": params, "target": target}, path)
         loaded = load_scalers(path)
         assert np.array_equal(loaded["features"].x_min, params.x_min)
         assert np.array_equal(loaded["features"].x_max, params.x_max)
-        assert loaded["features"].columns == ("a", "b")
         assert np.array_equal(loaded["target"].x_min, target.x_min)
         assert np.array_equal(loaded["target"].x_max, target.x_max)
-        assert loaded["target"].columns is None
+        # A file from before the "columns" key went still loads.
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        assert sorted(payload["target"]) == ["x_max", "x_min"]
+        for entry in payload.values():
+            entry["columns"] = None
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        old = load_scalers(path)
+        assert np.array_equal(old["features"].x_max, params.x_max)
+        assert np.array_equal(old["target"].x_min, target.x_min)
 
 
 class TestChronologicalSplit:

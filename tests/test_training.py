@@ -165,6 +165,10 @@ class TestTrain:
         with raises_exactly(InvalidConfigError,
                             "train.learning_rate must be positive"):
             TrainConfig(learning_rate=-1.0)
+        for value in (float("nan"), float("inf")):
+            with raises_exactly(InvalidConfigError,
+                                "train.learning_rate must be finite"):
+                TrainConfig(learning_rate=value)
         with raises_exactly(InvalidConfigError,
                             "train.patience must be at least 1"):
             TrainConfig(patience=0)

@@ -1,16 +1,17 @@
 """Tests for the core vocabulary: slot indices, seasons, meter records,
-weather, frames."""
-import csv
+weather, frames, and the one way gridcast writes a file."""
+import ast
 import datetime as dt
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gridcast
 from gridcast.errors import ShapeError
 from gridcast.types import (
     BAD_TIME,
-    MERGED_CSV_COLUMNS,
     ROW_CHUNK,
     SEASONS,
     SLOTS_PER_DAY,
@@ -19,13 +20,17 @@ from gridcast.types import (
     MeterRecords,
     Season,
     Weather,
+    atomic_write,
     format_timestamps,
     parse_timestamps,
     season_codes,
     time_decimal,
     weather_plausible,
+    write_row_files,
 )
 from helpers import MILD_DAY, frame_of, slot
+
+SRC = Path(gridcast.__file__).parent
 
 
 def tp(y, m, d, hh, mm):
@@ -158,13 +163,6 @@ def _small_frame(n=6):
     return frame_of(times, [400.0 + i for i in range(n)])
 
 
-def _merged_rows(path):
-    """merged.csv's header and rows as the csv module reads them."""
-    with open(path, newline="") as handle:
-        header, *rows = csv.reader(handle)
-    return header, rows
-
-
 class TestMergedFrame:
     def test_validate_accepts_well_formed_frame(self):
         _small_frame().validate()
@@ -209,55 +207,140 @@ class TestMergedFrame:
         assert frame.row_weather().tolist() == [values[0], values[0], values[2]]
         assert frame.row_weather(slice(1, 3)).tolist() == [values[0], values[2]]
 
-    def test_csv_round_trip_is_exact(self, tmp_path):
-        frame = _small_frame(8)
-        # Non-trivial floats to exercise repr round-tripping.
-        frame.consumption[:] = np.linspace(400.123456789, 5000.987654321, 8)
-        path = tmp_path / "merged.csv"
-        frame.to_csv(path)
-        header, rows = _merged_rows(path)
-        assert tuple(header) == MERGED_CSV_COLUMNS
-        assert np.array_equal(parse_timestamps([r[0] for r in rows]), frame.times)
-        values = np.array([[float(v) for v in r[1:]] for r in rows])
-        assert np.array_equal(values[:, 0], frame.consumption)
-        assert np.array_equal(values[:, 1:7], frame.row_weather())
-        assert np.array_equal(values[:, 7], time_decimal(frame.times))
 
-    def test_csv_header(self, tmp_path):
-        frame = _small_frame()
-        path = tmp_path / "merged.csv"
-        frame.to_csv(path)
-        header = path.read_text().splitlines()[0]
-        assert header == ",".join(MERGED_CSV_COLUMNS)
-        assert header.split(",")[:2] == ["timestamp", "consumption_w"]
+class TestWriters:
+    def test_atomic_write_replaces_the_file_whole(self, tmp_path):
+        path = tmp_path / "a.txt"
+        path.write_text("old\n", encoding="utf-8")
+        with atomic_write(path) as handle:
+            handle.write("new\n")
+            assert path.read_text() == "old\n"
+        assert path.read_bytes() == b"new\n"
+        with atomic_write(tmp_path / "b.bin", "wb") as handle:
+            handle.write(b"\x00\r\n")
+        assert (tmp_path / "b.bin").read_bytes() == b"\x00\r\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt", "b.bin"]
 
-    def test_csv_is_written_in_row_chunks(self, tmp_path):
-        # The whole frame's text at once took 5.7 MiB for 8,640 rows and
+    def test_atomic_write_failure_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "a.txt"
+        path.write_text("old\n", encoding="utf-8")
+        with pytest.raises(OSError, match="disk full"):
+            with atomic_write(path) as handle:
+                handle.write("half")
+                raise OSError("disk full")
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["a.txt"]
+
+    def test_row_files_share_their_prefix_columns(self, tmp_path):
+        times = tp(2023, 3, 1, 0, 0) + np.arange(3)
+        shared = np.array([1.5, 2.0, 1e-17])
+        write_row_files({tmp_path / "a.csv": np.array([0.1, 2.0, -3.0]),
+                         tmp_path / "b.csv": np.array([4.0, 5.0, 6.25])},
+                        "timestamp,actual,predicted", times, shared=[shared])
+        assert (tmp_path / "b.csv").read_text().splitlines() == [
+            "timestamp,actual,predicted", "2023-03-01 00:00,1.5,4.0",
+            "2023-03-01 00:05,2.0,5.0", "2023-03-01 00:10,1e-17,6.25"]
+
+    def test_row_files_are_written_in_row_chunks(self, tmp_path):
+        # A whole file's text at once took 5.7 MiB for 8,640 rows and
         # 45.3 MiB for 69,120; one ROW_CHUNK block at a time, the peak
         # does not grow with the rows.
         def traced_write(n):
-            frame = _small_frame(n)
-            frame.consumption[:] = np.linspace(0.1, 5000.3, n)
-            path = tmp_path / f"merged-{n}.csv"
+            times = tp(2023, 3, 1, 0, 0) + np.arange(n)
+            shared = np.linspace(0.1, 5000.3, n)
+            own = {tmp_path / f"{name}-{n}.csv": np.linspace(lo, 7.7, n)
+                   for name, lo in (("a", -1.3), ("b", 0.9))}
             tracemalloc.start()
             try:
-                frame.to_csv(path)
+                write_row_files(own, "timestamp,actual,predicted", times,
+                                shared=[shared])
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            return frame, path, peak
+            return times, shared, own, peak
 
-        frame, path, small = traced_write(2 * ROW_CHUNK + 5)
-        _, _, large = traced_write(16 * ROW_CHUNK)
+        times, shared, own, small = traced_write(2 * ROW_CHUNK + 5)
+        *_, large = traced_write(16 * ROW_CHUNK)
         assert large <= 1.5 * small
-        # Rows at the block edges are written as one whole-frame pass would.
-        rows = zip(format_timestamps(frame.times), frame.consumption.tolist(),
-                   frame.row_weather().tolist(),
-                   time_decimal(frame.times).tolist())
-        expected = [",".join([t, repr(c), *map(repr, w), repr(d)])
-                    for t, c, w, d in rows]
-        assert (path.read_bytes().decode().split("\r\n")
-                == [",".join(MERGED_CSV_COLUMNS)] + expected + [""])
+        # Rows at the block edges are written as one whole-array pass would.
+        for path, column in own.items():
+            expected = [f"{t},{a!r},{p!r}" for t, a, p in zip(
+                format_timestamps(times), shared.tolist(), column.tolist())]
+            assert (path.read_bytes().decode().split("\n")
+                    == ["timestamp,actual,predicted"] + expected + [""])
+
+
+def _write_calls_outside_atomic_write(tree) -> list[str]:
+    """Calls in a module's tree that write a file without atomic_write:
+    a write-mode open, write_text, write_bytes, or a numpy save whose
+    first argument is not the handle of an enclosing atomic_write."""
+    handles, allowed = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == "atomic_write":
+            allowed |= {id(n) for n in ast.walk(node)}
+        if isinstance(node, ast.With):
+            for item in node.items:
+                call = item.context_expr
+                if (isinstance(call, ast.Call)
+                        and getattr(call.func, "id", None) == "atomic_write"
+                        and isinstance(item.optional_vars, ast.Name)):
+                    handles |= {(id(n), item.optional_vars.id)
+                                for stmt in node.body for n in ast.walk(stmt)}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or id(node) in allowed:
+            continue
+        func = node.func
+        name = getattr(func, "id", None) or getattr(func, "attr", None)
+        if name == "open":
+            modes = node.args[1:2] + [k.value for k in node.keywords
+                                      if k.arg == "mode"]
+            # A mode that is not a literal may be a write mode.
+            writes = any(not isinstance(getattr(m, "value", None), str)
+                         or set(m.value) & set("wax+") for m in modes)
+        elif name in ("save", "savez", "savez_compressed", "tofile"):
+            first = node.args[0] if node.args else None
+            writes = not (isinstance(first, ast.Name)
+                          and (id(node), first.id) in handles)
+        else:
+            writes = name in ("write_text", "write_bytes")
+        if writes:
+            found.append((node.lineno, name))
+    return [f"{name} at line {line}" for line, name in sorted(found)]
+
+
+def test_every_file_write_in_src_goes_through_atomic_write():
+    # A file written in place is half-written when the write fails, and
+    # a run directory holding one no longer describes one run.
+    outside = {}
+    for path in sorted(SRC.rglob("*.py")):
+        calls = _write_calls_outside_atomic_write(
+            ast.parse(path.read_text(encoding="utf-8")))
+        if calls:
+            outside[str(path.relative_to(SRC))] = calls
+    assert outside == {}
+
+
+def test_the_write_scan_catches_each_kind_of_write():
+    source = """
+def f(path, arrays):
+    open(path, "w").write("x")
+    open(path, mode="ab")
+    open(path, some_mode)
+    path.write_text("x")
+    path.write_bytes(b"x")
+    np.savez(path, **arrays)
+    with atomic_write(path, "wb") as handle:
+        np.savez(handle, **arrays)
+        np.savez(path, **arrays)
+    with open(path) as handle:
+        np.savez(handle, **arrays)
+    open(path, newline="")
+"""
+    assert _write_calls_outside_atomic_write(ast.parse(source)) == [
+        f"{name} at line {line}" for name, line in (
+            ("open", 3), ("open", 4), ("open", 5), ("write_text", 6),
+            ("write_bytes", 7), ("savez", 8), ("savez", 11), ("savez", 13))]
 
 
 def _boundary_slots():
