@@ -133,9 +133,9 @@ def _cmd_synth(args, config: ExperimentConfig, out: Path) -> int:
     with stage("generate"):
         frame, truth = generate(config.synth)
     with stage("write"):
-        files = write_csvs(frame, truth, out)
+        paths = write_csvs(frame, truth, out)
     print(f"rows {len(frame.times)}")
-    for path in list(files.meter) + list(files.weather):
+    for path in paths:
         print(path)
     return 0
 
@@ -152,7 +152,8 @@ def _cmd_ingest(args, config: ExperimentConfig, out: Path) -> int:
         print(f"merged rows {counts['merged_rows']} grid-only "
               f"{counts['grid_only']} solar-only {counts['solar_only']}")
     print(f"weather days {counts['weather_days']} from "
-          f"{counts['weather_files']} files dropped {counts['weather_dropped']}")
+          f"{counts['weather_files']} files dropped {counts['weather_dropped']} "
+          f"invalid-cells {counts['weather_invalid_cells']}")
     print(f"frame rows {len(frame)} "
           f"dropped-no-weather {counts['dropped_no_weather']}")
     return 0
@@ -164,14 +165,12 @@ def _print_report_csv(path: Path) -> None:
 
 def _cmd_train(args, config: ExperimentConfig, out: Path) -> int:
     config = dataclasses.replace(config, models=(args.model,))
-    result = run_experiment(config, out)
-    _print_report_csv(result.out_dir / "report.csv")
+    _print_report_csv(run_experiment(config, out) / "report.csv")
     return 0
 
 
 def _cmd_compare(args, config: ExperimentConfig, out: Path) -> int:
-    result = run_experiment(config, out)
-    _print_report_csv(result.out_dir / "report.csv")
+    _print_report_csv(run_experiment(config, out) / "report.csv")
     return 0
 
 

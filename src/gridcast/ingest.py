@@ -54,7 +54,7 @@ from gridcast.types import (
 
 STREAM_KINDS = ("grid", "solar", "plain")
 
-_MONTH_FILE = re.compile(r"^\d{4}(0[1-9]|1[0-2])\.csv$")
+MONTH_FILE = re.compile(r"^\d{4}(0[1-9]|1[0-2])\.csv$")
 # Date ordinals of weather rows that are dropped; real ordinals are >= 1.
 _BAD_DATE = -1
 _MISFILED = -2
@@ -250,7 +250,7 @@ def load_weather_dir(directory) -> tuple[Weather, WeatherDrops, int]:
     """
     directory = Path(directory)
     names = sorted(p.name for p in directory.iterdir()
-                   if _MONTH_FILE.match(p.name))
+                   if MONTH_FILE.match(p.name))
     if not names:
         raise DataError(f"{directory}: no YYYYMM.csv weather files")
     dates, values, counts = zip(*(_parse_weather_csv(directory / name)

@@ -30,9 +30,11 @@ from gridcast.preprocess import (
     transform,
 )
 
-# Both networks train and predict in float32: at these shapes its GEMMs
-# and tanh run 2-5x faster than float64's, and every acceptance
-# threshold holds. Data, scalers and inverse-scaled watts stay float64.
+# Both networks train and predict in float32, and their model files hold
+# float32: at these shapes its GEMMs and tanh run 2-5x faster than
+# float64's, and every acceptance threshold holds. The pipeline builds
+# the lstm's windows in this dtype; data, scalers and inverse-scaled
+# watts stay float64.
 COMPUTE_DTYPE = np.float32
 
 

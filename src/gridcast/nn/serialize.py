@@ -4,7 +4,7 @@ Format: a .npz archive holding a JSON layer specification under "spec"
 and the parameter arrays under "param_0", "param_1", ... in network
 order. Arrays round-trip bit-exactly in their own dtype, and a loaded
 network is rebuilt in that dtype, so it predicts exactly as the saved
-one did (float32 for the production models, float64 for older files).
+one did. The production models are float32 (models.COMPUTE_DTYPE).
 """
 from __future__ import annotations
 

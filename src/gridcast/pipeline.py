@@ -74,7 +74,13 @@ from gridcast.ingest import (
     merge_solar,
     parse_meter_csv,
 )
-from gridcast.models import build_lstm, build_mlp, lstm_predict, mlp_predict
+from gridcast.models import (
+    COMPUTE_DTYPE,
+    build_lstm,
+    build_mlp,
+    lstm_predict,
+    mlp_predict,
+)
 from gridcast.nn import Network
 from gridcast.nn.serialize import save_model
 from gridcast.nn.training import TrainingHistory, train
@@ -93,14 +99,6 @@ from gridcast.types import MergedFrame, MeterRecords, atomic_write, write_row_fi
 
 
 @dataclass(frozen=True)
-class ExperimentResult:
-    report: EvalReport
-    out_dir: Path
-    target_indices: np.ndarray
-    predictions: dict[str, np.ndarray]
-
-
-@dataclass(frozen=True)
 class Alignment:
     """The row contract (module docstring): train rows end at ``boundary``
     and the shared test ``targets`` are rows [boundary + window, n)."""
@@ -114,16 +112,16 @@ class Alignment:
         """The rows the scalers are fitted on and the mlp trains on."""
         return slice(0, self.boundary)
 
-    def windows(self, series: np.ndarray, scaler: ScalerParams, dtype,
+    def windows(self, series: np.ndarray, scaler: ScalerParams,
                 train: bool = False) -> WindowBatch:
         """The scaled window rows t - window ... t - 1 of ``series``, in
-        ``dtype``, for each lstm train target (``train``) or test target
+        COMPUTE_DTYPE, for each lstm train target (``train``) or test target
         t, with row t as its target. Only the rows they read are scaled
         and copied, once: each window is a read-only view of that copy."""
         first, stop = ((self.window, self.boundary) if train
                        else (int(self.targets[0]), int(self.targets[-1]) + 1))
         rows = transform(series[first - self.window:stop], scaler)
-        return make_windows(rows.astype(dtype), self.window)
+        return make_windows(rows.astype(COMPUTE_DTYPE), self.window)
 
     def lag_rows(self, name: str) -> np.ndarray:
         """Row t - lag of each test target t, for the baseline ``name``."""
@@ -165,10 +163,11 @@ def stage(name: str):
 def load_frame(config: ExperimentConfig) -> tuple[MergedFrame, dict[str, int]]:
     """Materialize the configured data source as a merged frame.
 
-    Also returns the row counts of each loading step, by name: rows kept
+    Also returns the counts of each loading step, by name: rows kept
     and dropped per meter stream ("meter", or "grid" and "solar"), the
-    merge's rows, weather days, files and dropped rows, and the meter
-    rows dropped for want of weather. The synthetic source has none.
+    merge's rows, weather days, files, dropped rows and cells demoted to
+    missing, and the meter rows dropped for want of weather. The
+    synthetic source has none.
     """
     with stage("data"):
         if config.source == "synth":
@@ -193,7 +192,8 @@ def load_frame(config: ExperimentConfig) -> tuple[MergedFrame, dict[str, int]]:
                           solar_only=solar_only)
         weather, drops, n_files = load_weather_dir(files.weather_dir)
         counts.update(weather_days=len(weather), weather_files=n_files,
-                      weather_dropped=drops.total_rows)
+                      weather_dropped=drops.total_rows,
+                      weather_invalid_cells=drops.invalid_cells)
         frame, counts["dropped_no_weather"] = build_frame(
             meter, interpolate_weather(weather))
         return frame, counts
@@ -213,9 +213,7 @@ def predict(name: str, model: Network | None, frame: MergedFrame,
     if name == "mlp":
         return mlp_predict(model, feature_matrix(frame, align.targets),
                            scalers["features"], scalers["target"])
-    # In the network's dtype, so an older float64 file keeps its bits.
-    windows = align.windows(frame.consumption, scalers["target"],
-                            model.params()[0].dtype)
+    windows = align.windows(frame.consumption, scalers["target"])
     return lstm_predict(model, windows, scalers["target"])
 
 
@@ -241,8 +239,7 @@ def _fit_network(name: str, config: ExperimentConfig, frame: MergedFrame,
         targets = transform(frame.consumption[rows], scalers["target"])
     else:
         model = build_lstm(rng=rng)
-        windows = align.windows(frame.consumption, scalers["target"],
-                                model.params()[0].dtype, train=True)
+        windows = align.windows(frame.consumption, scalers["target"], train=True)
         inputs, targets = windows.inputs, windows.targets
     n = len(targets)
     cut = n - max(1, int(config.train.validation_fraction * n))
@@ -251,10 +248,10 @@ def _fit_network(name: str, config: ExperimentConfig, frame: MergedFrame,
     return model, history
 
 
-def run_experiment(config: ExperimentConfig,
-                   out_dir: str | Path | None = None) -> ExperimentResult:
-    """Run the configured experiment and write all artifacts."""
-    out = Path(out_dir if out_dir is not None else config.out_dir)
+def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> Path:
+    """Run the configured experiment, write its artifacts into ``out_dir``
+    and return that directory."""
+    out = Path(out_dir)
     frame, _ = load_frame(config)
 
     # --- preprocess -------------------------------------------------------
@@ -340,5 +337,4 @@ def run_experiment(config: ExperimentConfig,
                         zip(history.train_loss, history.val_loss), 1):
                     handle.write(f"{i},{float(tl)!r},{float(vl)!r}\n")
         write_report_json(report, out / "report.json")
-    return ExperimentResult(report=report, out_dir=out,
-                            target_indices=targets, predictions=predictions)
+    return out

@@ -44,6 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from gridcast.errors import InvalidConfigError
+from gridcast.ingest import MONTH_FILE
 from gridcast.types import (
     SLOTS_PER_DAY,
     WEATHER_CSV_COLUMNS,
@@ -216,22 +217,17 @@ def generate(config: SynthConfig) -> tuple[MergedFrame, SynthTruth]:
     return frame, truth
 
 
-@dataclass(frozen=True)
-class WrittenFiles:
-    """Paths emitted by write_csvs."""
-
-    meter: tuple[Path, ...]
-    weather: tuple[Path, ...]
-
-
-def write_csvs(frame: MergedFrame, truth: SynthTruth, out_dir) -> WrittenFiles:
-    """Emit the generated household in the ingest module's file schemas.
+def write_csvs(frame: MergedFrame, truth: SynthTruth, out_dir) -> tuple[Path, ...]:
+    """Emit the generated household in the ingest module's file schemas
+    and return the paths written, meter files first.
 
     Grid-only households produce meter.csv; solar households produce
     grid.csv (net draw, negative while exporting) and solar.csv
     (generation).  Weather lands in weather/YYYYMM.csv files.  Values
     are written with full float precision so parsing them back
-    reproduces the frame exactly.
+    reproduces the frame exactly.  A directory that held another
+    household keeps none of its files: the meter files and the weather
+    months this household does not write are removed first.
     """
     out_dir = Path(out_dir)
     solar_household = bool(np.any(truth.generation != 0.0))
@@ -240,19 +236,24 @@ def write_csvs(frame: MergedFrame, truth: SynthTruth, out_dir) -> WrittenFiles:
                    out_dir / "solar.csv": truth.generation}
     else:
         streams = {out_dir / "meter.csv": truth.total}
-    write_row_files(streams, "timestamp,watts", frame.times)
-
-    header = "date," + ",".join(WEATHER_CSV_COLUMNS)
-    by_month: dict[str, list[str]] = {}
+    weather_dir = out_dir / "weather"
+    by_month: dict[Path, list[str]] = {}
     for ordinal, row in zip(frame.weather.dates.tolist(),
                             frame.weather.values.tolist()):
         date = dt.date.fromordinal(ordinal)
         line = date.isoformat() + "," + ",".join(map(repr, row))
-        by_month.setdefault(date.strftime("%Y%m"), []).append(line)
-    weather_paths = []
-    for label in sorted(by_month):
-        path = out_dir / "weather" / f"{label}.csv"
+        by_month.setdefault(weather_dir / f"{date:%Y%m}.csv", []).append(line)
+
+    existing = [out_dir / name for name in ("meter.csv", "grid.csv", "solar.csv")]
+    if weather_dir.is_dir():
+        existing += [p for p in weather_dir.iterdir() if MONTH_FILE.match(p.name)]
+    for path in existing:
+        if path not in streams and path not in by_month:
+            path.unlink(missing_ok=True)
+
+    write_row_files(streams, "timestamp,watts", frame.times)
+    header = "date," + ",".join(WEATHER_CSV_COLUMNS)
+    for path, lines in by_month.items():
         with atomic_write(path) as handle:
-            handle.write(header + "\n" + "\n".join(by_month[label]) + "\n")
-        weather_paths.append(path)
-    return WrittenFiles(meter=tuple(streams), weather=tuple(weather_paths))
+            handle.write(header + "\n" + "\n".join(lines) + "\n")
+    return tuple(streams) + tuple(by_month)

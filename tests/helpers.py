@@ -1,10 +1,12 @@
 """Small helpers that several test modules share."""
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gridcast.types import SLOTS_PER_DAY, MergedFrame, Weather
+from gridcast.evaluate import read_report_json
+from gridcast.types import SLOTS_PER_DAY, MergedFrame, Weather, parse_timestamps
 
 MILD_DAY = (21.0, 0.0, 15.0, 70.0, 20.0, 50.0)
 
@@ -19,12 +21,26 @@ def raises_exactly(cls, message: str):
     return pytest.raises(cls, match=rf"\A{re.escape(message)}\Z")
 
 
-def metrics_of(report, model: str):
-    """The MetricSet of a model's whole-test-slice cell, or None."""
-    for cell in report.cells:
+def stored_metrics(run_dir, model: str):
+    """The MetricSet of a model's whole-test-slice cell in the run's
+    report.json, or None."""
+    for cell in read_report_json(Path(run_dir) / "report.json").cells:
         if cell.model == model and cell.subset == "test":
             return cell.metrics
     return None
+
+
+def read_predictions(run_dir, model: str):
+    """(times, actual, predicted) of the run's predictions/<model>.csv:
+    int64 slot indices and float64 watts. The file holds repr floats, so
+    the watts keep the bits the run computed."""
+    path = Path(run_dir) / "predictions" / f"{model}.csv"
+    header, *lines = path.read_text(encoding="utf-8").splitlines()
+    assert header == "timestamp,actual,predicted"
+    stamps, actual, predicted = zip(*(line.split(",") for line in lines))
+    return (parse_timestamps(stamps),
+            np.array([float(v) for v in actual]),
+            np.array([float(v) for v in predicted]))
 
 
 def frame_of(times, consumption, weather=MILD_DAY):

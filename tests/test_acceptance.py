@@ -31,7 +31,7 @@ from gridcast.pipeline import run_experiment
 from gridcast.preprocess import chronological_split, make_windows
 from gridcast.synth import SynthConfig, generate
 from gridcast.types import WEATHER_CSV_COLUMNS
-from helpers import metrics_of
+from helpers import stored_metrics
 
 
 def _check(label: str, ok: bool, detail: str = "") -> None:
@@ -48,8 +48,8 @@ def grid_run(tmp_path_factory):
     """Default synthetic household, full model roster, timed."""
     out = tmp_path_factory.mktemp("accept-grid")
     start = time.perf_counter()
-    result = run_experiment(ExperimentConfig(), out)
-    return result.report, time.perf_counter() - start
+    run_experiment(ExperimentConfig(), out)
+    return out, time.perf_counter() - start
 
 
 @pytest.fixture(scope="module")
@@ -58,8 +58,8 @@ def solar_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("accept-solar")
     config = ExperimentConfig(synth=SynthConfig(solar=True), models=("mlp",))
     start = time.perf_counter()
-    result = run_experiment(config, out)
-    return result.report, time.perf_counter() - start
+    run_experiment(config, out)
+    return out, time.perf_counter() - start
 
 
 # --- 1: model sizes -------------------------------------------------------
@@ -234,10 +234,10 @@ def test_window_count_matches_brute_force():
 # --- 6: model ranking on the default household ----------------------------
 
 def test_default_household_model_ranking(grid_run):
-    report, elapsed = grid_run
-    lstm = metrics_of(report, "lstm").r2
-    mlp = metrics_of(report, "mlp").r2
-    naive = metrics_of(report, "naive").r2
+    out, elapsed = grid_run
+    lstm = stored_metrics(out, "lstm").r2
+    mlp = stored_metrics(out, "mlp").r2
+    naive = stored_metrics(out, "naive").r2
     ok = (
         lstm is not None and mlp is not None and naive is not None
         and lstm >= 0.80
@@ -257,10 +257,10 @@ def test_default_household_model_ranking(grid_run):
 # --- 7: solar features help the static model ------------------------------
 
 def test_solar_features_lift_static_model(grid_run, solar_run):
-    grid_report, _ = grid_run
-    solar_report, solar_elapsed = solar_run
-    mlp_grid = metrics_of(grid_report, "mlp").r2
-    mlp_solar = metrics_of(solar_report, "mlp").r2
+    grid_out, _ = grid_run
+    solar_out, solar_elapsed = solar_run
+    mlp_grid = stored_metrics(grid_out, "mlp").r2
+    mlp_solar = stored_metrics(solar_out, "mlp").r2
 
     frame_grid, _ = generate(SynthConfig())
     frame_solar, _ = generate(SynthConfig(solar=True))

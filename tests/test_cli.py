@@ -15,7 +15,7 @@ from gridcast.evaluate import read_report_json
 from gridcast.ingest import MeterCsvSpec, MeterDrops, parse_meter_csv
 from gridcast.pipeline import load_frame
 from gridcast.synth import generate
-from helpers import metrics_of
+from helpers import stored_metrics
 
 
 def write_config(tmp_path, name="config.json", **flat):
@@ -64,6 +64,36 @@ def test_out_flag_beats_env_beats_config(tmp_path, monkeypatch):
     assert (tmp_path / "flag" / "meter.csv").is_file()
 
 
+def test_a_reused_synth_directory_holds_only_the_last_household(tmp_path,
+                                                                capsys):
+    # A 70-day solar household writes grid.csv, solar.csv and the weather
+    # of March to May; a 10-day grid household then writes meter.csv and
+    # March. Files that are not gridcast's own stay.
+    data = tmp_path / "data"
+    solar = write_config(tmp_path, "solar.json",
+                         **{"synth.days": 70, "synth.solar": True})
+    assert main(["synth", "--config", str(solar), "--out", str(data)]) == 0
+    for other in (data / "notes.txt", data / "weather" / "202313.csv"):
+        other.write_text("kept\n")
+    grid = write_config(tmp_path, "grid.json", **{"synth.days": 10})
+    capsys.readouterr()
+    assert main(["synth", "--config", str(grid), "--out", str(data)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "rows 2880", str(data / "meter.csv"), str(data / "weather" / "202303.csv")]
+    assert sorted(p.relative_to(data).as_posix()
+                  for p in data.rglob("*") if p.is_file()) == [
+        "meter.csv", "notes.txt", "weather/202303.csv", "weather/202313.csv"]
+    files_config = write_config(
+        tmp_path, "files.json",
+        **{"source": "files", "files.meter": str(data / "meter.csv"),
+           "files.weather_dir": str(data / "weather")})
+    assert main(["ingest", "--config", str(files_config)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "meter rows 2880 dropped 0",
+        "weather days 10 from 1 files dropped 0 invalid-cells 0",
+        "frame rows 2880 dropped-no-weather 0"]
+
+
 def test_ingest_round_trips_merged_frame(tmp_path, capsys):
     synth_config = write_config(tmp_path, "synth.json",
                                 **small_flat(tmp_path, **{"synth.days": 4}))
@@ -78,7 +108,8 @@ def test_ingest_round_trips_merged_frame(tmp_path, capsys):
            "out_dir": str(tmp_path / "merged")})
     assert main(["ingest", "--config", str(files_config)]) == 0
     assert capsys.readouterr().out.splitlines() == [
-        "meter rows 1152 dropped 0", "weather days 4 from 1 files dropped 0",
+        "meter rows 1152 dropped 0",
+        "weather days 4 from 1 files dropped 0 invalid-cells 0",
         "frame rows 1152 dropped-no-weather 0"]
     assert not (tmp_path / "merged").exists()  # ingest writes nothing
     # The frame read back from synth's files is the frame synth generated.
@@ -114,7 +145,8 @@ def test_ingest_demotes_a_non_finite_weather_cell(tmp_path, capsys):
     path.write_text("\n".join([lines[0]] + [",".join(r) for r in rows]) + "\n")
     capsys.readouterr()
     assert main(["ingest", "--config", str(files_config)]) == 0
-    assert "weather days 3 from 1 files dropped 0" in capsys.readouterr().out
+    assert ("weather days 3 from 1 files dropped 0 invalid-cells 1"
+            in capsys.readouterr().out)
     frame, _ = load_frame(load_config(files_config))
     filled = np.interp(1.0, [0.0, 2.0], [rain[0], rain[2]])
     # Column 1 is rainfall, after max_temp.
@@ -129,7 +161,7 @@ def test_ingest_ignores_a_weather_file_for_no_real_month(tmp_path, capsys):
     capsys.readouterr()
     assert main(["ingest", "--config", str(files_config)]) == 0
     stdout = capsys.readouterr().out
-    assert "weather days 3 from 1 files dropped 0" in stdout
+    assert "weather days 3 from 1 files dropped 0 invalid-cells 0" in stdout
     assert "frame rows 864 dropped-no-weather 0" in stdout
 
 
@@ -304,7 +336,7 @@ def test_evaluate_reproduces_training_run_metrics(compared_roster, model,
     stdout = capsys.readouterr().out
     payload = json.loads((out / f"evaluate_{model}.json").read_text(
         encoding="utf-8"))
-    cell = metrics_of(read_report_json(out / "report.json"), model)
+    cell = stored_metrics(out, model)
     assert payload["metrics"] == {"rmse": cell.rmse, "mae": cell.mae,
                                   "r2": cell.r2, "n": cell.n,
                                   "units": "watts"}
@@ -488,10 +520,8 @@ def test_stages_communicate_through_files_across_processes(tmp_path):
         "train.max_epochs": 2, "train.patience": 1,
         "out_dir": str(tmp_path / "direct")})
     assert main(["compare", "--config", str(in_process)]) == 0
-    direct = read_report_json(tmp_path / "direct" / "report.json")
-    via_files = read_report_json(out_dir / "report.json")
-    assert (metrics_of(direct, "naive").rmse
-            == metrics_of(via_files, "naive").rmse)
+    assert (stored_metrics(tmp_path / "direct", "naive").rmse
+            == stored_metrics(out_dir, "naive").rmse)
 
 
 @pytest.mark.parametrize("source", ["synth", "files"])

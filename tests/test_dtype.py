@@ -4,7 +4,6 @@ built directly (the gradient oracles among them) stay float64."""
 import numpy as np
 import pytest
 
-from gridcast.config import ExperimentConfig
 from gridcast.models import build_lstm, build_mlp, lstm_predict
 from gridcast.nn import (
     LSTM,
@@ -18,9 +17,7 @@ from gridcast.nn import (
     save_model,
     train,
 )
-from gridcast.pipeline import alignment, predict
 from gridcast.preprocess import fit_scaler, make_windows, transform
-from gridcast.synth import SynthConfig, generate
 
 
 class _Float64Alarm(np.ndarray):
@@ -147,7 +144,7 @@ class TestSavedRunsKeepTheirDtype:
                               lstm_predict(model, windows, scaler))
 
     def test_float64_file_loads_and_scores_in_float64(self, tmp_path):
-        # The layout build_lstm() saved before it switched to float32.
+        # The nn format rebuilds a network in the dtype its file holds.
         windows, scaler = self.windows()
         rng = np.random.default_rng(6)
         model = Network([LSTM(1, 50, rng=rng), Dropout(0.2),
@@ -158,20 +155,3 @@ class TestSavedRunsKeepTheirDtype:
         assert [p.dtype for p in loaded.params()] == [np.float64] * 4
         assert np.array_equal(lstm_predict(loaded, windows, scaler),
                               lstm_predict(model, windows, scaler))
-
-    def test_pipeline_scores_a_float64_lstm_in_float64(self):
-        # The prediction path windows the series in the network's dtype.
-        # Float32 windows would change a float64 file's predictions.
-        frame, _ = generate(SynthConfig(days=3))
-        y = frame.consumption
-        align = alignment(ExperimentConfig(), len(y))
-        scaler = fit_scaler(y[:align.boundary])
-        rng = np.random.default_rng(7)
-        model = Network([LSTM(1, 50, rng=rng), Dropout(0.2),
-                         Dense(50, 1, rng=rng)])
-        windows = make_windows(transform(y, scaler)[align.boundary:],
-                               align.window)
-        assert windows.inputs.dtype == np.float64
-        assert np.array_equal(
-            predict("lstm", model, frame, align, {"target": scaler}),
-            lstm_predict(model, windows, scaler))

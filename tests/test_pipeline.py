@@ -10,20 +10,24 @@ import pytest
 from gridcast import pipeline, preprocess
 from gridcast.config import ExperimentConfig, from_flat_dict
 from gridcast.errors import PipelineError
-from gridcast.evaluate import read_report_json
+from gridcast.evaluate import read_report_json, write_report_json
 from gridcast.nn.layers import LSTM
 from gridcast.pipeline import Alignment, alignment, load_frame, run_experiment
 from gridcast.synth import SynthConfig, generate, write_csvs
-from gridcast.types import MergedFrame
-from helpers import metrics_of
+from gridcast.types import MergedFrame, format_timestamps
+from helpers import read_predictions, stored_metrics
 
 
-def small_config(out_dir, **overrides):
+def small_config(**overrides):
     flat = {"synth.days": 8, "synth.seed": 3,
-            "train.max_epochs": 2, "train.patience": 1,
-            "out_dir": str(out_dir)}
+            "train.max_epochs": 2, "train.patience": 1}
     flat.update(overrides)
     return from_flat_dict(flat)
+
+
+def test_returns_the_directory_it_wrote(tmp_path):
+    out = run_experiment(small_config(models=["naive"]), str(tmp_path / "run"))
+    assert out == tmp_path / "run" and (out / "report.json").is_file()
 
 
 def test_alignment_matches_hand_computation():
@@ -44,42 +48,45 @@ def test_alignment_rejects_short_series():
 
 
 def test_naive_only_roster_gives_one_model(tmp_path):
-    config = small_config(tmp_path, models=["naive"])
-    result = run_experiment(config)
-    assert {c.model for c in result.report.cells} == {"naive"}
-    subsets = [c.subset for c in result.report.cells]
+    config = small_config(models=["naive"])
+    report = read_report_json(run_experiment(config, tmp_path) / "report.json")
+    assert {c.model for c in report.cells} == {"naive"}
+    subsets = [c.subset for c in report.cells]
     assert subsets[0] == "test"
     assert all(s == "test" or s.startswith("test/") for s in subsets)
 
 
 def test_baseline_predictions_match_lag_oracle(tmp_path):
-    config = small_config(tmp_path, models=["naive", "seasonal-naive"])
-    result = run_experiment(config)
+    config = small_config(models=["naive", "seasonal-naive"])
+    run_experiment(config, tmp_path)
     frame, counts = load_frame(config)
     assert counts == {}  # the synthetic source has no loading steps
     y = frame.consumption
-    j = result.target_indices
-    assert np.array_equal(result.predictions["naive"], y[j - 1])
-    assert np.array_equal(result.predictions["seasonal-naive"], y[j - 288])
-    cell = metrics_of(result.report, "naive")
+    j = alignment(config, len(y)).targets
+    for name, lag in (("naive", 1), ("seasonal-naive", 288)):
+        times, actual, predicted = read_predictions(tmp_path, name)
+        assert np.array_equal(times, frame.times[j])
+        assert np.array_equal(actual, y[j])
+        assert np.array_equal(predicted, y[j - lag])
+    cell = stored_metrics(tmp_path, "naive")
     assert cell is not None and cell.n == len(j)
 
 
 def test_all_models_share_the_same_targets(tmp_path):
-    config = small_config(tmp_path)
-    result = run_experiment(config)
+    config = small_config()
+    run_experiment(config, tmp_path)
     n = 8 * 288
     boundary = int(0.8 * n)
-    expected = np.arange(boundary + 24, n)
-    assert np.array_equal(result.target_indices, expected)
+    frame, _ = load_frame(config)
+    expected = frame.times[boundary + 24:]
     for name in config.models:
-        assert len(result.predictions[name]) == len(expected)
-        assert metrics_of(result.report, name).n == len(expected)
+        assert np.array_equal(read_predictions(tmp_path, name)[0], expected)
+        assert stored_metrics(tmp_path, name).n == len(expected)
 
 
 def test_artifacts_are_written(tmp_path):
-    config = small_config(tmp_path)
-    result = run_experiment(config)
+    config = small_config()
+    run_experiment(config, tmp_path)
     for name in ("config_resolved.json", "report.json", "report.csv",
                  "correlation.csv", "diurnal.csv", "scalers.json"):
         assert (tmp_path / name).is_file()
@@ -89,42 +96,49 @@ def test_artifacts_are_written(tmp_path):
         assert (tmp_path / "models" / f"{model}.npz").is_file()
         assert (tmp_path / "history" / f"{model}.csv").is_file()
     assert not (tmp_path / "models" / "naive.npz").exists()
-    stored = read_report_json(tmp_path / "report.json")
-    assert stored.to_dict() == result.report.to_dict()
+    # report.json holds the whole report: reloading and rewriting it
+    # gives the same bytes.
+    write_report_json(read_report_json(tmp_path / "report.json"),
+                      tmp_path / "again.json")
+    assert ((tmp_path / "again.json").read_bytes()
+            == (tmp_path / "report.json").read_bytes())
 
 
 def test_prediction_csv_round_trips_exactly(tmp_path):
-    config = small_config(tmp_path, models=["naive"])
-    result = run_experiment(config)
-    lines = (tmp_path / "predictions" / "naive.csv").read_text(
-        encoding="utf-8").strip().splitlines()
-    assert lines[0] == "timestamp,actual,predicted"
-    assert len(lines) == 1 + len(result.target_indices)
-    parsed = [float(line.split(",")[2]) for line in lines[1:]]
-    assert np.array_equal(np.array(parsed), result.predictions["naive"])
+    config = small_config(models=["naive"])
+    run_experiment(config, tmp_path)
+    frame, _ = load_frame(config)
+    y = frame.consumption
+    j = alignment(config, len(y)).targets
+    rows = zip(format_timestamps(frame.times[j]), y[j].tolist(),
+               y[j - 1].tolist())
+    assert ((tmp_path / "predictions" / "naive.csv").read_text(encoding="utf-8")
+            == "timestamp,actual,predicted\n"
+            + "".join(f"{t},{a!r},{p!r}\n" for t, a, p in rows))
 
 
 def test_history_csv_shape(tmp_path):
-    config = small_config(tmp_path, models=["mlp"])
-    result = run_experiment(config)
+    config = small_config(models=["mlp"])
+    run_experiment(config, tmp_path)
     lines = (tmp_path / "history" / "mlp.csv").read_text(
         encoding="utf-8").strip().splitlines()
     assert lines[0] == "epoch,train_loss,val_loss"
-    assert len(lines) - 1 == result.report.metadata["epochs"]["mlp"]
+    metadata = read_report_json(tmp_path / "report.json").metadata
+    assert len(lines) - 1 == metadata["epochs"]["mlp"]
     first = lines[1].split(",")
     assert first[0] == "1"
     float(first[1]), float(first[2])
 
 
 def test_report_metadata_provenance(tmp_path):
-    config = small_config(tmp_path, models=["naive"])
-    result = run_experiment(config)
-    meta = result.report.metadata
+    config = small_config(models=["naive"])
+    run_experiment(config, tmp_path)
+    meta = read_report_json(tmp_path / "report.json").metadata
     assert meta["seed"] == config.seed
     assert meta["config"]["synth.days"] == 8
     assert meta["rows"] == 8 * 288
     assert meta["train_rows"] == int(0.8 * 8 * 288)
-    assert meta["scored_targets"] == len(result.target_indices)
+    assert meta["scored_targets"] == 8 * 288 - int(0.8 * 8 * 288) - 24
     assert len(meta["config_hash"]) == 64
     run_info = json.loads((tmp_path / "run.json").read_text(encoding="utf-8"))
     assert "created" in run_info
@@ -134,7 +148,7 @@ def test_report_metadata_provenance(tmp_path):
 
 
 def test_repeat_run_writes_byte_identical_report_json(tmp_path):
-    config = small_config(tmp_path, models=["naive", "seasonal-naive"])
+    config = small_config(models=["naive", "seasonal-naive"])
     run_experiment(config, tmp_path / "a")
     run_experiment(config, tmp_path / "b")
     first = (tmp_path / "a" / "report.json").read_bytes()
@@ -143,35 +157,34 @@ def test_repeat_run_writes_byte_identical_report_json(tmp_path):
 
 
 def test_same_config_and_seed_reproduce_metrics_exactly(tmp_path):
-    config_a = small_config(tmp_path / "a")
-    config_b = small_config(tmp_path / "b")
-    result_a = run_experiment(config_a)
-    result_b = run_experiment(config_b)
-    dict_a, dict_b = result_a.report.to_dict(), result_b.report.to_dict()
+    config = small_config()
+    a = run_experiment(config, tmp_path / "a")
+    b = run_experiment(config, tmp_path / "b")
+    dict_a = read_report_json(a / "report.json").to_dict()
+    dict_b = read_report_json(b / "report.json").to_dict()
     assert dict_a["cells"] == dict_b["cells"]
-    for name in config_a.models:
-        assert np.array_equal(result_a.predictions[name],
-                              result_b.predictions[name])
+    for name in config.models:
+        assert np.array_equal(read_predictions(a, name)[2],
+                              read_predictions(b, name)[2])
 
 
 def test_different_seed_changes_trained_models_only(tmp_path):
-    base = small_config(tmp_path / "a", models=["naive", "mlp"])
-    other = dataclasses.replace(small_config(tmp_path / "b",
-                                             models=["naive", "mlp"]), seed=1)
-    result_a, result_b = run_experiment(base), run_experiment(other)
-    assert np.array_equal(result_a.predictions["naive"],
-                          result_b.predictions["naive"])
-    assert not np.array_equal(result_a.predictions["mlp"],
-                              result_b.predictions["mlp"])
+    base = small_config(models=["naive", "mlp"])
+    other = dataclasses.replace(base, seed=1)
+    a = run_experiment(base, tmp_path / "a")
+    b = run_experiment(other, tmp_path / "b")
+    assert np.array_equal(read_predictions(a, "naive")[2],
+                          read_predictions(b, "naive")[2])
+    assert not np.array_equal(read_predictions(a, "mlp")[2],
+                              read_predictions(b, "mlp")[2])
 
 
 def test_lstm_seed_stream_is_roster_independent(tmp_path):
     # dropping the mlp must not change what the lstm learns
-    full = small_config(tmp_path / "a", models=["mlp", "lstm"])
-    solo = small_config(tmp_path / "b", models=["lstm"])
-    pred_full = run_experiment(full).predictions["lstm"]
-    pred_solo = run_experiment(solo).predictions["lstm"]
-    assert np.array_equal(pred_full, pred_solo)
+    full = run_experiment(small_config(models=["mlp", "lstm"]), tmp_path / "a")
+    solo = run_experiment(small_config(models=["lstm"]), tmp_path / "b")
+    assert np.array_equal(read_predictions(full, "lstm")[2],
+                          read_predictions(solo, "lstm")[2])
 
 
 def test_file_source_matches_synth_source(tmp_path):
@@ -183,18 +196,18 @@ def test_file_source_matches_synth_source(tmp_path):
         "files.meter": str(tmp_path / "data" / "meter.csv"),
         "files.weather_dir": str(tmp_path / "data" / "weather"),
         "models": ["naive"],
-        "out_dir": str(tmp_path / "run"),
     })
     loaded, counts = load_frame(files_config)
     assert isinstance(loaded, MergedFrame)
     assert np.array_equal(loaded.consumption, frame.consumption)
     assert counts == {"meter_rows": 8 * 288, "meter_dropped": 0,
                       "weather_days": 8, "weather_files": 1,
-                      "weather_dropped": 0, "dropped_no_weather": 0}
-    result = run_experiment(files_config)
-    direct = run_experiment(small_config(tmp_path / "run2", models=["naive"]))
-    assert (metrics_of(result.report, "naive").rmse
-            == metrics_of(direct.report, "naive").rmse)
+                      "weather_dropped": 0, "weather_invalid_cells": 0,
+                      "dropped_no_weather": 0}
+    via_files = run_experiment(files_config, tmp_path / "run")
+    direct = run_experiment(small_config(models=["naive"]), tmp_path / "run2")
+    assert (stored_metrics(via_files, "naive").rmse
+            == stored_metrics(direct, "naive").rmse)
 
 
 def test_file_source_counts_every_loading_step(tmp_path):
@@ -203,10 +216,15 @@ def test_file_source_counts_every_loading_step(tmp_path):
     write_csvs(frame, truth, tmp_path / "data")
     grid = tmp_path / "data" / "grid.csv"
     solar = tmp_path / "data" / "solar.csv"
-    # One blank grid reading, and one solar reading left out.
+    # One blank grid reading, one solar reading left out, and one
+    # humidity above 100 % demoted to missing.
     grid.write_text(grid.read_text() + "2023-03-04 00:00,\n")
     lines = solar.read_text().splitlines(keepends=True)
     solar.write_text("".join(lines[:10] + lines[11:]))
+    weather = tmp_path / "data" / "weather" / "202303.csv"
+    lines = weather.read_text().splitlines(keepends=True)
+    lines[2] = ",".join(lines[2].split(",")[:-1] + ["150\n"])
+    weather.write_text("".join(lines))
     config = from_flat_dict({
         "source": "files", "files.grid": str(grid), "files.solar": str(solar),
         "files.weather_dir": str(tmp_path / "data" / "weather")})
@@ -217,7 +235,7 @@ def test_file_source_counts_every_loading_step(tmp_path):
                       "merged_rows": rows - 1, "grid_only": 1,
                       "solar_only": 0, "weather_days": 3,
                       "weather_files": 1, "weather_dropped": 0,
-                      "dropped_no_weather": 0}
+                      "weather_invalid_cells": 1, "dropped_no_weather": 0}
     assert len(loaded) == rows - 1
 
 
@@ -235,18 +253,17 @@ def test_data_stage_failures_are_labeled(tmp_path):
 
 
 def test_preprocess_stage_failure_is_labeled(tmp_path):
-    config = small_config(tmp_path, **{"window_length": 500})
+    config = small_config(**{"window_length": 500})
     with pytest.raises(PipelineError) as exc_info:
-        run_experiment(config)
+        run_experiment(config, tmp_path)
     assert exc_info.value.stage == "preprocess"
 
 
 def test_seasonal_naive_needs_a_day_of_history(tmp_path):
-    config = small_config(tmp_path, **{"synth.days": 2, "split_ratio": 0.4,
-                                       "window_length": 4,
-                                       "models": ["seasonal-naive"]})
+    config = small_config(**{"synth.days": 2, "split_ratio": 0.4,
+                             "window_length": 4, "models": ["seasonal-naive"]})
     with pytest.raises(PipelineError) as exc_info:
-        run_experiment(config)
+        run_experiment(config, tmp_path)
     assert exc_info.value.stage == "train"
 
 
@@ -260,7 +277,7 @@ def test_lstm_trains_without_the_feature_matrix_alive(tmp_path, monkeypatch):
     # Only the mlp reads the feature matrix and its scaled copy, so no
     # array allocated in feature_matrix or transform may still be alive
     # when the lstm starts training.
-    config = small_config(tmp_path, models=["naive", "mlp", "lstm"],
+    config = small_config(models=["naive", "mlp", "lstm"],
                           **{"train.max_epochs": 1})
     sources = [_lines_of(preprocess.feature_matrix),
                _lines_of(preprocess.transform)]
@@ -281,10 +298,11 @@ def test_lstm_trains_without_the_feature_matrix_alive(tmp_path, monkeypatch):
     monkeypatch.setattr(pipeline, "train", train)
     tracemalloc.start(16)
     try:
-        result = run_experiment(config)
+        run_experiment(config, tmp_path)
     finally:
         tracemalloc.stop()
-    assert set(result.predictions) == {"naive", "mlp", "lstm"}
+    assert sorted(p.name for p in (tmp_path / "predictions").iterdir()) == [
+        "lstm.csv", "mlp.csv", "naive.csv"]
     assert alive == []
 
 

@@ -3,7 +3,7 @@ reference.
 
 A run is captured where its arrays meet the models: what pipeline.train
 receives for each network, what pipeline.lstm_predict and
-pipeline.mlp_predict score, and each baseline's predictions. The
+pipeline.mlp_predict score, and each baseline's stored predictions. The
 reference rebuilds every one of those arrays with a plain Python loop
 over target rows, straight from the contract: the train rows are the
 first floor(0.8 n), a test target t reads its window rows t - 24 ... t - 1
@@ -20,15 +20,15 @@ from gridcast.config import from_flat_dict
 from gridcast.nn.layers import LSTM
 from gridcast.synth import SynthConfig, generate
 from gridcast.types import SLOTS_PER_DAY
+from helpers import read_predictions
 
 DAYS = 8
 WINDOW = 24
 
 
-def run_config(out_dir, models=("naive", "seasonal-naive", "mlp", "lstm")):
+def run_config(models=("naive", "seasonal-naive", "mlp", "lstm")):
     return from_flat_dict({"synth.days": DAYS, "synth.seed": 3,
-                           "train.max_epochs": 1, "models": list(models),
-                           "out_dir": str(out_dir)})
+                           "train.max_epochs": 1, "models": list(models)})
 
 
 def capture(monkeypatch):
@@ -80,17 +80,20 @@ def test_every_model_reads_the_rows_of_the_contract(tmp_path, monkeypatch):
     n = len(y)
     assert len(set(y)) == n
     seen = capture(monkeypatch)
-    result = pipeline.run_experiment(run_config(tmp_path))
+    pipeline.run_experiment(run_config(), tmp_path)
 
     boundary = int(0.8 * n)
     train_rows = range(boundary)
     test_targets = range(boundary + WINDOW, n)
-    assert result.target_indices.tolist() == list(test_targets)
 
-    # Baselines: the reading k rows before each test target.
+    # Baselines: the reading k rows before each test target, stored
+    # beside that target's time and reading.
     for name, k in (("naive", 1), ("seasonal-naive", SLOTS_PER_DAY)):
+        times, actual, predicted = read_predictions(tmp_path, name)
+        assert times.tolist() == [int(frame.times[t]) for t in test_targets]
+        assert_same_bits(actual, np.array([y[t] for t in test_targets]), name)
         want = np.array([y[t - k] for t in test_targets])
-        assert_same_bits(result.predictions[name], want, name)
+        assert_same_bits(predicted, want, name)
 
     # lstm: windows of the series scaled by the train rows' range.
     low = min(y[t] for t in train_rows)
@@ -139,7 +142,7 @@ def test_features_are_built_only_at_the_rows_read(tmp_path, monkeypatch):
         return features
 
     monkeypatch.setattr(pipeline, "feature_matrix", feature_matrix)
-    pipeline.run_experiment(run_config(tmp_path, models=("naive", "mlp")))
+    pipeline.run_experiment(run_config(models=("naive", "mlp")), tmp_path)
     n = DAYS * SLOTS_PER_DAY
     boundary = int(0.8 * n)
     assert rows == [(n, boundary), (n, boundary), (n, n - boundary - WINDOW)]

@@ -318,8 +318,8 @@ def test_amplitude_floor_keeps_diurnal_non_negative():
 def test_csv_round_trip_plain(tmp_path):
     frame, truth = generate(SynthConfig(days=12, seed=5))
     files = write_csvs(frame, truth, tmp_path)
-    assert [p.name for p in files.meter] == ["meter.csv"]
-    parsed = parse_meter_csv(MeterCsvSpec(path=files.meter[0]))
+    assert files == (tmp_path / "meter.csv", tmp_path / "weather" / "202303.csv")
+    parsed = parse_meter_csv(MeterCsvSpec(path=files[0]))
     assert parsed.drops.total == 0
     assert len(parsed.records) == 12 * SLOTS_PER_DAY
     weather, drops, _ = load_weather_dir(tmp_path / "weather")
@@ -336,9 +336,10 @@ def test_csv_round_trip_plain(tmp_path):
 def test_csv_round_trip_solar(tmp_path):
     frame, truth = generate(SynthConfig(days=12, seed=5, solar=True))
     files = write_csvs(frame, truth, tmp_path)
-    assert [p.name for p in files.meter] == ["grid.csv", "solar.csv"]
-    grid = parse_meter_csv(MeterCsvSpec(path=files.meter[0], kind="grid"))
-    solar = parse_meter_csv(MeterCsvSpec(path=files.meter[1], kind="solar"))
+    assert files == (tmp_path / "grid.csv", tmp_path / "solar.csv",
+                     tmp_path / "weather" / "202303.csv")
+    grid = parse_meter_csv(MeterCsvSpec(path=files[0], kind="grid"))
+    solar = parse_meter_csv(MeterCsvSpec(path=files[1], kind="solar"))
     assert grid.drops.total == 0 and solar.drops.total == 0
     assert grid.records.watts.min() < 0.0
     merged, grid_only, solar_only = merge_solar(grid.records, solar.records)
@@ -352,9 +353,9 @@ def test_csv_round_trip_solar(tmp_path):
 def test_monthly_weather_files_follow_calendar(tmp_path):
     frame, truth = generate(SynthConfig(days=40, seed=2))
     files = write_csvs(frame, truth, tmp_path)
-    assert [p.name for p in files.weather] == ["202303.csv", "202304.csv"]
-    march = files.weather[0].read_text(encoding="utf-8").strip().splitlines()
-    april = files.weather[1].read_text(encoding="utf-8").strip().splitlines()
+    assert [p.name for p in files[1:]] == ["202303.csv", "202304.csv"]
+    march = files[1].read_text(encoding="utf-8").strip().splitlines()
+    april = files[2].read_text(encoding="utf-8").strip().splitlines()
     assert len(march) == 32  # header plus all of March
     assert len(april) == 10  # header plus the first nine April days
     assert march[0].split(",")[0] == "date"
