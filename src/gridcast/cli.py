@@ -112,6 +112,8 @@ def _resolve_config(args) -> ExperimentConfig:
     else:
         config = load_config(args.config)
     if args.seed is not None:
+        if args.seed < 0:
+            raise InvalidConfigError(f"--seed must be non-negative, got {args.seed}")
         config = dataclasses.replace(
             config, seed=args.seed,
             synth=dataclasses.replace(config.synth, seed=args.seed))

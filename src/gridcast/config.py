@@ -15,7 +15,6 @@ Keys and defaults:
     seed               experiment seed (training init)    0
     out_dir            artifact directory                 "gridcast-out"
     split_ratio        chronological train fraction       0.8
-    window_length      history slots per window           24
     models             roster list                        all four
     synth.seed         generator seed                     0
     synth.days         household length from 2023-03-01   200
@@ -24,11 +23,9 @@ Keys and defaults:
     files.grid         net-grid meter CSV path            -
     files.solar        solar generation CSV path          -
     files.weather_dir  directory of YYYYMM.csv files      -
-    train.batch_size                                      256
     train.max_epochs                                      200
     train.patience     early-stopping patience            10
     train.learning_rate                                   0.001
-    train.validation_fraction  tail of train for val      0.1
 
 With source "files", files.weather_dir is required together with either
 files.meter alone or files.grid + files.solar.
@@ -72,7 +69,6 @@ class ExperimentConfig:
     synth: SynthConfig = field(default_factory=SynthConfig)
     files: FileSource | None = None
     split_ratio: float = 0.8
-    window_length: int = 24
     models: tuple[str, ...] = MODEL_NAMES
     train: TrainConfig = field(default_factory=TrainConfig)
     seed: int = 0
@@ -92,8 +88,6 @@ class ExperimentConfig:
             raise InvalidConfigError(f"seed must be non-negative, got {self.seed}")
         if not (0.0 < self.split_ratio < 1.0):
             raise InvalidConfigError("split_ratio must be in (0, 1)")
-        if self.window_length < 1:
-            raise InvalidConfigError("window_length must be at least 1")
         if not self.models:
             raise InvalidConfigError("models must not be empty")
         if len(set(self.models)) != len(self.models):
@@ -111,7 +105,6 @@ def to_flat_dict(config: ExperimentConfig) -> dict:
         "seed": config.seed,
         "out_dir": config.out_dir,
         "split_ratio": config.split_ratio,
-        "window_length": config.window_length,
         "models": list(config.models),
     }
     for group in ("synth", "files", "train"):

@@ -25,8 +25,8 @@ class DataError(GridcastError):
 
 
 class SeriesTooShortError(GridcastError):
-    """The series has too few rows for the requested split, window or
-    lag; supply more data or shorten window_length."""
+    """The series has too few rows for the requested split, the LSTM's
+    24-step window or a lag; supply more data or move split_ratio."""
 
 
 class DivergedLossError(GridcastError):

@@ -101,10 +101,6 @@ class MetricSet:
     r2: float | None
     n: int
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ShapeError(f"sample count must be positive, got {self.n}")
-
 
 def compute_metrics(pred, actual) -> MetricSet:
     """Score one (prediction, actual) slice; r2 falls back to None."""
@@ -207,7 +203,12 @@ class ReportCell:
     def from_dict(cls, item: dict) -> "ReportCell":
         m = item["metrics"]
         if m["units"] != UNITS:
-            raise ShapeError(f"units must be {UNITS!r}, got {m['units']!r}")
+            raise CorruptArtifactError(f"units must be {UNITS!r}, got {m['units']!r}")
+        # A stored value has its JSON type; true and false are not numbers.
+        for name, types in (("rmse", (int, float)), ("mae", (int, float)),
+                            ("r2", (int, float, type(None))), ("n", (int,))):
+            if type(m[name]) not in types or name == "n" and m[name] < 1:
+                raise CorruptArtifactError(f"{name} cannot be {json.dumps(m[name])}")
         return cls(model=item["model"], subset=item["slice"],
                    metrics=MetricSet(rmse=m["rmse"], mae=m["mae"], r2=m["r2"],
                                      n=m["n"]))
@@ -242,7 +243,7 @@ def read_report_json(path) -> EvalReport:
     try:
         return EvalReport.from_dict(
             json.loads(Path(path).read_text(encoding="utf-8")))
-    except (ValueError, KeyError, TypeError, ShapeError) as exc:
+    except (ValueError, KeyError, TypeError, CorruptArtifactError) as exc:
         raise CorruptArtifactError(f"cannot read report {path}: {exc}") from exc
 
 

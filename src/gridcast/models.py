@@ -8,9 +8,9 @@ deliberately disjoint inputs:
   history), so it measures how much of the load is explainable from
   exogenous conditions alone;
 * the LSTM, 50 units with relu, dropout 0.2 and a linear head on the
-  last state, sees only a window of recent consumption (one feature per
-  step, any window length), so it measures how much the load's own
-  history explains.
+  last state, sees only the last WINDOW_LENGTH = 24 readings of
+  consumption (2 hours, one feature per step), so it measures how much
+  the load's own history explains.
 
 Both predict watts one 5-minute step ahead.  Inference always runs with
 dropout disabled, and every prediction path scales inputs with fitted
@@ -47,6 +47,9 @@ def build_mlp(rng: np.random.Generator | None = None) -> Network:
         Dropout(0.1),
         Dense(32, 1, rng=rng, dtype=COMPUTE_DTYPE),
     ])
+
+
+WINDOW_LENGTH = 24
 
 
 def build_lstm(rng: np.random.Generator | None = None) -> Network:

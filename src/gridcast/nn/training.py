@@ -20,28 +20,26 @@ from gridcast.nn.losses import mse_loss
 from gridcast.nn.optim import Adam
 
 
+# At most ~384 rows: above that, OpenBLAS's gradient sums depend on its thread count.
+BATCH_SIZE = 256
+
+
 @dataclass(frozen=True)
 class TrainConfig:
-    """The ``train.*`` config keys. validation_fraction is the tail of the
-    training rows that the pipeline holds out for early stopping."""
+    """The ``train.*`` config keys."""
 
-    batch_size: int = 256
     max_epochs: int = 200
     patience: int = 10
     learning_rate: float = 1e-3
-    validation_fraction: float = 0.1
 
     def __post_init__(self):
-        for name in ("batch_size", "max_epochs", "patience"):
+        for name in ("max_epochs", "patience"):
             if getattr(self, name) < 1:
                 raise InvalidConfigError(f"train.{name} must be at least 1")
         if not math.isfinite(self.learning_rate):
             raise InvalidConfigError("train.learning_rate must be finite")
         if self.learning_rate <= 0:
             raise InvalidConfigError("train.learning_rate must be positive")
-        if not (0.0 < self.validation_fraction < 1.0):
-            raise InvalidConfigError(
-                "train.validation_fraction must be in (0, 1)")
 
 
 @dataclass
@@ -148,7 +146,7 @@ def train(model, train_data, val_data, config: TrainConfig,
     _check_pair("training", x_train, y_train)
     _check_pair("validation", x_val, y_val)
 
-    optimizer = Adam(model.params(), learning_rate=config.learning_rate)
+    optimizer = Adam(model.params(), config.learning_rate)
     stopper = EarlyStopper(config.patience)
     history = TrainingHistory()
     n = x_train.shape[0]
@@ -156,8 +154,8 @@ def train(model, train_data, val_data, config: TrainConfig,
     for epoch in range(1, config.max_epochs + 1):
         order = rng.permutation(n)
         total, seen = 0.0, 0
-        for start in range(0, n, config.batch_size):
-            idx = order[start:start + config.batch_size]
+        for start in range(0, n, BATCH_SIZE):
+            idx = order[start:start + BATCH_SIZE]
             pred = model.forward(x_train[idx], train=True, rng=rng)
             loss, grad = mse_loss(pred, y_train[idx])
             if not math.isfinite(loss):

@@ -2,7 +2,7 @@
 
 Row contract.  ``Alignment`` owns every row index a run reads.  The
 first floor(split_ratio * n) rows train and the rest test.  A target row
-t is predicted from its window rows t - window_length ... t - 1 (the
+t is predicted from its window rows t - WINDOW_LENGTH ... t - 1 (the
 lstm), its own feature row t (the mlp) or its lag row t - lag (a
 baseline), and is scored against the reading at row t.  The scalers and
 the mlp train on every train row; the lstm trains on the train rows
@@ -76,6 +76,7 @@ from gridcast.ingest import (
 )
 from gridcast.models import (
     COMPUTE_DTYPE,
+    WINDOW_LENGTH,
     build_lstm,
     build_mlp,
     lstm_predict,
@@ -98,13 +99,15 @@ from gridcast.synth import generate
 from gridcast.types import MergedFrame, MeterRecords, atomic_write, write_row_files
 
 
+VALIDATION_FRACTION = 0.1  # the tail of each network's train rows, for early stopping
+
+
 @dataclass(frozen=True)
 class Alignment:
     """The row contract (module docstring): train rows end at ``boundary``
-    and the shared test ``targets`` are rows [boundary + window, n)."""
+    and the shared test ``targets`` are rows [boundary + WINDOW_LENGTH, n)."""
 
     boundary: int
-    window: int
     targets: np.ndarray
 
     @property
@@ -114,14 +117,14 @@ class Alignment:
 
     def windows(self, series: np.ndarray, scaler: ScalerParams,
                 train: bool = False) -> WindowBatch:
-        """The scaled window rows t - window ... t - 1 of ``series``, in
+        """The scaled window rows t - WINDOW_LENGTH ... t - 1 of ``series``, in
         COMPUTE_DTYPE, for each lstm train target (``train``) or test target
         t, with row t as its target. Only the rows they read are scaled
         and copied, once: each window is a read-only view of that copy."""
-        first, stop = ((self.window, self.boundary) if train
+        first, stop = ((WINDOW_LENGTH, self.boundary) if train
                        else (int(self.targets[0]), int(self.targets[-1]) + 1))
-        rows = transform(series[first - self.window:stop], scaler)
-        return make_windows(rows.astype(COMPUTE_DTYPE), self.window)
+        rows = transform(series[first - WINDOW_LENGTH:stop], scaler)
+        return make_windows(rows.astype(COMPUTE_DTYPE), WINDOW_LENGTH)
 
     def lag_rows(self, name: str) -> np.ndarray:
         """Row t - lag of each test target t, for the baseline ``name``."""
@@ -136,18 +139,16 @@ class Alignment:
 def alignment(config: ExperimentConfig, n_rows: int) -> Alignment:
     """Test-target alignment shared by every roster model."""
     boundary = chronological_split(n_rows, config.split_ratio)
-    window = config.window_length
-    first_target = boundary + window
+    first_target = boundary + WINDOW_LENGTH
     if first_target >= n_rows:
         raise SeriesTooShortError(
             f"test slice has {n_rows - boundary} rows; windows of length "
-            f"{window} leave no scorable targets")
-    if boundary <= window + 1:
+            f"{WINDOW_LENGTH} leave no scorable targets")
+    if boundary <= WINDOW_LENGTH + 1:
         raise SeriesTooShortError(
             f"train slice has only {boundary} rows, too few for "
-            f"windows of length {window}")
-    return Alignment(boundary=boundary, window=window,
-                     targets=np.arange(first_target, n_rows))
+            f"windows of length {WINDOW_LENGTH}")
+    return Alignment(boundary=boundary, targets=np.arange(first_target, n_rows))
 
 
 @contextlib.contextmanager
@@ -242,7 +243,7 @@ def _fit_network(name: str, config: ExperimentConfig, frame: MergedFrame,
         windows = align.windows(frame.consumption, scalers["target"], train=True)
         inputs, targets = windows.inputs, windows.targets
     n = len(targets)
-    cut = n - max(1, int(config.train.validation_fraction * n))
+    cut = n - max(1, int(VALIDATION_FRACTION * n))
     history = train(model, (inputs[:cut], targets[:cut]),
                     (inputs[cut:], targets[cut:]), config.train, rng)
     return model, history

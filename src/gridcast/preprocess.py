@@ -92,10 +92,10 @@ def scaler_to_dict(params: ScalerParams) -> dict:
 
 
 def scaler_from_dict(payload: dict) -> ScalerParams:
-    return ScalerParams(
-        x_min=np.asarray(payload["x_min"], dtype=np.float64),
-        x_max=np.asarray(payload["x_max"], dtype=np.float64),
-    )
+    bounds = np.array([payload["x_min"], payload["x_max"]], dtype=np.float64)
+    if bounds.ndim != 2 or not np.isfinite(bounds).all():
+        raise CorruptArtifactError("x_min and x_max must be finite, equal-length lists")
+    return ScalerParams(*bounds)
 
 
 def save_scalers(scalers: dict[str, ScalerParams], path: str | Path) -> None:
@@ -109,12 +109,15 @@ def save_scalers(scalers: dict[str, ScalerParams], path: str | Path) -> None:
 
 
 def load_scalers(path: str | Path) -> dict[str, ScalerParams]:
-    """The "features" and "target" scalers written by save_scalers."""
+    """The scalers written by save_scalers; CorruptArtifactError, naming
+    the file, if a bound is not finite or not of its scaler's width."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        return {name: scaler_from_dict(payload[name])
-                for name in ("features", "target")}
-    except (ValueError, KeyError, TypeError) as exc:
+        scalers = {k: scaler_from_dict(payload[k]) for k in ("features", "target")}
+        if [s.n_columns for s in scalers.values()] != [len(FEATURE_COLUMNS), 1]:
+            raise CorruptArtifactError(f"scaler widths must be {len(FEATURE_COLUMNS)} and 1")
+        return scalers
+    except (ValueError, KeyError, TypeError, CorruptArtifactError) as exc:
         raise CorruptArtifactError(
             f"cannot read scalers file {path}: {exc}") from exc
 

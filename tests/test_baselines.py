@@ -29,7 +29,7 @@ def lag_forecast(series, name, targets):
     """Baseline ``name``'s forecast at each target row, as the pipeline
     makes it: Alignment maps each target to its lag row, which the
     forecast reads. Lag rows depend on the targets alone, not the split."""
-    align = Alignment(boundary=0, window=0, targets=np.asarray(targets))
+    align = Alignment(boundary=0, targets=np.asarray(targets))
     return persistence_forecast(series, align.lag_rows(name))
 
 
@@ -41,8 +41,7 @@ class TestLagSpec:
         # A lag of 0 would forecast each target with its own reading.
         for name, lag in BASELINE_LAGS.items():
             assert type(lag) is int and lag >= 1
-            align = Alignment(boundary=0, window=0,
-                              targets=np.arange(lag, lag + 5))
+            align = Alignment(boundary=0, targets=np.arange(lag, lag + 5))
             assert align.lag_rows(name).tolist() == [0, 1, 2, 3, 4]
 
 
@@ -96,7 +95,7 @@ class TestPersistenceForecast:
         n = 288
         frame = frame_of(slot(dt.date(2023, 3, 1)) + np.arange(n),
                          np.arange(n))
-        align = Alignment(boundary=200, window=24, targets=np.arange(224, n))
+        align = Alignment(boundary=200, targets=np.arange(224, n))
         with pytest.raises(SeriesTooShortError) as exc_info:
             predict("seasonal-naive", None, frame, align, None)
         assert str(exc_info.value) == ("seasonal-naive needs 288 rows of "

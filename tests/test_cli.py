@@ -236,6 +236,7 @@ def test_bad_config_file_is_a_usage_error(tmp_path):
     ("synth.days", 2.5, []), ("synth.days", "30", []),
     ("synth.seed", -1, []), ("synth.seed", 1.5, []),
     ("seed", "x", []), ("seed", -3, []),
+    # No longer keys: a config that sets one exits 2 as an unknown key.
     ("window_length", 2.5, []), ("train.batch_size", 2.5, []),
     ("synth.solar", "no", []), ("seed", None, ["--seed", "-1"]),
     ("train.learning_rate", float("nan"), []),
@@ -250,6 +251,14 @@ def test_bad_value_exits_2_naming_its_key(tmp_path, capsys, key, value, argv):
     assert err.count("\n") == 1 and err.startswith("gridcast: ")
     assert key in err
     assert not (tmp_path / "o").exists()
+
+
+def test_a_negative_seed_flag_is_named_as_the_flag(tmp_path, capsys):
+    config = write_config(tmp_path, **small_flat(tmp_path))
+    assert main(["synth", "--config", str(config), "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == (
+        "gridcast: --seed must be non-negative, got -1\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_argparse_usage_errors_exit_2(tmp_path):
@@ -599,6 +608,45 @@ def test_corrupt_artifact_is_a_one_line_runtime_error(
     assert str(out / damaged) in lines[0]
     if command == "evaluate":
         assert lines[0].startswith("gridcast: [load] ")
+
+
+@pytest.mark.parametrize("metric, value", [
+    ("rmse", "abc"), ("rmse", True), ("mae", None), ("r2", "0.5"),
+    ("r2", False), ("n", "5"), ("n", True), ("n", 2.5), ("n", 0),
+])
+def test_report_refuses_a_stored_metric_of_another_type(
+        tmp_path, capsys, stored_lstm_run, metric, value):
+    out = tmp_path / "out"
+    shutil.copytree(stored_lstm_run, out)
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    report["cells"][0]["metrics"][metric] = value
+    (out / "report.json").write_text(json.dumps(report), encoding="utf-8")
+    table = (out / "report.csv").read_bytes()
+    capsys.readouterr()
+    assert main(["report", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"gridcast: [load] cannot read report {out / 'report.json'}: "
+        f"{metric} cannot be {json.dumps(value)}\n")
+    assert (out / "report.csv").read_bytes() == table
+
+
+@pytest.mark.parametrize("model, scaler, width", [
+    ("mlp", "features", 6), ("lstm", "target", 2)])
+def test_evaluate_refuses_scalers_of_another_width(
+        tmp_path, capsys, compared_roster, model, scaler, width):
+    config, out = compared_roster
+    run_dir = tmp_path / "run"
+    shutil.copytree(out, run_dir)
+    path = run_dir / "scalers.json"
+    scalers = json.loads(path.read_text(encoding="utf-8"))
+    scalers[scaler]["x_min"] = (scalers[scaler]["x_min"] * 2)[:width]
+    path.write_text(json.dumps(scalers), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["evaluate", "--model", model, "--config", str(config),
+                 "--run-dir", str(run_dir), "--out", str(tmp_path / "o")]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"gridcast: [load] cannot read scalers file {path}: ")
 
 
 def _under_a_file(tmp_path):

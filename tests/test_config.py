@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from gridcast import config as config_module
 from gridcast.config import (
     MODEL_NAMES,
     ExperimentConfig,
@@ -30,7 +31,6 @@ def test_defaults():
     config = ExperimentConfig()
     assert config.source == "synth"
     assert config.split_ratio == 0.8
-    assert config.window_length == 24
     assert config.models == ("naive", "seasonal-naive", "mlp", "lstm")
     assert config.seed == 0
     assert config.train.patience == 10
@@ -54,7 +54,7 @@ def test_flat_dict_is_actually_flat_and_json_safe():
         assert isinstance(key, str)
         assert isinstance(value, (str, int, float, bool, list))
     json.dumps(flat)
-    assert len(flat) == 14
+    assert len(flat) == 11
     assert [key for key in flat if key.startswith("synth.")] == [
         "synth.days", "synth.seed", "synth.solar"]
     assert list(flat) == sorted(flat)
@@ -67,6 +67,11 @@ def test_unknown_keys_are_rejected():
                 {"synth.start_date": "2023-03-01"}):
         with pytest.raises(InvalidConfigError):
             from_flat_dict(bad)
+    # Keys of settings that became constants, at their old defaults.
+    for key, value in (("window_length", 24), ("train.batch_size", 256),
+                       ("train.validation_fraction", 0.1)):
+        with raises_exactly(InvalidConfigError, f"unknown config key: {key!r}"):
+            from_flat_dict({key: value})
 
 
 def test_top_level_must_be_an_object():
@@ -93,13 +98,9 @@ def test_bounds_validation():
     with pytest.raises(InvalidConfigError):
         from_flat_dict({"split_ratio": 1.0})
     with pytest.raises(InvalidConfigError):
-        from_flat_dict({"window_length": 0})
-    with pytest.raises(InvalidConfigError):
         from_flat_dict({"source": "database"})
     with pytest.raises(InvalidConfigError):
-        from_flat_dict({"train.batch_size": 0})
-    with pytest.raises(InvalidConfigError):
-        from_flat_dict({"train.validation_fraction": 1.0})
+        from_flat_dict({"train.max_epochs": 0})
     with pytest.raises(InvalidConfigError):
         from_flat_dict({"train.learning_rate": 0.0})
     with pytest.raises(InvalidConfigError):
@@ -133,8 +134,8 @@ def test_values_must_have_their_keys_type():
     # key takes true or false; test_synth checks the synth.* keys.
     config = from_flat_dict({"split_ratio": 0.5, "train.learning_rate": 1})
     assert config.train.learning_rate == 1
-    for bad in ({"seed": "x"}, {"seed": True}, {"window_length": 2.5},
-                {"train.batch_size": 2.5}, {"train.learning_rate": False},
+    for bad in ({"seed": "x"}, {"seed": True}, {"train.max_epochs": 2.5},
+                {"train.patience": 2.5}, {"train.learning_rate": False},
                 {"source": 1}, {"out_dir": None}, {"models": ["naive", 1]},
                 {"files.meter": 3}):
         key = next(iter(bad))
@@ -145,15 +146,20 @@ def test_values_must_have_their_keys_type():
 
 
 def test_readme_configuration_table_lists_every_key():
+    keys = sorted(list(to_flat_dict(ExperimentConfig()))
+                  + [f"files.{f.name}" for f in dataclasses.fields(FileSource)])
+    assert len(keys) == 15
     readme = Path(__file__).resolve().parent.parent / "README.md"
     section = readme.read_text(encoding="utf-8").split("## Configuration")[1]
     section = section.split("\n## ")[0]
-    keys = []
+    in_readme = []
     for line in section.splitlines():
         if line.startswith("| `"):
-            keys += re.findall(r"`([^`]+)`", line.split("|")[1])
-    files = ["files.meter", "files.grid", "files.solar", "files.weather_dir"]
-    assert sorted(keys) == sorted(list(to_flat_dict(ExperimentConfig())) + files)
+            in_readme += re.findall(r"`([^`]+)`", line.split("|")[1])
+    assert sorted(in_readme) == keys
+    # The docstring's table: one indented key per line, after "Keys and defaults:".
+    table = config_module.__doc__.split("Keys and defaults:")[1].split("\n\n")[1]
+    assert sorted(line.split()[0] for line in table.splitlines()) == keys
 
 
 def test_save_and_load_round_trip(tmp_path):

@@ -95,7 +95,7 @@ class TestNoSilentUpcast:
         x = rng.uniform(0.0, 1.0, size=(96, 24, 1))
         y = rng.uniform(0.0, 1.0, size=96)
         history = train(model, (x, y), (x, y),
-                        TrainConfig(batch_size=32, max_epochs=2, patience=2), rng)
+                        TrainConfig(max_epochs=2, patience=2), rng)
         assert all(p.dtype == np.float32 for p in model.params())
         assert all(type(v) is float for v in history.train_loss + history.val_loss)
 
@@ -135,7 +135,7 @@ class TestSavedRunsKeepTheirDtype:
         model = build_lstm(rng=rng)
         train(model, (windows.inputs, windows.targets),
               (windows.inputs, windows.targets),
-              TrainConfig(batch_size=32, max_epochs=2, patience=2), rng)
+              TrainConfig(max_epochs=2, patience=2), rng)
         path = tmp_path / "lstm.npz"
         save_model(model, path)
         loaded, _ = load_model(path)

@@ -79,8 +79,7 @@ class TestMlpPredict:
         x = transform(features, f_scaler)
         y = transform(targets, t_scaler)
         model = build_mlp(rng=np.random.default_rng(3))
-        config = TrainConfig(batch_size=50, max_epochs=30, patience=30,
-                             learning_rate=3e-3)
+        config = TrainConfig(max_epochs=30, patience=30, learning_rate=3e-3)
         train(model, (x, y), (x, y), config, np.random.default_rng(4))
 
         pred_w = mlp_predict(model, features, f_scaler, t_scaler)

@@ -63,14 +63,15 @@ class TestAdam:
 
     def test_zero_gradient_changes_nothing(self):
         p = np.array([3.0, -1.0])
-        opt = Adam([p])
+        opt = Adam([p], 0.001)
         for _ in range(5):
             opt.step([np.zeros(2)])
         assert np.array_equal(p, [3.0, -1.0])
 
     def test_three_steps_match_scalar_recurrence(self):
-        # Independent oracle: replay the textbook update with plain
-        # python floats for one scalar parameter.
+        # Independent oracle: replay the textbook update, with Kingma &
+        # Ba's decay rates and eps, in plain python floats for one scalar
+        # parameter.
         lr, b1, b2, eps = 0.001, 0.9, 0.999, 1e-8
         grads = [0.3, -0.2, 0.7]
 
@@ -83,7 +84,7 @@ class TestAdam:
             theta -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
         p = np.array([1.0])
-        opt = Adam([p], learning_rate=lr, beta1=b1, beta2=b2, eps=eps)
+        opt = Adam([p], lr)
         for g in grads:
             opt.step([np.array([g])])
         assert p[0] == pytest.approx(theta, rel=1e-14)
@@ -105,7 +106,7 @@ class TestAdam:
             previous = p[0]
 
     def test_shape_mismatch(self):
-        opt = Adam([np.zeros(3)])
+        opt = Adam([np.zeros(3)], 0.001)
         with raises_exactly(ShapeError,
                             "gradient shape (4,) != parameter shape (3,)"):
             opt.step([np.zeros(4)])

@@ -34,16 +34,15 @@ def test_alignment_matches_hand_computation():
     config = ExperimentConfig()
     align = alignment(config, 1000)
     assert align.boundary == 800
-    assert align.window == 24
     assert align.targets[0] == 824 and align.targets[-1] == 999
     assert len(align.targets) == 176
     assert isinstance(align, Alignment)
 
 
 def test_alignment_rejects_short_series():
-    config = from_flat_dict({"window_length": 200})
+    # 100 rows split at 80 leave 20 test rows, fewer than one 24-row window.
     with pytest.raises(Exception) as exc_info:
-        alignment(config, 240)
+        alignment(ExperimentConfig(), 100)
     assert "windows" in str(exc_info.value)
 
 
@@ -253,7 +252,8 @@ def test_data_stage_failures_are_labeled(tmp_path):
 
 
 def test_preprocess_stage_failure_is_labeled(tmp_path):
-    config = small_config(**{"window_length": 500})
+    # 2 days split at 0.99 leave 6 test rows, fewer than one window.
+    config = small_config(**{"synth.days": 2, "split_ratio": 0.99})
     with pytest.raises(PipelineError) as exc_info:
         run_experiment(config, tmp_path)
     assert exc_info.value.stage == "preprocess"
@@ -261,7 +261,7 @@ def test_preprocess_stage_failure_is_labeled(tmp_path):
 
 def test_seasonal_naive_needs_a_day_of_history(tmp_path):
     config = small_config(**{"synth.days": 2, "split_ratio": 0.4,
-                             "window_length": 4, "models": ["seasonal-naive"]})
+                             "models": ["seasonal-naive"]})
     with pytest.raises(PipelineError) as exc_info:
         run_experiment(config, tmp_path)
     assert exc_info.value.stage == "train"

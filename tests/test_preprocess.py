@@ -5,11 +5,12 @@ enumeration inside the tests, never by the code under test.
 """
 import datetime as dt
 import json
+import re
 
 import numpy as np
 import pytest
 
-from gridcast.errors import SeriesTooShortError, ShapeError
+from gridcast.errors import CorruptArtifactError, SeriesTooShortError, ShapeError
 from gridcast.preprocess import (
     FEATURE_COLUMNS,
     chronological_split,
@@ -98,7 +99,8 @@ class TestScaler:
         assert out[1, 1, 0] == pytest.approx(2.0)
 
     def test_json_round_trip(self, tmp_path):
-        params = fit_scaler(np.array([[1.1, -2.2], [3.3, 4.4]]))
+        params = fit_scaler(np.array([[1.1, -2.2, 0.1, 1e-17, 50.0, 0.0, 0.5],
+                                      [3.3, 4.4, 0.7, 3e-9, 60.5, 0.0, 23.9]]))
         target = fit_scaler(np.array([0.1, 0.7, 1e-17]))
         path = tmp_path / "scalers.json"
         save_scalers({"features": params, "target": target}, path)
@@ -116,6 +118,37 @@ class TestScaler:
         old = load_scalers(path)
         assert np.array_equal(old["features"].x_max, params.x_max)
         assert np.array_equal(old["target"].x_min, target.x_min)
+
+    @pytest.mark.parametrize("scaler, bound, value", [
+        ("features", "x_min", [0.0] * 6),
+        ("features", "x_max", [0.0] * 8),
+        ("features", "x_min", [[0.0] * 7]),
+        ("features", "x_max", [0.0] * 6 + [float("nan")]),
+        ("target", "x_min", [0.0, 1.0]),
+        ("target", "x_max", 1.0),
+        ("target", "x_max", [float("inf")]),
+    ], ids=["features-6", "features-8", "features-2d", "features-nan",
+            "target-2", "target-scalar", "target-inf"])
+    def test_load_rejects_a_bound_of_another_width_or_not_finite(
+            self, tmp_path, scaler, bound, value):
+        # scalers.json comes from outside the program: a bound the
+        # networks cannot use is a corrupt file, not a shape bug.
+        path = tmp_path / "scalers.json"
+        save_scalers({"features": fit_scaler(np.zeros((2, len(FEATURE_COLUMNS)))),
+                      "target": fit_scaler(np.zeros(2))}, path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload[scaler][bound] = value
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        prefix = re.escape(f"cannot read scalers file {path}: ")
+        with pytest.raises(CorruptArtifactError, match=rf"\A{prefix}"):
+            load_scalers(path)
+        # Both bounds of the same wrong width are refused by their width.
+        payload[scaler]["x_min"] = payload[scaler]["x_max"] = [0.0] * 2
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with raises_exactly(CorruptArtifactError,
+                            f"cannot read scalers file {path}: "
+                            f"scaler widths must be 7 and 1"):
+            load_scalers(path)
 
 
 class TestChronologicalSplit:

@@ -81,8 +81,7 @@ class TestTrain:
     def test_loss_drops_a_hundredfold_on_a_line(self):
         x, y = toy_line_data()
         model = small_net()
-        config = TrainConfig(batch_size=32, max_epochs=200, patience=200,
-                             learning_rate=0.01)
+        config = TrainConfig(max_epochs=200, patience=200, learning_rate=0.01)
         history = train(model, (x, y), (x, y), config, np.random.default_rng(1))
         assert history.train_loss[-1] < history.train_loss[0] / 100.0
 
@@ -90,8 +89,7 @@ class TestTrain:
         x, y = toy_line_data()
         xv, yv = toy_line_data(64, seed=5)
         model = small_net()
-        config = TrainConfig(batch_size=32, max_epochs=30, patience=5,
-                             learning_rate=0.01)
+        config = TrainConfig(max_epochs=30, patience=5, learning_rate=0.01)
         history = train(model, (x, y), (xv, yv), config, np.random.default_rng(2))
         # Recomputing the validation loss with the restored parameters
         # must equal the recorded minimum exactly.
@@ -103,8 +101,7 @@ class TestTrain:
     def test_history_lengths_match_epochs_run(self):
         x, y = toy_line_data(64)
         model = small_net()
-        config = TrainConfig(batch_size=16, max_epochs=7, patience=100,
-                             learning_rate=0.01)
+        config = TrainConfig(max_epochs=7, patience=100, learning_rate=0.01)
         history = train(model, (x, y), (x, y), config, np.random.default_rng(3))
         assert len(history.val_loss) == 7
         assert len(history.train_loss) == 7
@@ -114,8 +111,7 @@ class TestTrain:
         runs = []
         for _ in range(2):
             model = small_net(seed=4)
-            config = TrainConfig(batch_size=32, max_epochs=5, patience=100,
-                                 learning_rate=0.01)
+            config = TrainConfig(max_epochs=5, patience=100, learning_rate=0.01)
             train(model, (x, y), (x, y), config, np.random.default_rng(7))
             runs.append([p.copy() for p in model.params()])
         for a, b in zip(*runs):
@@ -130,8 +126,7 @@ class TestTrain:
                 Dropout(0.3),
                 Dense(8, 1, rng=np.random.default_rng(5)),
             ])
-            config = TrainConfig(batch_size=32, max_epochs=3, patience=100,
-                                 learning_rate=0.01)
+            config = TrainConfig(max_epochs=3, patience=100, learning_rate=0.01)
             train(model, (x, y), (x, y), config, np.random.default_rng(seed))
             weights.append([p.copy() for p in model.params()])
         assert any(not np.array_equal(a, b) for a, b in zip(*weights))
@@ -145,8 +140,7 @@ class TestTrain:
         x = rng.normal(size=(64, 1)) * 100
         y = rng.normal(size=64) * 1e6
         model = small_net()
-        config = TrainConfig(batch_size=16, max_epochs=500, patience=500,
-                             learning_rate=1e80)
+        config = TrainConfig(max_epochs=500, patience=500, learning_rate=1e80)
         with pytest.raises(DivergedLossError):
             with np.errstate(over="ignore", invalid="ignore"):
                 train(model, (x, y), (x, y), config, np.random.default_rng(8))
@@ -160,8 +154,8 @@ class TestTrain:
 
     def test_invalid_config(self):
         with raises_exactly(InvalidConfigError,
-                            "train.batch_size must be at least 1"):
-            TrainConfig(batch_size=0)
+                            "train.max_epochs must be at least 1"):
+            TrainConfig(max_epochs=0)
         with raises_exactly(InvalidConfigError,
                             "train.learning_rate must be positive"):
             TrainConfig(learning_rate=-1.0)
@@ -172,9 +166,6 @@ class TestTrain:
         with raises_exactly(InvalidConfigError,
                             "train.patience must be at least 1"):
             TrainConfig(patience=0)
-        with raises_exactly(InvalidConfigError,
-                            "train.validation_fraction must be in (0, 1)"):
-            TrainConfig(validation_fraction=0.0)
 
 
 class TestPredictBatches:
