@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 from pathlib import Path
@@ -42,8 +41,8 @@ from gridcast.evaluate import (
     ReportCell,
     compute_metrics,
     read_report_json,
+    report_rows,
     write_report_csv,
-    write_report_rows,
 )
 from gridcast.nn.serialize import load_model
 from gridcast.pipeline import (
@@ -55,7 +54,7 @@ from gridcast.pipeline import (
 )
 from gridcast.preprocess import load_scalers
 from gridcast.synth import generate, write_csvs
-from gridcast.types import atomic_write
+from gridcast.types import csv_line, write_json
 
 # Not called here: perfbench/probes.py patches these names on this module
 # as well as on gridcast.pipeline, so they must stay bound.
@@ -181,9 +180,9 @@ def _cmd_report(args, config: ExperimentConfig, out: Path) -> int:
     if not report_path.exists():
         raise InvalidConfigError(f"no stored report at {report_path}")
     with stage("load"):
-        report = read_report_json(report_path)
+        cells = read_report_json(report_path)
     with stage("write"):
-        write_report_csv(report, out / "report.csv")
+        write_report_csv(cells, out / "report.csv")
         _print_report_csv(out / "report.csv")
     return 0
 
@@ -208,10 +207,8 @@ def _cmd_evaluate(args, config: ExperimentConfig, out: Path) -> int:
         cell = ReportCell(model=name, subset="test", metrics=compute_metrics(
             predicted, frame.consumption[align.targets]))
     with stage("write"):
-        with atomic_write(out / f"evaluate_{name}.json") as handle:
-            handle.write(
-                json.dumps(cell.to_dict(), indent=2, sort_keys=True) + "\n")
-    write_report_rows([cell], sys.stdout)
+        write_json(out / f"evaluate_{name}.json", cell.to_dict())
+    sys.stdout.writelines(map(csv_line, report_rows([cell])))
     return 0
 
 

@@ -41,7 +41,7 @@ from pathlib import Path
 from gridcast.errors import InvalidConfigError
 from gridcast.nn.training import TrainConfig
 from gridcast.synth import SynthConfig
-from gridcast.types import atomic_write
+from gridcast.types import write_json
 
 MODEL_NAMES = ("naive", "seasonal-naive", "mlp", "lstm")
 SOURCES = ("synth", "files")
@@ -166,7 +166,7 @@ def from_flat_dict(data: dict) -> ExperimentConfig:
 def load_config(path: str | Path) -> ExperimentConfig:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         data = json.loads(text)
@@ -176,9 +176,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 def save_config(config: ExperimentConfig, path: str | Path) -> None:
-    text = json.dumps(to_flat_dict(config), indent=2, sort_keys=True)
-    with atomic_write(path) as handle:
-        handle.write(text + "\n")
+    write_json(path, to_flat_dict(config))
 
 
 def config_hash(config: ExperimentConfig) -> str:

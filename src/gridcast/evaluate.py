@@ -8,8 +8,8 @@ poisoning downstream tables.
 """
 from __future__ import annotations
 
-import csv
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,8 +27,9 @@ from gridcast.types import (
     WEATHER_FIELDS,
     MergedFrame,
     Season,
-    atomic_write,
     season_codes,
+    write_csv,
+    write_json,
 )
 
 METRIC_NAMES = ("rmse", "mae", "r2")
@@ -205,68 +206,44 @@ class ReportCell:
         if m["units"] != UNITS:
             raise CorruptArtifactError(f"units must be {UNITS!r}, got {m['units']!r}")
         # A stored value has its JSON type; true and false are not numbers.
+        # Python's json reads NaN and Infinity, which no score can be.
         for name, types in (("rmse", (int, float)), ("mae", (int, float)),
                             ("r2", (int, float, type(None))), ("n", (int,))):
-            if type(m[name]) not in types or name == "n" and m[name] < 1:
-                raise CorruptArtifactError(f"{name} cannot be {json.dumps(m[name])}")
+            value = m[name]
+            if (type(value) not in types or name == "n" and value < 1
+                    or type(value) is float and not math.isfinite(value)):
+                raise CorruptArtifactError(f"{name} cannot be {json.dumps(value)}")
+        scores = {k: m[k] if m[k] is None else float(m[k]) for k in METRIC_NAMES}
         return cls(model=item["model"], subset=item["slice"],
-                   metrics=MetricSet(rmse=m["rmse"], mae=m["mae"], r2=m["r2"],
-                                     n=m["n"]))
+                   metrics=MetricSet(**scores, n=m["n"]))
 
 
-@dataclass
-class EvalReport:
-    """All cells of one experiment plus provenance metadata."""
-
-    metadata: dict
-    cells: list[ReportCell]
-
-    def to_dict(self) -> dict:
-        return {"metadata": dict(self.metadata),
-                "cells": [c.to_dict() for c in self.cells]}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "EvalReport":
-        return cls(metadata=dict(data["metadata"]),
-                   cells=[ReportCell.from_dict(item) for item in data["cells"]])
+def write_report_json(metadata: dict, cells: list[ReportCell], path) -> None:
+    """report.json: the run's provenance metadata and every cell."""
+    write_json(path, {"metadata": metadata,
+                      "cells": [c.to_dict() for c in cells]})
 
 
-def write_report_json(report: EvalReport, path) -> None:
-    """Reloadable JSON dump; floats keep full round-trip precision."""
-    with atomic_write(path) as handle:
-        handle.write(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
-
-
-def read_report_json(path) -> EvalReport:
-    """Reload a report written by write_report_json; raises
+def read_report_json(path) -> list[ReportCell]:
+    """The cells of a report written by write_report_json; raises
     CorruptArtifactError, naming the file, when it is not one."""
     try:
-        return EvalReport.from_dict(
-            json.loads(Path(path).read_text(encoding="utf-8")))
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        return [ReportCell.from_dict(item) for item in data["cells"]]
     except (ValueError, KeyError, TypeError, CorruptArtifactError) as exc:
         raise CorruptArtifactError(f"cannot read report {path}: {exc}") from exc
 
 
-def write_report_rows(cells, handle) -> None:
-    """The report.csv rows of ``cells``, one per metric, to a text handle."""
-    writer = csv.writer(handle, lineterminator="\n")
-    for c in cells:
-        values = {"rmse": c.metrics.rmse, "mae": c.metrics.mae,
-                  "r2": c.metrics.r2}
-        for name in METRIC_NAMES:
-            value = values[name]
-            writer.writerow([
-                c.model, c.subset, name,
-                "" if value is None else repr(float(value)),
-                c.metrics.n, UNITS,
-            ])
+def report_rows(cells) -> list[list]:
+    """The report.csv rows of ``cells``, one per metric."""
+    return [[c.model, c.subset, name, getattr(c.metrics, name), c.metrics.n, UNITS]
+            for c in cells for name in METRIC_NAMES]
 
 
-def write_report_csv(report: EvalReport, path) -> None:
+def write_report_csv(cells: list[ReportCell], path) -> None:
     """Plot-ready long table: one row per model x slice x metric."""
-    with atomic_write(path) as handle:
-        handle.write("model,slice,metric,value,n,units\n")
-        write_report_rows(report.cells, handle)
+    write_csv(path, ("model", "slice", "metric", "value", "n", "units"),
+              report_rows(cells))
 
 
 def write_correlation_csv(values: np.ndarray, path) -> None:
@@ -275,22 +252,14 @@ def write_correlation_csv(values: np.ndarray, path) -> None:
     n = len(CORRELATION_COLUMNS)
     if values.shape != (n, n):
         raise ShapeError(f"matrix shape {values.shape} does not fit {n} labels")
-    with atomic_write(path) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow([""] + list(CORRELATION_COLUMNS))
-        for label, row in zip(CORRELATION_COLUMNS, values):
-            writer.writerow([label] + [
-                "" if np.isnan(v) else repr(float(v)) for v in row])
+    write_csv(path, ("",) + CORRELATION_COLUMNS,
+              ([label, *row] for label, row in zip(CORRELATION_COLUMNS,
+                                                   values.tolist())))
 
 
 def write_diurnal_csv(profiles: dict[Season, np.ndarray], path) -> None:
     """Long table of per-season typical days: season, slot, value."""
-    with atomic_write(path) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["season", "slot", "value"])
-        for season in Season:
-            if season not in profiles:
-                continue
-            for slot, value in enumerate(profiles[season]):
-                writer.writerow([season.value, slot,
-                                 "" if np.isnan(value) else repr(float(value))])
+    write_csv(path, ("season", "slot", "value"),
+              ((season.value, slot, value) for season in Season
+               if season in profiles
+               for slot, value in enumerate(profiles[season].tolist())))

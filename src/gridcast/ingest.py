@@ -131,27 +131,32 @@ def _read_columns(path, names: Sequence[str]) -> Iterator[list[list[str]]]:
     Each block is one list per name, each with one text per data row of
     the block; the last block may be shorter. Follows csv.DictReader:
     blank lines are no rows, and a cell missing from a short row reads as
-    empty.
+    empty. Text that is not UTF-8, or a cell beyond the csv module's field
+    limit, is a DataError naming the file.
     """
     with open(path, newline="", encoding="utf-8-sig") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path}: no header row")
-        missing = [c for c in names if c not in header]
-        if missing:
-            raise DataError(f"{path}: missing column(s) {missing}")
-        columns = [_column_index(header, c) for c in names]
-        width = max(columns) + 1
-        rows_left = filter(None, reader)
-        rows = list(islice(rows_left, ROW_CHUNK))
-        if not rows:
-            raise DataError(f"{path}: header but no data rows")
-        while rows:
-            if min(map(len, rows)) < width:
-                rows = [row + [""] * (width - len(row)) for row in rows]
-            yield [list(map(str.strip, map(itemgetter(c), rows))) for c in columns]
+        try:
+            reader = csv.reader(handle)
+            header = next(reader, None)
+            if header is None:
+                raise DataError(f"{path}: no header row")
+            missing = [c for c in names if c not in header]
+            if missing:
+                raise DataError(f"{path}: missing column(s) {missing}")
+            columns = [_column_index(header, c) for c in names]
+            width = max(columns) + 1
+            rows_left = filter(None, reader)
             rows = list(islice(rows_left, ROW_CHUNK))
+            if not rows:
+                raise DataError(f"{path}: header but no data rows")
+            while rows:
+                if min(map(len, rows)) < width:
+                    rows = [row + [""] * (width - len(row)) for row in rows]
+                yield [list(map(str.strip, map(itemgetter(c), rows)))
+                       for c in columns]
+                rows = list(islice(rows_left, ROW_CHUNK))
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise DataError(f"{path}: unreadable CSV: {exc}") from exc
 
 
 def _parse_floats(texts: list[str]) -> np.ndarray:

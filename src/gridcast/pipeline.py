@@ -39,8 +39,8 @@ from __future__ import annotations
 
 import contextlib
 import datetime as dt
-import json
 from dataclasses import dataclass
+from itertools import count
 from pathlib import Path
 
 import numpy as np
@@ -55,7 +55,6 @@ from gridcast.config import (
 )
 from gridcast.errors import GridcastError, PipelineError, SeriesTooShortError
 from gridcast.evaluate import (
-    EvalReport,
     ReportCell,
     compute_metrics,
     correlation_matrix,
@@ -96,7 +95,13 @@ from gridcast.preprocess import (
     transform,
 )
 from gridcast.synth import generate
-from gridcast.types import MergedFrame, MeterRecords, atomic_write, write_row_files
+from gridcast.types import (
+    MergedFrame,
+    MeterRecords,
+    write_csv,
+    write_json,
+    write_row_files,
+)
 
 
 VALIDATION_FRACTION = 0.1  # the tail of each network's train rows, for early stopping
@@ -304,7 +309,6 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> Path:
             "epochs": {name: len(h.train_loss) for name, h in histories.items()},
             "best_epoch": {name: h.best_epoch for name, h in histories.items()},
         }
-        report = EvalReport(metadata=metadata, cells=cells)
 
     # --- write artifacts ------------------------------------------------------
     with stage("write"):
@@ -316,10 +320,9 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> Path:
                              f"models/{name}.npz"):
                     (out / path).unlink(missing_ok=True)
         save_config(config, out / "config_resolved.json")
-        run_info = {"created": dt.datetime.now(dt.timezone.utc).isoformat()}
-        with atomic_write(out / "run.json") as handle:
-            handle.write(json.dumps(run_info, indent=2, sort_keys=True) + "\n")
-        write_report_csv(report, out / "report.csv")
+        write_json(out / "run.json",
+                   {"created": dt.datetime.now(dt.timezone.utc).isoformat()})
+        write_report_csv(cells, out / "report.csv")
         write_correlation_csv(correlation_matrix(frame), out / "correlation.csv")
         write_diurnal_csv(diurnal_profile(frame), out / "diurnal.csv")
         save_scalers(scalers, out / "scalers.json")
@@ -332,10 +335,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> Path:
                        metadata={"model": name,
                                  "config_hash": metadata["config_hash"]})
         for name, history in histories.items():
-            with atomic_write(out / "history" / f"{name}.csv") as handle:
-                handle.write("epoch,train_loss,val_loss\n")
-                for i, (tl, vl) in enumerate(
-                        zip(history.train_loss, history.val_loss), 1):
-                    handle.write(f"{i},{float(tl)!r},{float(vl)!r}\n")
-        write_report_json(report, out / "report.json")
+            write_csv(out / "history" / f"{name}.csv",
+                      ("epoch", "train_loss", "val_loss"),
+                      zip(count(1), history.train_loss, history.val_loss))
+        write_report_json(metadata, cells, out / "report.json")
     return out

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from gridcast.errors import CorruptArtifactError, SeriesTooShortError, ShapeError
-from gridcast.types import WEATHER_FIELDS, MergedFrame, atomic_write, time_decimal
+from gridcast.types import WEATHER_FIELDS, MergedFrame, time_decimal, write_json
 
 # Model feature columns, in order: six weather fields then decimal hour.
 FEATURE_COLUMNS = WEATHER_FIELDS + ("time_decimal",)
@@ -99,13 +99,8 @@ def scaler_from_dict(payload: dict) -> ScalerParams:
 
 
 def save_scalers(scalers: dict[str, ScalerParams], path: str | Path) -> None:
-    """Write the "features" and "target" scalers as one JSON file.
-
-    Floats are written by repr, so they load back bit for bit.
-    """
-    payload = {name: scaler_to_dict(params) for name, params in scalers.items()}
-    with atomic_write(path) as handle:
-        handle.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Write the "features" and "target" scalers as one JSON file."""
+    write_json(path, {name: scaler_to_dict(p) for name, p in scalers.items()})
 
 
 def load_scalers(path: str | Path) -> dict[str, ScalerParams]:

@@ -50,7 +50,7 @@ from gridcast.types import (
     WEATHER_CSV_COLUMNS,
     MergedFrame,
     Weather,
-    atomic_write,
+    write_csv,
     write_row_files,
 )
 
@@ -237,12 +237,12 @@ def write_csvs(frame: MergedFrame, truth: SynthTruth, out_dir) -> tuple[Path, ..
     else:
         streams = {out_dir / "meter.csv": truth.total}
     weather_dir = out_dir / "weather"
-    by_month: dict[Path, list[str]] = {}
+    by_month: dict[Path, list[list]] = {}
     for ordinal, row in zip(frame.weather.dates.tolist(),
                             frame.weather.values.tolist()):
         date = dt.date.fromordinal(ordinal)
-        line = date.isoformat() + "," + ",".join(map(repr, row))
-        by_month.setdefault(weather_dir / f"{date:%Y%m}.csv", []).append(line)
+        by_month.setdefault(weather_dir / f"{date:%Y%m}.csv", []).append(
+            [date.isoformat(), *row])
 
     existing = [out_dir / name for name in ("meter.csv", "grid.csv", "solar.csv")]
     if weather_dir.is_dir():
@@ -252,8 +252,6 @@ def write_csvs(frame: MergedFrame, truth: SynthTruth, out_dir) -> tuple[Path, ..
             path.unlink(missing_ok=True)
 
     write_row_files(streams, "timestamp,watts", frame.times)
-    header = "date," + ",".join(WEATHER_CSV_COLUMNS)
-    for path, lines in by_month.items():
-        with atomic_write(path) as handle:
-            handle.write(header + "\n" + "\n".join(lines) + "\n")
+    for path, rows in by_month.items():
+        write_csv(path, ("date",) + WEATHER_CSV_COLUMNS, rows)
     return tuple(streams) + tuple(by_month)

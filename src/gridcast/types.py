@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import contextlib
 import datetime as dt
+import json
+import math
 import os
 from dataclasses import dataclass
 from enum import Enum
@@ -341,6 +343,36 @@ def atomic_write(path: str | Path, mode: str = "w"):
     except BaseException:
         temp.unlink(missing_ok=True)
         raise
+
+
+def write_json(path: str | Path, payload) -> None:
+    """Write ``payload`` as gridcast's JSON: a 2-space indent, sorted keys
+    and a final LF. Floats are written by repr, so they load back bit for
+    bit."""
+    with atomic_write(path) as handle:
+        handle.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, (float, np.floating)):
+        return "" if math.isnan(value) else repr(float(value))
+    return str(value)
+
+
+def csv_line(cells) -> str:
+    """One LF-ended CSV line. None and NaN are blank cells (a missing
+    value); a float, numpy's included, is its repr, so it reads back bit
+    for bit; anything else is its str. No cell holds a comma or quote."""
+    return ",".join(map(_csv_cell, cells)) + "\n"
+
+
+def write_csv(path: str | Path, header: Sequence[str], rows) -> None:
+    """Write a header line and one line per row, each through csv_line."""
+    with atomic_write(path) as handle:
+        handle.write(csv_line(header))
+        handle.writelines(map(csv_line, rows))
 
 
 def write_row_files(files: dict[Path, np.ndarray], header: str,

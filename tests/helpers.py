@@ -24,7 +24,7 @@ def raises_exactly(cls, message: str):
 def stored_metrics(run_dir, model: str):
     """The MetricSet of a model's whole-test-slice cell in the run's
     report.json, or None."""
-    for cell in read_report_json(Path(run_dir) / "report.json").cells:
+    for cell in read_report_json(Path(run_dir) / "report.json"):
         if cell.model == model and cell.subset == "test":
             return cell.metrics
     return None

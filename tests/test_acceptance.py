@@ -16,7 +16,7 @@ import pytest
 
 from gridcast.cli import main as cli_main
 from gridcast.config import ExperimentConfig
-from gridcast.evaluate import mae, pearson, r2, read_report_json, rmse
+from gridcast.evaluate import mae, pearson, r2, rmse
 from gridcast.ingest import (
     MeterCsvSpec,
     WeatherDrops,
@@ -295,8 +295,8 @@ def test_repeat_runs_are_bit_identical(tmp_path):
     code_a = cli_main(["compare", "--config", str(config_path), "--out", str(out_a)])
     code_b = cli_main(["compare", "--config", str(config_path), "--out", str(out_b)])
 
-    cells_a = read_report_json(out_a / "report.json").to_dict()["cells"]
-    cells_b = read_report_json(out_b / "report.json").to_dict()["cells"]
+    cells_a = json.loads((out_a / "report.json").read_text(encoding="utf-8"))["cells"]
+    cells_b = json.loads((out_b / "report.json").read_text(encoding="utf-8"))["cells"]
     same_tables = (out_a / "report.csv").read_bytes() == (out_b / "report.csv").read_bytes()
     same_predictions = all(
         (out_a / "predictions" / f"{name}.csv").read_bytes()

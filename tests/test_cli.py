@@ -202,6 +202,30 @@ def test_an_absurd_reading_is_dropped_and_counted(tmp_path, capsys, command):
         assert values and np.all(np.isfinite(values))
 
 
+@pytest.mark.parametrize("damaged, tail", [
+    ("meter.csv", b"\xff"),
+    ("weather/202303.csv", b"\xe9"),
+    ("meter.csv", b"2023-03-04 00:00," + b"1" * 200_000 + b"\n"),
+    ("weather/202303.csv", b"2023-03-31," + b"1" * 200_000 + b"\n"),
+], ids=["meter-not-utf8", "weather-not-utf8", "meter-huge-cell",
+        "weather-huge-cell"])
+@pytest.mark.parametrize("command", ["ingest", "compare"])
+def test_an_unreadable_data_file_is_a_one_line_data_error(
+        tmp_path, capsys, command, damaged, tail):
+    # Each once ended in a UnicodeDecodeError or a csv "field larger
+    # than field limit" traceback.
+    files_config = _three_day_household(tmp_path)
+    path = tmp_path / "data" / damaged
+    with open(path, "ab") as handle:
+        handle.write(tail)
+    capsys.readouterr()
+    assert main([command, "--config", str(files_config)]) == 1
+    stderr = capsys.readouterr().err
+    lines = stderr.splitlines()
+    assert len(lines) == 1 and "Traceback" not in stderr
+    assert lines[0].startswith(f"gridcast: [data] {path}: ")
+
+
 def test_ingest_requires_files_source(tmp_path):
     config = write_config(tmp_path, **small_flat(tmp_path))
     assert main(["ingest", "--config", str(config)]) == 2
@@ -224,12 +248,19 @@ def test_missing_data_file_is_a_runtime_error(tmp_path, capsys):
     assert err.startswith("gridcast: [data] ") and "nope.csv" in err
 
 
-def test_bad_config_file_is_a_usage_error(tmp_path):
+def test_bad_config_file_is_a_usage_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken", encoding="utf-8")
     assert main(["compare", "--config", str(bad)]) == 2
     unknown = write_config(tmp_path, "unknown.json", **{"no_such_key": 1})
     assert main(["compare", "--config", str(unknown)]) == 2
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'{"seed": 1, "out_dir": "\xff"}')
+    capsys.readouterr()
+    assert main(["compare", "--config", str(latin)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"gridcast: cannot read config {latin}: ")
 
 
 @pytest.mark.parametrize("key, value, argv", [
@@ -279,8 +310,8 @@ def test_train_single_model(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "naive,test,rmse," in stdout
     assert "mlp" not in stdout
-    report = read_report_json(tmp_path / "out" / "report.json")
-    assert {c.model for c in report.cells} == {"naive"}
+    cells = read_report_json(tmp_path / "out" / "report.json")
+    assert {c.model for c in cells} == {"naive"}
 
 
 def test_compare_then_report_identical_tables(tmp_path, capsys):
@@ -613,6 +644,8 @@ def test_corrupt_artifact_is_a_one_line_runtime_error(
 @pytest.mark.parametrize("metric, value", [
     ("rmse", "abc"), ("rmse", True), ("mae", None), ("r2", "0.5"),
     ("r2", False), ("n", "5"), ("n", True), ("n", 2.5), ("n", 0),
+    # Python's json reads and writes these three as NaN and ±Infinity.
+    ("rmse", float("nan")), ("mae", float("-inf")), ("r2", float("inf")),
 ])
 def test_report_refuses_a_stored_metric_of_another_type(
         tmp_path, capsys, stored_lstm_run, metric, value):

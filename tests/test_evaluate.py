@@ -14,7 +14,6 @@ from gridcast.errors import (
 )
 from gridcast.evaluate import (
     CORRELATION_COLUMNS,
-    EvalReport,
     MetricSet,
     ReportCell,
     compute_metrics,
@@ -334,51 +333,48 @@ class TestCorrelationMatrix:
 
 
 def small_report():
-    return EvalReport(
-        metadata={"seed": 7, "config_hash": "abc123", "created": "2026-01-01 00:00"},
-        cells=[
-            ReportCell("naive", "test",
-                       MetricSet(rmse=10.5, mae=8.25, r2=0.875, n=100)),
-            ReportCell("lstm", "test",
-                       MetricSet(rmse=9.0, mae=7.0, r2=0.9125, n=100)),
-            ReportCell("lstm", "test/DJF",
-                       MetricSet(rmse=11.0, mae=8.0, r2=None, n=25)),
-        ],
-    )
+    """(metadata, cells) of a small report."""
+    metadata = {"seed": 7, "config_hash": "abc123", "created": "2026-01-01 00:00"}
+    return metadata, [
+        ReportCell("naive", "test",
+                   MetricSet(rmse=10.5, mae=8.25, r2=0.875, n=100)),
+        ReportCell("lstm", "test",
+                   MetricSet(rmse=9.0, mae=7.0, r2=0.9125, n=100)),
+        ReportCell("lstm", "test/DJF",
+                   MetricSet(rmse=11.0, mae=8.0, r2=None, n=25)),
+    ]
 
 
 class TestEvalReport:
     def test_json_round_trip_is_exact(self, tmp_path):
-        report = small_report()
+        metadata, cells = small_report()
         path = tmp_path / "report.json"
-        write_report_json(report, path)
-        loaded = read_report_json(path)
-        assert loaded.metadata == report.metadata
-        assert loaded.cells == report.cells
+        write_report_json(metadata, cells, path)
+        assert json.loads(path.read_text())["metadata"] == metadata
+        assert read_report_json(path) == cells
 
     def test_json_preserves_float_bits(self, tmp_path):
         value = 0.1 + 0.2  # not exactly representable as a decimal literal
-        report = EvalReport(metadata={}, cells=[
-            ReportCell("m", "s", MetricSet(rmse=value, mae=value, r2=value, n=2))])
+        cells = [ReportCell("m", "s",
+                            MetricSet(rmse=value, mae=value, r2=value, n=2))]
         path = tmp_path / "report.json"
-        write_report_json(report, path)
-        assert read_report_json(path).cells[0].metrics.rmse == value
+        write_report_json({}, cells, path)
+        assert read_report_json(path)[0].metrics.rmse == value
 
     def test_missing_r2_serializes_as_null(self, tmp_path):
-        report = small_report()
         path = tmp_path / "report.json"
-        write_report_json(report, path)
+        write_report_json(*small_report(), path)
         data = json.loads(path.read_text())
         djf = [c for c in data["cells"] if c["slice"] == "test/DJF"][0]
         assert djf["metrics"]["r2"] is None
 
     def test_csv_has_one_row_per_model_slice_metric(self, tmp_path):
-        report = small_report()
+        _, cells = small_report()
         path = tmp_path / "report.csv"
-        write_report_csv(report, path)
+        write_report_csv(cells, path)
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "model,slice,metric,value,n,units"
-        assert len(lines) == 1 + 3 * len(report.cells)
+        assert len(lines) == 1 + 3 * len(cells)
         assert lines[1].startswith("naive,test,rmse,10.5")
         r2_row = [l for l in lines if l.startswith("lstm,test/DJF,r2")][0]
         assert r2_row == "lstm,test/DJF,r2,,25,watts"
@@ -386,7 +382,7 @@ class TestEvalReport:
     @pytest.mark.parametrize("units", ["joules", "scaled"])
     def test_reader_rejects_units_other_than_watts(self, tmp_path, units):
         path = tmp_path / "report.json"
-        write_report_json(small_report(), path)
+        write_report_json(*small_report(), path)
         data = json.loads(path.read_text())
         data["cells"][1]["metrics"]["units"] = units
         path.write_text(json.dumps(data))
@@ -394,6 +390,17 @@ class TestEvalReport:
                             f"cannot read report {path}: "
                             f"units must be 'watts', got {units!r}"):
             read_report_json(path)
+
+    def test_a_stored_integer_score_is_tabled_as_a_float(self, tmp_path):
+        # JSON has one number type: a hand-written 5 is the score 5.0.
+        path = tmp_path / "report.json"
+        write_report_json(*small_report(), path)
+        data = json.loads(path.read_text())
+        data["cells"][0]["metrics"].update(rmse=5, mae=4, r2=1)
+        path.write_text(json.dumps(data))
+        write_report_csv(read_report_json(path), tmp_path / "report.csv")
+        rows = (tmp_path / "report.csv").read_text().splitlines()[1:4]
+        assert [r.split(",")[3] for r in rows] == ["5.0", "4.0", "1.0"]
 
 
 class TestAuxWriters:

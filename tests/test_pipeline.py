@@ -48,9 +48,9 @@ def test_alignment_rejects_short_series():
 
 def test_naive_only_roster_gives_one_model(tmp_path):
     config = small_config(models=["naive"])
-    report = read_report_json(run_experiment(config, tmp_path) / "report.json")
-    assert {c.model for c in report.cells} == {"naive"}
-    subsets = [c.subset for c in report.cells]
+    cells = read_report_json(run_experiment(config, tmp_path) / "report.json")
+    assert {c.model for c in cells} == {"naive"}
+    subsets = [c.subset for c in cells]
     assert subsets[0] == "test"
     assert all(s == "test" or s.startswith("test/") for s in subsets)
 
@@ -97,7 +97,9 @@ def test_artifacts_are_written(tmp_path):
     assert not (tmp_path / "models" / "naive.npz").exists()
     # report.json holds the whole report: reloading and rewriting it
     # gives the same bytes.
-    write_report_json(read_report_json(tmp_path / "report.json"),
+    metadata = json.loads(
+        (tmp_path / "report.json").read_text(encoding="utf-8"))["metadata"]
+    write_report_json(metadata, read_report_json(tmp_path / "report.json"),
                       tmp_path / "again.json")
     assert ((tmp_path / "again.json").read_bytes()
             == (tmp_path / "report.json").read_bytes())
@@ -122,7 +124,8 @@ def test_history_csv_shape(tmp_path):
     lines = (tmp_path / "history" / "mlp.csv").read_text(
         encoding="utf-8").strip().splitlines()
     assert lines[0] == "epoch,train_loss,val_loss"
-    metadata = read_report_json(tmp_path / "report.json").metadata
+    metadata = json.loads(
+        (tmp_path / "report.json").read_text(encoding="utf-8"))["metadata"]
     assert len(lines) - 1 == metadata["epochs"]["mlp"]
     first = lines[1].split(",")
     assert first[0] == "1"
@@ -132,7 +135,8 @@ def test_history_csv_shape(tmp_path):
 def test_report_metadata_provenance(tmp_path):
     config = small_config(models=["naive"])
     run_experiment(config, tmp_path)
-    meta = read_report_json(tmp_path / "report.json").metadata
+    meta = json.loads(
+        (tmp_path / "report.json").read_text(encoding="utf-8"))["metadata"]
     assert meta["seed"] == config.seed
     assert meta["config"]["synth.days"] == 8
     assert meta["rows"] == 8 * 288
@@ -159,8 +163,8 @@ def test_same_config_and_seed_reproduce_metrics_exactly(tmp_path):
     config = small_config()
     a = run_experiment(config, tmp_path / "a")
     b = run_experiment(config, tmp_path / "b")
-    dict_a = read_report_json(a / "report.json").to_dict()
-    dict_b = read_report_json(b / "report.json").to_dict()
+    dict_a = json.loads((a / "report.json").read_text(encoding="utf-8"))
+    dict_b = json.loads((b / "report.json").read_text(encoding="utf-8"))
     assert dict_a["cells"] == dict_b["cells"]
     for name in config.models:
         assert np.array_equal(read_predictions(a, name)[2],

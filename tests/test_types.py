@@ -21,11 +21,14 @@ from gridcast.types import (
     Season,
     Weather,
     atomic_write,
+    csv_line,
     format_timestamps,
     parse_timestamps,
     season_codes,
     time_decimal,
     weather_plausible,
+    write_csv,
+    write_json,
     write_row_files,
 )
 from helpers import MILD_DAY, frame_of, slot
@@ -231,6 +234,19 @@ class TestWriters:
         assert path.read_text() == "old\n"
         assert [p.name for p in tmp_path.iterdir()] == ["a.txt"]
 
+    def test_csv_cells_blank_a_missing_value_and_repr_a_float(self):
+        # numpy 2's repr of np.float64(0.1) is "np.float64(0.1)".
+        assert csv_line([None, np.nan, np.float64(0.1), 0.1 + 0.2, 7,
+                         np.int64(-3), "DJF", 1e-17, np.float32(0.5)]) == (
+            ",,0.1,0.30000000000000004,7,-3,DJF,1e-17,0.5\n")
+
+    def test_text_formats(self, tmp_path):
+        write_json(tmp_path / "a.json", {"b": [0.1, None], "a": 1})
+        assert (tmp_path / "a.json").read_bytes() == (
+            b'{\n  "a": 1,\n  "b": [\n    0.1,\n    null\n  ]\n}\n')
+        write_csv(tmp_path / "a.csv", ("", "x"), [("r", np.nan), ("s", 2.0)])
+        assert (tmp_path / "a.csv").read_bytes() == b",x\nr,\ns,2.0\n"
+
     def test_row_files_share_their_prefix_columns(self, tmp_path):
         times = tp(2023, 3, 1, 0, 0) + np.arange(3)
         shared = np.array([1.5, 2.0, 1e-17])
@@ -311,14 +327,29 @@ def _write_calls_outside_atomic_write(tree) -> list[str]:
 
 def test_every_file_write_in_src_goes_through_atomic_write():
     # A file written in place is half-written when the write fails, and
-    # a run directory holding one no longer describes one run.
-    outside = {}
+    # a run directory holding one no longer describes one run. JSON and
+    # CSV layout is decided once, by types.write_json and types.write_csv,
+    # and nn/serialize.py writes the one binary format: no other module
+    # calls atomic_write, and only ingest, the reader, imports csv.
+    outside, callers, csv_importers = {}, set(), set()
     for path in sorted(SRC.rglob("*.py")):
-        calls = _write_calls_outside_atomic_write(
-            ast.parse(path.read_text(encoding="utf-8")))
+        name = str(path.relative_to(SRC))
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        calls = _write_calls_outside_atomic_write(tree)
         if calls:
-            outside[str(path.relative_to(SRC))] = calls
+            outside[name] = calls
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and "atomic_write" in (
+                    getattr(node.func, "id", None),
+                    getattr(node.func, "attr", None)):
+                callers.add(name)
+            if (isinstance(node, ast.Import)
+                    and "csv" in [a.name for a in node.names]
+                    or isinstance(node, ast.ImportFrom) and node.module == "csv"):
+                csv_importers.add(name)
     assert outside == {}
+    assert callers == {"types.py", "nn/serialize.py"}
+    assert csv_importers == {"ingest.py"}
 
 
 def test_the_write_scan_catches_each_kind_of_write():
