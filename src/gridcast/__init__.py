@@ -28,15 +28,3 @@ finally:
     if _choose_threads:
         del os.environ["OPENBLAS_NUM_THREADS"]
 del _choose_threads
-
-from gridcast.types import (  # noqa: F401
-    SEASONS,
-    MergedFrame,
-    MeterRecords,
-    Season,
-    Weather,
-    format_timestamps,
-    parse_timestamps,
-    season_codes,
-    time_decimal,
-)

@@ -85,11 +85,16 @@ def pearson(x, y) -> float:
         raise ZeroVarianceError("correlation needs at least 2 samples")
     xm = xv - xv.mean()
     ym = yv - yv.mean()
-    sx = float(np.sum(xm * xm))
-    sy = float(np.sum(ym * ym))
+    return _coefficient(np.sum(xm * ym), float(np.sum(xm * xm)),
+                        float(np.sum(ym * ym)))
+
+
+def _coefficient(sxy, sx: float, sy: float) -> float:
+    """sxy / sqrt(sx * sy), clipped to [-1, 1], from the sums of products
+    and of squares of two centred series."""
     if sx == 0.0 or sy == 0.0:
         raise ZeroVarianceError("correlation undefined for a constant input")
-    r = float(np.sum(xm * ym) / np.sqrt(sx * sy))
+    r = float(sxy / np.sqrt(sx * sy))
     return float(np.clip(r, -1.0, 1.0))
 
 
@@ -155,34 +160,46 @@ def diurnal_profile(frame: MergedFrame) -> dict[Season, np.ndarray]:
             for code in dict.fromkeys((keys // SLOTS_PER_DAY).tolist())}
 
 
-def pairwise_correlation(columns) -> np.ndarray:
-    """Symmetric correlation matrix over the columns of an (N, K) array.
+def correlation_matrix(frame: MergedFrame) -> np.ndarray:
+    """7x7 correlation of the six weather fields and consumption.
 
-    The diagonal is exactly 1; any pair involving a constant column is
+    Each pair holds pearson() of its two columns, bit for bit. The
+    diagonal is exactly 1; any pair involving a constant column is
     reported as NaN (missing) rather than raising, so one degenerate
-    column cannot sink the whole matrix.
+    column cannot sink the whole matrix. A column is gathered when a
+    pair needs it and centred in place, so at most two full-length
+    columns are alive, never the seven stacked.
     """
-    x = np.asarray(columns, dtype=np.float64)
-    if x.ndim != 2:
-        raise ShapeError(f"expected (rows, columns), got ndim={x.ndim}")
-    if x.shape[0] < 2:
-        raise SeriesTooShortError(f"need at least 2 rows, got {x.shape[0]}")
-    k = x.shape[1]
+    n = len(frame)
+    if n < 2:
+        raise SeriesTooShortError(f"need at least 2 rows, got {n}")
+    # Rows per weather day: times increase and every row's date has a day.
+    day_rows = np.diff(np.searchsorted(
+        frame.times, frame.weather.dates * SLOTS_PER_DAY), append=n)
+
+    def centred(k: int, factor: np.ndarray | None = None) -> np.ndarray:
+        """Column k minus its mean, times ``factor`` if given: one new array."""
+        column = (np.repeat(frame.weather.values[:, k], day_rows)
+                  if k < len(WEATHER_FIELDS)
+                  else np.array(frame.consumption, dtype=np.float64))
+        column -= column.mean()
+        if factor is not None:
+            column *= factor
+        return column
+
+    k = len(CORRELATION_COLUMNS)
+    squares = [float(np.sum(np.square(centred(j)))) for j in range(k)]
     out = np.eye(k)
     for i in range(k):
+        xm = centred(i)
         for j in range(i + 1, k):
             try:
-                c = pearson(x[:, i], x[:, j])
+                c = _coefficient(np.sum(centred(j, factor=xm)),
+                                 squares[i], squares[j])
             except ZeroVarianceError:
                 c = np.nan
             out[i, j] = out[j, i] = c
     return out
-
-
-def correlation_matrix(frame: MergedFrame) -> np.ndarray:
-    """7x7 correlation of the six weather fields and consumption."""
-    stacked = np.column_stack([frame.row_weather(), frame.consumption])
-    return pairwise_correlation(stacked)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,12 @@ input, stashing parameter gradients on the layer for the optimizer.
 Only a train-mode forward (``train=True``) keeps what backward() needs.
 An eval-mode forward retains nothing: it drops any cache an earlier
 train-mode call left, so inference holds no per-step state and a
-backward() after it raises ShapeError.
+backward() after it raises ShapeError. A train-mode LSTM forward keeps
+the cell state and the four gates of every step and a reference to its
+input, but no per-step slab of the cell's input [h_(t-1), x_t] or of
+relu(c_t): backward() rebuilds both step by step, as
+h_(t-1) = o_(t-1) * relu(c_t), with the forward's own calls, so it gets
+the same bits.
 
 One LSTM cell, writing into the buffers it is given, serves both modes.
 An eval-mode LSTM forward scores its rows in fixed ``EVAL_CHUNK``-row
@@ -210,6 +215,7 @@ class LSTM:
         self.dW = np.zeros_like(self.W)
         self.db = np.zeros_like(self.b)
         self._cache = None
+        self._x = None
 
     def _cell(self, hx, c_prev, z, f, i, g, o, c, ig, a, h) -> None:
         """One batched step from hx = [h_prev, x_t] and c_prev, written
@@ -235,37 +241,40 @@ class LSTM:
                 f"lstm layer expects (B, L, {self.n_in}), got {x.shape}"
             )
         if not train:
-            self._cache = None
+            self._cache = self._x = None
             return self._forward_eval(x)
         batch, length, _ = x.shape
         hsz = self.hidden
         if self._cache is None or self._cache[0].shape[:2] != (length + 1, batch):
             self._cache = None  # first, so one batch of BPTT state is alive, not two
             self._cache = self._bptt_state(batch, length)
-        hx, c, f, i, g, o, z, ig, a = self._cache
-        hx[:length, :, hsz:] = x.transpose(1, 0, 2)
+        c, f, i, g, o, hx, z, ig, a = self._cache
+        hx[:, :hsz] = 0.0
         for t in range(length):
-            self._cell(hx[t], c[t], z, f[t], i[t], g[t], o[t], c[t + 1], ig,
-                       a, hx[t + 1, :, :hsz])
+            hx[:, hsz:] = x[:, t, :]
+            self._cell(hx, c[t], z, f[t], i[t], g[t], o[t], c[t + 1], ig,
+                       a, hx[:, :hsz])
+        self._x = x
         # A copy, so that no later layer keeps this batch's state alive.
-        return hx[length, :, :hsz].copy()
+        return hx[:, :hsz].copy()
 
     def _bptt_state(self, batch: int, length: int) -> tuple[np.ndarray, ...]:
-        """What backward() reads, hx, c and the gates f, i, g, o, then the
-        cell's scratch z, ig and a = relu(c_t), each one step wide.
+        """What backward() reads, c and the gates f, i, g, o, then the
+        cell's input hx = [h_(t-1), x_t] and its scratch z, ig and
+        a = relu(c_t), each one step wide.
 
-        Row t of hx is [h_(t-1), x_t]; row 0 of c, like the h columns of
-        row 0 of hx, is the zero initial state, which no step overwrites.
-        backward() recomputes each step's relu(c_t) from c into a, with the
-        forward's own call, so it gets the same bits without a slab of
-        them. The next batch of the same shape reuses these arrays: fresh
+        Row 0 of c is the zero initial state, which no step overwrites.
+        backward() rebuilds each step's hx from the batch's x and
+        h_(t-1) = o_(t-1) * relu(c_t), and each relu(c_t) into a, with the
+        forward's own calls, so it gets the same bits without a slab of
+        either. The next batch of the same shape reuses these arrays: fresh
         ones of this size come from newly mapped pages, and faulting them
         in cost about a quarter of the train-mode forward.
         """
         hsz, dtype = self.hidden, self.W.dtype
-        return (np.zeros((length + 1, batch, hsz + self.n_in), dtype=dtype),
-                np.zeros((length + 1, batch, hsz), dtype=dtype),
+        return (np.zeros((length + 1, batch, hsz), dtype=dtype),
                 *(np.empty((length, batch, hsz), dtype=dtype) for _ in range(4)),
+                np.empty((batch, hsz + self.n_in), dtype=dtype),
                 np.empty((batch, 4 * hsz), dtype=dtype),
                 *(np.empty((batch, hsz), dtype=dtype) for _ in range(2)))
 
@@ -339,7 +348,8 @@ class LSTM:
         if self._cache is None:
             raise ShapeError(
                 "lstm backward called before a train-mode forward")
-        hx, c, *gates, _, _, a = self._cache
+        c, *gates, hx, _, _, a = self._cache
+        x = self._x
         length, batch, hsz = gates[0].shape
         dtype = self.W.dtype
         self.dW = np.zeros_like(self.W)
@@ -352,15 +362,23 @@ class LSTM:
         # The relu masks are bool: multiplying by one gives the same bits
         # as multiplying by a 0/1 float mask, without the cast.
         dz = np.empty((batch, 4 * hsz), dtype=dtype)
+        relu(c[length], out=a)
         for t in range(length - 1, -1, -1):
             f, i, g, o = (s[t] for s in gates)
-            relu(c[t + 1], out=a)
             dc = dc + dh * o * (c[t + 1] > 0.0)
             dz[:, 0 * hsz:1 * hsz] = dc * c[t] * f * (1.0 - f)
             dz[:, 1 * hsz:2 * hsz] = dc * g * i * (1.0 - i)
             dz[:, 2 * hsz:3 * hsz] = dc * i * (g > 0.0)
             dz[:, 3 * hsz:4 * hsz] = dh * a * o * (1.0 - o)
-            self.dW += dz.T @ hx[t]
+            # hx = [h_(t-1), x_t] as the forward built it, and a = relu(c_t),
+            # which is the act(c) of step t - 1.
+            if t:
+                relu(c[t], out=a)
+                np.multiply(gates[3][t - 1], a, out=hx[:, :hsz])
+            else:
+                hx[:, :hsz] = 0.0
+            hx[:, hsz:] = x[:, t, :]
+            self.dW += dz.T @ hx
             self.db += dz.sum(axis=0)
             dhx = dz @ self.W
             dh = dhx[:, :hsz]

@@ -85,6 +85,7 @@ from gridcast.nn import Network
 from gridcast.nn.serialize import save_model
 from gridcast.nn.training import TrainingHistory, train
 from gridcast.preprocess import (
+    FEATURE_COLUMNS,
     ScalerParams,
     WindowBatch,
     chronological_split,
@@ -96,6 +97,7 @@ from gridcast.preprocess import (
 )
 from gridcast.synth import generate
 from gridcast.types import (
+    ROW_CHUNK,
     MergedFrame,
     MeterRecords,
     write_csv,
@@ -119,6 +121,30 @@ class Alignment:
     def train_rows(self) -> slice:
         """The rows the scalers are fitted on and the mlp trains on."""
         return slice(0, self.boundary)
+
+    def _train_blocks(self) -> list[slice]:
+        """The train rows as consecutive blocks of at most ROW_CHUNK rows."""
+        return [slice(start, min(start + ROW_CHUNK, self.boundary))
+                for start in range(0, self.boundary, ROW_CHUNK)]
+
+    def feature_scaler(self, frame: MergedFrame) -> ScalerParams:
+        """The feature scaler of the train rows, fitted a block at a time.
+        A min or max over blocks is exact, so it equals
+        ``fit_scaler(feature_matrix(frame, self.train_rows))``."""
+        fits = [fit_scaler(feature_matrix(frame, rows))
+                for rows in self._train_blocks()]
+        return ScalerParams(x_min=np.min([s.x_min for s in fits], axis=0),
+                            x_max=np.max([s.x_max for s in fits], axis=0))
+
+    def mlp_inputs(self, frame: MergedFrame, scaler: ScalerParams) -> np.ndarray:
+        """The mlp's scaled train features in COMPUTE_DTYPE, written into
+        one array a block at a time. transform works element by element,
+        so they equal ``transform(feature_matrix(frame, self.train_rows),
+        scaler).astype(COMPUTE_DTYPE)`` without a float64 matrix of them."""
+        out = np.empty((self.boundary, len(FEATURE_COLUMNS)), dtype=COMPUTE_DTYPE)
+        for rows in self._train_blocks():
+            out[rows] = transform(feature_matrix(frame, rows), scaler)
+        return out
 
     def windows(self, series: np.ndarray, scaler: ScalerParams,
                 train: bool = False) -> WindowBatch:
@@ -240,9 +266,8 @@ def _fit_network(name: str, config: ExperimentConfig, frame: MergedFrame,
         config.seed, spawn_key=(_SEED_STREAMS[name],)))
     if name == "mlp":
         model = build_mlp(rng=rng)
-        rows = align.train_rows
-        inputs = transform(feature_matrix(frame, rows), scalers["features"])
-        targets = transform(frame.consumption[rows], scalers["target"])
+        inputs = align.mlp_inputs(frame, scalers["features"])
+        targets = transform(frame.consumption[align.train_rows], scalers["target"])
     else:
         model = build_lstm(rng=rng)
         windows = align.windows(frame.consumption, scalers["target"], train=True)
@@ -267,7 +292,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> Path:
         align = alignment(config, n)
         targets = align.targets
         scalers = {
-            "features": fit_scaler(feature_matrix(frame, align.train_rows)),
+            "features": align.feature_scaler(frame),
             "target": fit_scaler(y[align.train_rows].reshape(-1, 1)),
         }
 

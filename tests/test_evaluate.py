@@ -20,7 +20,6 @@ from gridcast.evaluate import (
     correlation_matrix,
     diurnal_profile,
     mae,
-    pairwise_correlation,
     pearson,
     r2,
     read_report_json,
@@ -31,8 +30,15 @@ from gridcast.evaluate import (
     write_report_csv,
     write_report_json,
 )
-from gridcast.types import SLOTS_PER_DAY, Season
-from helpers import frame_of, raises_exactly, slot
+from gridcast.types import ROW_CHUNK, SLOTS_PER_DAY, Season
+from helpers import (
+    frame_of,
+    raises_exactly,
+    random_frame,
+    slot,
+    stacked_correlation,
+    traced_peak,
+)
 
 
 def day_of_times(date, n=288):
@@ -275,42 +281,70 @@ class TestSeasonalReference:
         assert stratify_by_season(pred, actual, frame.times) == expected
 
 
+def weather_frame(seed: int, days: int = 30, per_day: int = 4, edit=None):
+    """A frame of ``per_day`` readings on each of ``days`` days, each day
+    with its own random weather (passed through ``edit`` if given), and
+    its (n, 7) stack of weather and consumption columns."""
+    rng = np.random.default_rng(seed)
+    start = dt.date(2023, 9, 1)
+    times = [t for d in range(days)
+             for t in day_of_times(start + dt.timedelta(days=d), n=per_day)]
+    cons = rng.uniform(100, 900, size=len(times))
+    daily = rng.uniform(1, 50, size=(days, 6))
+    if edit is not None:
+        edit(daily)
+    return (frame_of(times, cons, daily),
+            np.column_stack([np.repeat(daily, per_day, axis=0), cons]))
+
+
 class TestCorrelationMatrix:
     def test_duplicated_column_pair(self):
-        rng = np.random.default_rng(7)
-        col = rng.normal(size=50)
-        matrix = pairwise_correlation(np.column_stack([col, col]))
-        assert matrix[0, 1] == pytest.approx(1.0)
+        def duplicate(daily):
+            daily[:, 1] = daily[:, 0]
+        frame, _ = weather_frame(7, edit=duplicate)
+        assert correlation_matrix(frame)[0, 1] == pytest.approx(1.0)
 
     def test_diagonal_is_one(self):
-        rng = np.random.default_rng(8)
-        matrix = pairwise_correlation(rng.normal(size=(30, 5)))
-        assert np.array_equal(np.diag(matrix), np.ones(5))
+        matrix = correlation_matrix(weather_frame(8)[0])
+        assert np.array_equal(np.diag(matrix), np.ones(7))
 
     def test_matches_brute_force_pairwise(self):
-        rng = np.random.default_rng(9)
-        cols = rng.normal(size=(40, 3))
-        matrix = pairwise_correlation(cols)
-        for i in range(3):
-            for j in range(3):
-                expected = 1.0 if i == j else pearson(cols[:, i], cols[:, j])
+        frame, stacked = weather_frame(9)
+        matrix = correlation_matrix(frame)
+        assert np.array_equal(matrix, stacked_correlation(stacked))
+        for i in range(7):
+            for j in range(7):
+                expected = 1.0 if i == j else pearson(stacked[:, i], stacked[:, j])
                 assert matrix[i, j] == pytest.approx(expected, abs=1e-12)
 
     def test_symmetry(self):
-        rng = np.random.default_rng(10)
-        matrix = pairwise_correlation(rng.normal(size=(25, 6)))
+        matrix = correlation_matrix(weather_frame(10)[0])
         assert np.array_equal(matrix, matrix.T)
 
     def test_constant_column_reported_missing_not_fatal(self):
-        rng = np.random.default_rng(11)
-        cols = np.column_stack([rng.normal(size=20), np.full(20, 3.0)])
-        matrix = pairwise_correlation(cols)
-        assert np.isnan(matrix[0, 1]) and np.isnan(matrix[1, 0])
-        assert matrix[0, 0] == 1.0 and matrix[1, 1] == 1.0
+        def constant(daily):
+            daily[:, 2] = 3.0
+        matrix = correlation_matrix(weather_frame(11, edit=constant)[0])
+        others = [k for k in range(7) if k != 2]
+        assert np.isnan(matrix[2, others]).all() and np.isnan(matrix[others, 2]).all()
+        assert matrix[2, 2] == 1.0
+        assert np.isfinite(matrix[np.ix_(others, others)]).all()
 
     def test_too_few_rows(self):
+        frame = frame_of([slot(dt.date(2023, 9, 1))], [500.0])
         with raises_exactly(SeriesTooShortError, "need at least 2 rows, got 1"):
-            pairwise_correlation(np.ones((1, 3)))
+            correlation_matrix(frame)
+
+    def test_a_long_frame_gives_the_stacked_bits_in_two_columns_of_memory(self):
+        # Over sixteen ROW_CHUNK blocks of rows: 229 days.
+        frame = random_frame(16 * ROW_CHUNK + 7, seed=14)
+        stacked = np.column_stack([frame.row_weather(), frame.consumption])
+        expected = stacked_correlation(stacked)
+        del stacked
+        matrix, peak = traced_peak(correlation_matrix, frame)
+        assert np.array_equal(matrix, expected)
+        # At most two float64 columns are alive, never the (n, 7) stack.
+        assert peak < 2.5 * len(frame) * 8
 
     def test_frame_correlation_shape_and_labels(self):
         # 12 days of 4 readings, each day with its own weather.
@@ -405,8 +439,7 @@ class TestEvalReport:
 
 class TestAuxWriters:
     def test_correlation_csv_round_readable(self, tmp_path):
-        rng = np.random.default_rng(13)
-        matrix = pairwise_correlation(rng.normal(size=(20, 7)))
+        matrix = correlation_matrix(weather_frame(13)[0])
         path = tmp_path / "correlation.csv"
         write_correlation_csv(matrix, path)
         lines = path.read_text().strip().split("\n")

@@ -44,9 +44,12 @@ def distance_from_relu_kinks(lstm, x):
     state. A cell state of exactly 0 is no kink: it stays 0 while every
     candidate that fed it stays negative."""
     lstm.forward(x, train=True)
-    hx, c = lstm._cache[:2]
+    c, o = lstm._cache[0], lstm._cache[4]
     hsz = lstm.hidden
-    candidate = hx[:-1] @ lstm.W[2 * hsz:3 * hsz].T + lstm.b[2 * hsz:3 * hsz]
+    # Row t is [h_(t-1), x_t], with h_(t-1) = o_(t-1) * relu(c_t).
+    h = np.concatenate([np.zeros_like(c[:1]), o[:-1] * np.maximum(c[1:-1], 0.0)])
+    hx = np.concatenate([h, x.transpose(1, 0, 2)], axis=2)
+    candidate = hx @ lstm.W[2 * hsz:3 * hsz].T + lstm.b[2 * hsz:3 * hsz]
     state = np.abs(c[1:])
     return min(np.abs(candidate).min(), state[state > 0.0].min())
 

@@ -16,7 +16,7 @@ from gridcast.ingest import (
     merge_solar,
     parse_meter_csv,
 )
-from gridcast.evaluate import correlation_matrix, pairwise_correlation
+from gridcast.evaluate import correlation_matrix
 from gridcast.preprocess import feature_matrix
 from gridcast.types import (
     MAX_HOUSEHOLD_WATTS,
@@ -28,7 +28,7 @@ from gridcast.types import (
     format_timestamps,
     time_decimal,
 )
-from helpers import raises_exactly, slot
+from helpers import raises_exactly, slot, stacked_correlation
 
 WEATHER_HEADER = ("date,max_temp_c,rainfall_mm,temp_9am_c,rh_9am_pct,"
                   "temp_3pm_c,rh_3pm_pct")
@@ -556,5 +556,5 @@ class TestBuildFrame:
             stacked.append(day_weather + [w])
         assert np.array_equal(feature_matrix(frame), np.array(features))
         assert np.array_equal(correlation_matrix(frame),
-                              pairwise_correlation(np.array(stacked)),
+                              stacked_correlation(np.array(stacked)),
                               equal_nan=True)

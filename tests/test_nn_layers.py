@@ -126,14 +126,15 @@ class TestLstmForward:
             cell.forward(np.zeros((2, 8, 3)))
 
     def test_train_forward_holds_one_batch_of_bptt_state(self):
-        # At the production shape one batch's BPTT state is about 7.8 MB.
+        # At the production shape one batch's BPTT state is about 6.55 MB.
         # Building the next while the last is still alive peaks at twice
         # that. A batch one row short, as an epoch's last batch can be,
         # needs new arrays. The fixed bound keeps the limit from growing
-        # with the cache: 7.81 MB is 25 rows of hx (256 x 51) and of c
-        # (256 x 50), 24 rows of the four gates (256 x 50), and the
-        # cell's one-step scratch z (256 x 200), ig and act(c) (256 x 50)
-        # in float32. A slab of act(c) for every step would add 1.23 MB.
+        # with the cache: 6.55 MB is 25 rows of c (256 x 50), 24 rows of
+        # the four gates (256 x 50), and the cell's one-step input hx
+        # (256 x 51) and scratch z (256 x 200), ig and act(c) (256 x 50)
+        # in float32. A slab of hx for every step would add 1.25 MB, and
+        # one of act(c) 1.23 MB.
         rng = np.random.default_rng(12)
         cell = LSTM(1, 50, rng=rng, dtype=np.float32)
         x = rng.uniform(size=(256, 24, 1)).astype(np.float32)
@@ -146,11 +147,12 @@ class TestLstmForward:
         finally:
             tracemalloc.stop()
         assert peak < 1.2 * sum(a.nbytes for a in cell._cache)
-        assert peak < 1.05 * 7.81e6
+        assert peak < 1.05 * 6.55e6
 
     def test_train_forward_reuses_the_state_of_a_same_shape_batch(self):
         # Fresh arrays of this size come from newly mapped pages, which
-        # made the train-mode forward a quarter slower.
+        # made the train-mode forward a quarter slower. The batch's x is
+        # held beside the state, not in it.
         rng = np.random.default_rng(13)
         cell = LSTM(1, 50, rng=rng, dtype=np.float32)
         x = rng.uniform(size=(256, 24, 1)).astype(np.float32)
@@ -159,6 +161,7 @@ class TestLstmForward:
         y = rng.uniform(size=x.shape).astype(np.float32)
         h = cell.forward(y, train=True)
         assert all(new is old for new, old in zip(cell._cache, state))
+        assert cell._x is y and not any(a is y for a in state)
         assert np.array_equal(h, cell.forward(y))
 
 

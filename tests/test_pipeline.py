@@ -1,5 +1,6 @@
 """Tests for the end-to-end experiment runner."""
 import dataclasses
+import datetime as dt
 import inspect
 import json
 import tracemalloc
@@ -14,8 +15,14 @@ from gridcast.evaluate import read_report_json, write_report_json
 from gridcast.nn.layers import LSTM
 from gridcast.pipeline import Alignment, alignment, load_frame, run_experiment
 from gridcast.synth import SynthConfig, generate, write_csvs
-from gridcast.types import MergedFrame, format_timestamps
-from helpers import read_predictions, stored_metrics
+from gridcast.types import ROW_CHUNK, SLOTS_PER_DAY, MergedFrame, format_timestamps
+from helpers import (
+    frame_of,
+    random_frame,
+    read_predictions,
+    stored_metrics,
+    traced_peak,
+)
 
 
 def small_config(**overrides):
@@ -37,6 +44,59 @@ def test_alignment_matches_hand_computation():
     assert align.targets[0] == 824 and align.targets[-1] == 999
     assert len(align.targets) == 176
     assert isinstance(align, Alignment)
+
+
+def _extremes_at_block_edges(n: int, boundary: int) -> MergedFrame:
+    """n rows, one a day, so each row has its own weather. Every feature
+    column has its train maximum and minimum on the two sides of a
+    ROW_CHUNK block edge, but for the first column's maximum, in the last
+    train row; the first two test rows lie beyond them."""
+    rng = np.random.default_rng(4)
+    times = ((dt.date(1990, 1, 1).toordinal() + np.arange(n)) * SLOTS_PER_DAY
+             + rng.integers(1, SLOTS_PER_DAY - 1, n))
+    daily = rng.uniform(1.0, 30.0, (n, 6))
+    high, low = (50.0, 300.0, 50.0, 99.0, 50.0, 99.0), (-15.0, 0.0) * 3
+    for column in range(6):
+        edge = ROW_CHUNK * (1 + column % 3)
+        daily[edge - 1, column], daily[edge, column] = high[column], low[column]
+    daily[boundary - 1, 0] = 54.0
+    daily[boundary] = (55.0, 500.0, 55.0, 100.0, 55.0, 100.0)
+    daily[boundary + 1] = (-20.0, 0.0) * 3
+    times[ROW_CHUNK - 1] += SLOTS_PER_DAY - 1 - times[ROW_CHUNK - 1] % SLOTS_PER_DAY
+    times[ROW_CHUNK] -= times[ROW_CHUNK] % SLOTS_PER_DAY
+    return frame_of(times, rng.uniform(0.0, 3000.0, n), daily)
+
+
+def test_block_built_scaler_and_mlp_inputs_equal_the_whole_array_formulas():
+    n = 5 * ROW_CHUNK + 7
+    align = alignment(ExperimentConfig(), n)
+    # The train slice ends 5 rows into its fifth ROW_CHUNK block.
+    assert align.boundary == 4 * ROW_CHUNK + 5
+    frame = _extremes_at_block_edges(n, align.boundary)
+    rows = align.train_rows
+    whole = preprocess.fit_scaler(preprocess.feature_matrix(frame, rows))
+    assert whole.x_max.tolist() == [54.0, 300.0, 50.0, 99.0, 50.0, 99.0,
+                                    23 + 55 / 60]
+    assert whole.x_min.tolist() == [-15.0, 0.0] * 3 + [0.0]
+    scaler = align.feature_scaler(frame)
+    assert scaler.x_min.tobytes() == whole.x_min.tobytes()
+    assert scaler.x_max.tobytes() == whole.x_max.tobytes()
+    inputs = align.mlp_inputs(frame, scaler)
+    expected = preprocess.transform(preprocess.feature_matrix(frame, rows),
+                                    scaler).astype(np.float32)
+    assert inputs.dtype == np.float32
+    assert inputs.shape == expected.shape and inputs.tobytes() == expected.tobytes()
+
+
+def test_block_built_scaler_and_mlp_inputs_hold_no_float64_matrix():
+    frame = random_frame(32 * ROW_CHUNK, seed=15)
+    align = alignment(ExperimentConfig(), len(frame))
+    matrix = align.boundary * 7 * 8  # one (n, 7) float64 array of the train rows
+    scaler, peak = traced_peak(align.feature_scaler, frame)
+    assert peak < 0.25 * matrix
+    inputs, peak = traced_peak(align.mlp_inputs, frame, scaler)
+    # The float32 inputs themselves, and a few blocks beside them.
+    assert peak - inputs.nbytes < 0.25 * matrix
 
 
 def test_alignment_rejects_short_series():

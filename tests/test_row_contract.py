@@ -112,7 +112,8 @@ def test_every_model_reads_the_rows_of_the_contract(tmp_path, monkeypatch):
             assert_same_bits(got, want, key)
 
     # mlp: feature rows through a date -> weather dict, scaled by the
-    # train rows' range of each column to train, raw to score.
+    # train rows' range of each column and cast to float32 to train, as
+    # the lstm's windows are, raw to score.
     weather_of = dict(zip(frame.weather.dates.tolist(),
                           map(tuple, frame.weather.values.tolist())))
     train_features = [feature_row(frame, weather_of, t) for t in train_rows]
@@ -120,7 +121,7 @@ def test_every_model_reads_the_rows_of_the_contract(tmp_path, monkeypatch):
     highs = [max(column) for column in zip(*train_features)]
     want_inputs = np.array([[scaled(v, lo, hi)
                              for v, lo, hi in zip(row, lows, highs)]
-                            for row in train_features])
+                            for row in train_features], dtype=np.float32)
     want_targets = np.array([scaled(y[t], low, high) for t in train_rows])
     got_inputs, got_targets = seen["mlp train"]
     assert_same_bits(got_inputs, want_inputs, "mlp train inputs")

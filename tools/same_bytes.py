@@ -14,7 +14,10 @@ The matrix, on a 10-day household with a two-epoch training budget:
 ``synth`` of a grid and of a solar house; ``compare`` from ``synth`` and
 from ``files`` (the plain meter, and grid + solar); ``train --model``
 mlp and lstm; ``evaluate --model`` for each of the four models, from the
-``compare`` run; and ``report`` of that run.
+``compare`` run; and ``report`` of that run. One more ``compare`` runs a
+40-day household for one epoch: its 9,216 train rows span three
+``ROW_CHUNK`` blocks, where the 10-day house's 2,304 fit in one, so a
+slip at a block edge shows.
 """
 from __future__ import annotations
 
@@ -40,6 +43,8 @@ CONFIGS = {
                         "files.grid": "solar-house/grid.csv",
                         "files.solar": "solar-house/solar.csv",
                         "files.weather_dir": "solar-house/weather"},
+    "long.json": {"synth.days": 40, "synth.seed": 3, "train.max_epochs": 1,
+                  "train.patience": 1},
 }
 MODELS = ("naive", "seasonal-naive", "mlp", "lstm")
 COMMANDS = [
@@ -51,6 +56,8 @@ COMMANDS = [
                        "--out", "runs/compare-meter"]),
     ("compare-grid-solar", ["compare", "--config", "grid-solar.json",
                             "--out", "runs/compare-grid-solar"]),
+    ("compare-long", ["compare", "--config", "long.json",
+                      "--out", "runs/compare-long"]),
     *((f"train-{m}", ["train", "--model", m, "--config", "synth.json",
                       "--out", f"runs/train-{m}"]) for m in ("mlp", "lstm")),
     *((f"evaluate-{m}", ["evaluate", "--model", m, "--config", "synth.json",
