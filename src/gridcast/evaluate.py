@@ -148,9 +148,13 @@ def diurnal_profile(frame: MergedFrame) -> dict[Season, np.ndarray]:
     keys = season_codes(frame.times) * SLOTS_PER_DAY + frame.times % SLOTS_PER_DAY
     # Grouped by (season, slot), and by value within a group.
     order = np.lexsort((frame.consumption, keys))
-    keys, starts, counts = np.unique(keys[order], return_index=True,
-                                     return_counts=True)
     ranked = frame.consumption[order]
+    keys = keys[order]
+    del order
+    # The keys are sorted: a group starts where its key differs from the last.
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    counts = np.diff(starts, append=len(keys))
+    keys = keys[starts]
     table = np.full((len(SEASONS), SLOTS_PER_DAY), np.nan)
     # The mean of the two middle values, as np.median takes it.
     table.flat[keys] = (ranked[starts + (counts - 1) // 2]

@@ -6,7 +6,14 @@ dropped and counted so callers can assert exactly what was discarded.
 
 Both file kinds are read as columns by one reader, ROW_CHUNK rows at a
 time: each block of texts becomes numbers before the next is read, so a
-file's rows are never held whole as Python strings. Both parse into
+file's rows are never held whole as Python strings. The header goes
+through the csv module. After it, a block of ROW_CHUNK lines is split at
+commas with str methods when that reads exactly what csv would: the
+block has no quote or NUL character, no CR but in a CRLF line end, no
+line longer than csv.field_size_limit(), and one comma fewer than the
+header has fields on every line, so no blank, short or long row. From
+the first block that fails a test, the rest of the file goes through
+csv.reader, as every block did before. Both parse into
 columnar tables (see gridcast.types): a meter stream is one MeterRecords,
 an int64 array of slot indices beside a float64 array of watts, and a
 weather directory is one Weather, an int64 array of date ordinals beside
@@ -28,7 +35,7 @@ import csv
 import datetime as dt
 import re
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -58,6 +65,8 @@ MONTH_FILE = re.compile(r"^\d{4}(0[1-9]|1[0-2])\.csv$")
 # Date ordinals of weather rows that are dropped; real ordinals are >= 1.
 _BAD_DATE = -1
 _MISFILED = -2
+# Every byte but comma and LF, deleted to leave a block's separators.
+_NOT_SEPARATOR = bytes(sorted(set(range(256)) - set(b",\n")))
 
 
 @dataclass(frozen=True)
@@ -125,6 +134,34 @@ def _column_index(header: list[str], name: str) -> int:
     return len(header) - 1 - header[::-1].index(name)
 
 
+def _plain_cells(lines: list[str], fields: int) -> list[str] | None:
+    """The cells of a block of lines, row by row, when splitting the lines
+    at commas reads exactly what the csv module would; else None.
+
+    That holds when the block has no quote or NUL character, no CR but in
+    a CRLF line end, no line longer than the csv field limit, and exactly
+    ``fields - 1`` commas on every line. A blank line has no comma, so
+    with two or more fields it fails the last test too.
+    """
+    text = "".join(lines)
+    if '"' in text or "\0" in text:
+        return None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+        if "\r" in text:
+            return None
+    if not text.endswith("\n"):  # the file's last line, without a line end
+        text += "\n"
+    # Comma and LF are single bytes in UTF-8, never part of another
+    # character: the block's separators, in order, show every line's.
+    separators = text.encode().translate(None, _NOT_SEPARATOR)
+    if separators != ("," * (fields - 1) + "\n").encode() * len(lines):
+        return None
+    if max(map(len, lines)) > csv.field_size_limit():
+        return None
+    return text[:-1].replace("\n", ",").split(",")
+
+
 def _read_columns(path, names: Sequence[str]) -> Iterator[list[list[str]]]:
     """Stripped texts of the named columns, ROW_CHUNK data rows at a time.
 
@@ -133,34 +170,49 @@ def _read_columns(path, names: Sequence[str]) -> Iterator[list[list[str]]]:
     blank lines are no rows, and a cell missing from a short row reads as
     empty. Text that is not UTF-8, or a cell beyond the csv module's field
     limit, is a DataError naming the file.
+
+    The header is read by the csv module. Blocks of ROW_CHUNK lines are
+    then split at commas while _plain_cells can split them; from the
+    first block it cannot, the rest of the file goes through the csv
+    module, a block of rows at a time.
     """
     with open(path, newline="", encoding="utf-8-sig") as handle:
         try:
-            reader = csv.reader(handle)
-            header = next(reader, None)
+            header = next(csv.reader(handle), None)
             if header is None:
                 raise DataError(f"{path}: no header row")
             missing = [c for c in names if c not in header]
             if missing:
                 raise DataError(f"{path}: missing column(s) {missing}")
             columns = [_column_index(header, c) for c in names]
+            fields = len(header)
+            rows = 0
+            while lines := list(islice(handle, ROW_CHUNK)):
+                cells = _plain_cells(lines, fields)
+                if cells is None:
+                    break
+                rows += len(lines)
+                yield [list(map(str.strip, cells[c::fields])) for c in columns]
             width = max(columns) + 1
-            rows_left = filter(None, reader)
-            rows = list(islice(rows_left, ROW_CHUNK))
+            reader = filter(None, csv.reader(chain(lines, handle)))
+            while block := list(islice(reader, ROW_CHUNK)):
+                rows += len(block)
+                if min(map(len, block)) < width:
+                    block = [row + [""] * (width - len(row)) for row in block]
+                yield [list(map(str.strip, map(itemgetter(c), block)))
+                       for c in columns]
             if not rows:
                 raise DataError(f"{path}: header but no data rows")
-            while rows:
-                if min(map(len, rows)) < width:
-                    rows = [row + [""] * (width - len(row)) for row in rows]
-                yield [list(map(str.strip, map(itemgetter(c), rows)))
-                       for c in columns]
-                rows = list(islice(rows_left, ROW_CHUNK))
         except (UnicodeDecodeError, csv.Error) as exc:
             raise DataError(f"{path}: unreadable CSV: {exc}") from exc
 
 
 def _parse_floats(texts: list[str]) -> np.ndarray:
     """float() of each text; NaN where float() refuses it."""
+    try:
+        return np.fromiter(map(float, texts), dtype=np.float64, count=len(texts))
+    except ValueError:
+        pass
     values = np.empty(len(texts), dtype=np.float64)
     for i, text in enumerate(texts):
         try:

@@ -113,7 +113,8 @@ def parse_timestamps(texts: Sequence[str]) -> np.ndarray:
     times = np.full(len(texts), BAD_TIME, dtype=np.int64)
     lengths = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
     fixed = np.flatnonzero(lengths == 16)
-    parsed, shaped = _parse_fixed_width([texts[i] for i in fixed])
+    parsed, shaped = _parse_fixed_width(
+        texts if len(fixed) == len(texts) else [texts[i] for i in fixed])
     times[fixed] = parsed
     decided = np.zeros(len(texts), dtype=bool)
     decided[fixed[shaped]] = True
@@ -188,8 +189,13 @@ _SEASON_CODE_BY_MONTH = np.array([
 
 def season_codes(times) -> np.ndarray:
     """Each slot's season, as an index into SEASONS."""
-    _, month, _ = _calendar(np.asarray(times, dtype=np.int64))
-    return _SEASON_CODE_BY_MONTH[month]
+    days = np.asarray(times, dtype=np.int64) // SLOTS_PER_DAY
+    days -= _EPOCH_ORDINAL
+    # Months since 1970-01; modulo 12 they count from January as 0.
+    months = days.view("datetime64[D]").astype("datetime64[M]").view(np.int64)
+    del days
+    months %= 12
+    return _SEASON_CODE_BY_MONTH[1:][months]
 
 
 @dataclass(frozen=True)
@@ -379,17 +385,23 @@ def write_row_files(files: dict[Path, np.ndarray], header: str,
                     times: np.ndarray, shared: Sequence[np.ndarray] = ()) -> None:
     """Write one CSV per ``files`` entry (a path and its own column),
     ROW_CHUNK rows at a time: row i is the timestamp of ``times[i]``, then
-    the repr of row i of each ``shared`` column and of the own column."""
+    ``repr(float(v))`` of row i of each ``shared`` column and of the own
+    column. Each distinct float of a block is formatted once."""
+    columns = [*shared, *files.values()]
     with contextlib.ExitStack() as stack:
         handles = [stack.enter_context(atomic_write(path)) for path in files]
         for handle in handles:
             handle.write(header + "\n")
         for start in range(0, len(times), ROW_CHUNK):
             rows = slice(start, start + ROW_CHUNK)
-            prefixes = format_timestamps(times[rows])
-            for column in shared:
-                prefixes = list(map("{},{!r}".format, prefixes,
-                                    column[rows].tolist()))
-            for handle, column in zip(handles, files.values()):
-                handle.writelines(map("{},{!r}\n".format, prefixes,
-                                      column[rows].tolist()))
+            block = np.array([column[rows] for column in columns],
+                             dtype=np.float64)
+            # Distinct by bits, so -0.0 and 0.0 keep their own texts.
+            bits, inverse = np.unique(block.view(np.int64), return_inverse=True)
+            cells = np.array([f",{v!r}" for v in bits.view(np.float64).tolist()],
+                             dtype=object)[inverse.reshape(block.shape)]
+            lines = np.array(format_timestamps(times[rows]), dtype=object)
+            for column in cells[:len(shared)]:
+                lines += column
+            for handle, column in zip(handles, cells[len(shared):]):
+                handle.write("\n".join((lines + column).tolist()) + "\n")

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gridcast import ingest
 from gridcast.errors import ZeroVarianceError
 from gridcast.evaluate import pearson, read_report_json
 from gridcast.types import SLOTS_PER_DAY, MergedFrame, Weather, parse_timestamps
@@ -93,3 +94,18 @@ def traced_peak(fn, *args):
     finally:
         tracemalloc.stop()
     return result, peak
+
+
+def spy_on_split_blocks(monkeypatch) -> list[bool]:
+    """A list that records, for each block of lines the CSV reader tries
+    to split at commas, whether it could (else csv reads from there)."""
+    split = []
+    plain_cells = ingest._plain_cells
+
+    def spy(lines, fields):
+        cells = plain_cells(lines, fields)
+        split.append(cells is not None)
+        return cells
+
+    monkeypatch.setattr(ingest, "_plain_cells", spy)
+    return split

@@ -16,6 +16,7 @@ the same drops.
 import csv
 import datetime as dt
 import math
+import re
 import sys
 
 import numpy as np
@@ -24,7 +25,7 @@ import pytest
 from gridcast.errors import DataError
 from gridcast.ingest import MeterCsvSpec, load_weather_dir, parse_meter_csv
 from gridcast.types import ROW_CHUNK, TIMESTAMP_FORMAT, WEATHER_CSV_COLUMNS
-from helpers import raises_exactly
+from helpers import raises_exactly, spy_on_split_blocks
 
 
 def reference_parse(spec: MeterCsvSpec):
@@ -438,6 +439,151 @@ def test_weather_loader_equals_reference_across_row_chunks(tmp_path, bom):
             (("\ufeff" if bom else "") + text).encode("utf-8"))
     dates, rows, drops = reference_weather(tmp_path)
     weather, got, n_files = load_weather_dir(tmp_path)
+    assert n_files == 2
+    assert weather.dates.tolist() == dates
+    missing = [[v is None for v in row] for row in rows]
+    assert np.isnan(weather.values).tolist() == missing
+    expected = np.array([[0.0 if v is None else v for v in row] for row in rows])
+    got_bits = np.where(np.isnan(weather.values), 0.0, weather.values)
+    assert got_bits.view(np.int64).tolist() == expected.view(np.int64).tolist()
+    assert (got.bad_dates, got.duplicates, got.misfiled,
+            got.invalid_cells) == drops
+    assert len(dates) == 51 and all(drops)
+
+
+# The seam between the two reader paths. Blocks of ROW_CHUNK lines are
+# split at commas while they hold nothing the csv module must decide;
+# from the first block that does, the rest of the file is read by csv.
+# Each case below puts one such thing in block 1 of a three-block file,
+# so block 0 is split and the rest goes through csv, and both files
+# carry non-ASCII cells on either side of the seam.
+_SEAM_ROWS = 2 * ROW_CHUNK + 100
+_SEAM_AT = ROW_CHUNK + 10
+_LIMIT = csv.field_size_limit()
+SEAM_CASES = ["quoted", "quoted-newline-at-edge", "lone-cr", "blank-line",
+              "short-row", "long-row", "short-and-long-rows", "over-field-limit",
+              "long-line-short-cells", "non-ascii-only"]
+
+
+def _seam_defect(lines: list[str], name: str) -> list[str]:
+    """``lines`` (data lines, no line ends) with case ``name`` put in."""
+    lines = list(lines)
+    at = _SEAM_AT
+    first, *rest = lines[at].split(",")
+    if name == "quoted":
+        lines[at] = ",".join(f'"{cell}"' for cell in lines[at].split(","))
+        lines[at + 1] = ",".join(lines[at + 1].split(",")[:-1] + ['"4,25"'])
+    elif name == "quoted-newline-at-edge":
+        # The quote opens on block 1's last line and closes in block 2.
+        edge = 2 * ROW_CHUNK - 1
+        lines[edge] = ",".join(lines[edge].split(",")[:-1] + ['"12'])
+        lines[edge + 1] = '5"'
+    elif name == "lone-cr":
+        lines[at:at + 2] = [lines[at] + "\r" + lines[at + 1]]
+    elif name == "blank-line":
+        lines.insert(at, "")
+    elif name == "short-row":
+        lines[at] = first
+    elif name == "long-row":
+        lines[at] += ",extra,cells"
+    elif name == "short-and-long-rows":
+        # As many commas in all as fields - 1 per line, but not per line.
+        lines[at + 1] += ",x" * lines[at].count(",")
+        lines[at] = first
+    elif name == "over-field-limit":
+        lines[at] = ",".join([first, "1" * (_LIMIT + 1)] + rest[1:])
+    elif name == "long-line-short-cells":
+        half = "1" * (_LIMIT // 2 + 10)
+        lines[at] = ",".join([" " * (_LIMIT // 2) + first, half] + rest[1:])
+    elif name != "non-ascii-only":
+        raise KeyError(name)
+    return lines
+
+
+def _seam_text(lines: list[str], header: str, newline: str, bom: bool) -> bytes:
+    text = newline.join([header] + lines) + newline
+    return (("\ufeff" if bom else "") + text).encode("utf-8")
+
+
+def _seam_meter_lines(rng) -> list[str]:
+    lines = [f"{_stamp(0, i)},{rng.uniform(0, 3000)!r}" for i in range(_SEAM_ROWS)]
+    for i in (5, _SEAM_AT + 20):
+        lines[i] = f"{_stamp(0, i)},١٢"  # Arabic-Indic digits: 12.0
+        lines[i + 1] = f"été,{i}.5"
+        lines[i + 2] = f"{_stamp(0, i + 2)},été"
+    return lines
+
+
+@pytest.mark.parametrize("bom", [False, True], ids=["no-bom", "bom"])
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("name", SEAM_CASES)
+def test_meter_parser_equals_reference_across_the_reader_seam(
+        tmp_path, monkeypatch, name, newline, bom):
+    lines = _seam_defect(_seam_meter_lines(np.random.default_rng(9)), name)
+    path = tmp_path / "meter.csv"
+    path.write_bytes(_seam_text(lines, "timestamp,watts", newline, bom))
+    spec = MeterCsvSpec(path)
+    split = spy_on_split_blocks(monkeypatch)
+    if name == "over-field-limit":
+        with pytest.raises(csv.Error, match="field larger than field limit"):
+            reference_parse(spec)
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: "
+                           "unreadable CSV: field larger than field limit"):
+            parse_meter_csv(spec)
+        assert split == [True, False]
+        return
+    times, watts, drops = reference_parse(spec)
+    parsed = parse_meter_csv(spec)
+    assert split == ([True] * 3 if name == "non-ascii-only" else [True, False])
+    assert parsed.records.times.tolist() == times
+    assert (parsed.records.watts.view(np.int64).tolist()
+            == np.array(watts, dtype=np.float64).view(np.int64).tolist())
+    got = parsed.drops
+    assert (got.bad_timestamps, got.blank_watts, got.implausible_watts,
+            got.negative_watts, got.duplicates) == drops
+    assert times and min(drops[:2]) >= 2  # the non-ASCII time and watts
+
+
+def _seam_weather_lines(rng) -> list[str]:
+    """One March file of _SEAM_ROWS rows: its 31 days among rows that add
+    no day (misfiled, unreadable and repeated dates)."""
+    fillers = ["2023-04-01", "not a date", "2023-03-01"]
+    rows = [[fillers[i % 3]] + _weather_row(rng, dt.date(2023, 3, 1))[1:]
+            for i in range(_SEAM_ROWS)]
+    for d in range(1, 32):
+        rows[(d - 1) * 260] = _weather_row(rng, dt.date(2023, 3, d))
+    for i in (1, _SEAM_AT + 20):
+        rows[i][0] = "2023-03-0٥"  # an Arabic-Indic 5
+    for day_row in (260, 260 * 17):  # either side of _SEAM_AT
+        rows[day_row][1:3] = ["١٢", "été"]
+    return [",".join(r) for r in rows]
+
+
+@pytest.mark.parametrize("bom", [False, True], ids=["no-bom", "bom"])
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("name", SEAM_CASES)
+def test_weather_loader_equals_reference_across_the_reader_seam(
+        tmp_path, monkeypatch, name, newline, bom):
+    rng = np.random.default_rng(10)
+    march = _seam_defect(_seam_weather_lines(rng), name)
+    april = [",".join(r) for r in _month_rows(rng, 2023, 4, 20)]
+    for file_name, lines in (("202303.csv", march), ("202304.csv", april)):
+        (tmp_path / file_name).write_bytes(
+            _seam_text(lines, _WEATHER_HEADER, newline, bom))
+    split = spy_on_split_blocks(monkeypatch)
+    if name == "over-field-limit":
+        with pytest.raises(csv.Error, match="field larger than field limit"):
+            reference_weather(tmp_path)
+        with pytest.raises(DataError, match=f"^{re.escape(str(tmp_path))}"
+                           "/202303.csv: unreadable CSV: field larger than"):
+            load_weather_dir(tmp_path)
+        assert split == [True, False]
+        return
+    dates, rows, drops = reference_weather(tmp_path)
+    weather, got, n_files = load_weather_dir(tmp_path)
+    # March, then April's one block.
+    assert split == ([True] * 4 if name == "non-ascii-only"
+                     else [True, False, True])
     assert n_files == 2
     assert weather.dates.tolist() == dates
     missing = [[v is None for v in row] for row in rows]

@@ -1,13 +1,16 @@
 """tools/same_bytes.py compares two trees' artifacts byte for byte. Its
 comparison must name every path that differs or exists on one side only,
-and nothing else, and its matrix must reach past one ROW_CHUNK block."""
+and nothing else, and its matrix must reach past one ROW_CHUNK block and
+through both of the CSV reader's paths."""
 import importlib.util
 from pathlib import Path
 
 from gridcast.config import from_flat_dict
+from gridcast.ingest import MeterCsvSpec, parse_meter_csv
 from gridcast.pipeline import alignment
 from gridcast.synth import generate
-from gridcast.types import ROW_CHUNK
+from gridcast.types import ROW_CHUNK, SLOTS_PER_DAY
+from helpers import spy_on_split_blocks
 
 ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location(
@@ -51,3 +54,16 @@ def test_a_compare_of_the_matrix_trains_on_three_row_blocks():
             train_rows[name] = alignment(config, len(frame)).boundary
     assert train_rows == {"compare-synth": 2304, "compare-long": 9216}
     assert train_rows["compare-long"] > 2 * ROW_CHUNK
+
+
+def test_the_crlf_house_is_read_through_both_reader_paths(tmp_path, monkeypatch):
+    same_bytes.write_crlf_house(tmp_path)
+    split = spy_on_split_blocks(monkeypatch)
+    for kind in ("grid", "solar"):
+        parsed = parse_meter_csv(MeterCsvSpec(tmp_path / f"{kind}.csv", kind))
+        # The quoted row is kept; the blank watts row is the one drop.
+        assert len(parsed.records) == same_bytes.HOUSE_DAYS * SLOTS_PER_DAY
+        assert parsed.drops.total == parsed.drops.blank_watts == 1
+    # Two blocks split at commas, then the csv module, in each file.
+    assert split == [True, True, False] * 2
+    assert (tmp_path / "grid.csv").read_bytes().count(b"\r\n") > 2 * ROW_CHUNK

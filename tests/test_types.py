@@ -257,6 +257,30 @@ class TestWriters:
             "timestamp,actual,predicted", "2023-03-01 00:00,1.5,4.0",
             "2023-03-01 00:05,2.0,5.0", "2023-03-01 00:10,1e-17,6.25"]
 
+    def test_row_files_format_each_value_as_its_own_repr(self, tmp_path):
+        # Each distinct value of a block is formatted once, so values that
+        # compare equal but print apart (-0.0, 0.0) must stay apart, and a
+        # value met in several columns and blocks prints the same each time.
+        n = ROW_CHUNK + 7
+        times = tp(2023, 3, 1, 0, 0) + np.arange(n)
+        tiny = np.nextafter(0.0, 1.0)
+        special = [0.0, -0.0, tiny, -tiny, 2.2250738585072014e-308 / 3,
+                   1e308, -1e308, 1.7976931348623157e308, 0.1, 7.25]
+        shared = np.resize(special, n)
+        shared[ROW_CHUNK - 4:ROW_CHUNK + 4] = 7.25  # across the block edge
+        own = {tmp_path / "a.csv": shared[::-1].copy(),
+               tmp_path / "b.csv": np.where(np.arange(n) % 3, -0.0, 7.25),
+               tmp_path / "c.csv": np.resize(
+                   np.array([0.1, -0.0, 7.25, 1e-45], dtype=np.float32), n)}
+        write_row_files(own, "timestamp,actual,predicted", times,
+                        shared=[shared])
+        for path, column in own.items():
+            expected = "timestamp,actual,predicted\n" + "".join(
+                f"{t},{repr(float(a))},{repr(float(p))}\n" for t, a, p in
+                zip(format_timestamps(times), shared, column))
+            assert path.read_bytes() == expected.encode()
+        assert b",0.0,-0.0\n" in (tmp_path / "b.csv").read_bytes()
+
     def test_row_files_are_written_in_row_chunks(self, tmp_path):
         # A whole file's text at once took 5.7 MiB for 8,640 rows and
         # 45.3 MiB for 69,120; one ROW_CHUNK block at a time, the peak

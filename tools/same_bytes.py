@@ -17,13 +17,20 @@ mlp and lstm; ``evaluate --model`` for each of the four models, from the
 ``compare`` run; and ``report`` of that run. One more ``compare`` runs a
 40-day household for one epoch: its 9,216 train rows span three
 ``ROW_CHUNK`` blocks, where the 10-day house's 2,304 fit in one, so a
-slip at a block edge shows.
+slip at a block edge shows. A last ``compare`` scores the two baselines
+on a 40-day grid + solar house that the tool writes itself (see
+write_crlf_house): CRLF files whose 11,521-row meter files span three
+``ROW_CHUNK`` blocks and end in defect rows that only the csv module
+reads, so both of the reader's paths, the seam between them and the
+block edges of the predictions are compared.
 """
 from __future__ import annotations
 
 import argparse
+import datetime as dt
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -45,6 +52,10 @@ CONFIGS = {
                         "files.weather_dir": "solar-house/weather"},
     "long.json": {"synth.days": 40, "synth.seed": 3, "train.max_epochs": 1,
                   "train.patience": 1},
+    "crlf.json": {"source": "files", "files.grid": "crlf-house/grid.csv",
+                  "files.solar": "crlf-house/solar.csv",
+                  "files.weather_dir": "crlf-house/weather",
+                  "models": ["naive", "seasonal-naive"], "split_ratio": 0.5},
 }
 MODELS = ("naive", "seasonal-naive", "mlp", "lstm")
 COMMANDS = [
@@ -65,7 +76,49 @@ COMMANDS = [
                          "--out", "runs/evaluate"]) for m in MODELS),
     ("report", ["report", "--config", "synth.json",
                 "--out", "runs/compare-synth"]),
+    ("compare-crlf", ["compare", "--config", "crlf.json",
+                      "--out", "runs/compare-crlf"]),
 ]
+
+HOUSE_DAYS = 40
+WEATHER_HEADER = ("date,max_temp_c,rainfall_mm,temp_9am_c,rh_9am_pct,"
+                  "temp_3pm_c,rh_3pm_pct")
+
+
+def write_crlf_house(root: Path) -> None:
+    """Write a HOUSE_DAYS-day grid + solar house from 2023-03-01 under
+    ``root``, the same bytes on every run: ``grid.csv``, ``solar.csv`` and
+    ``weather/YYYYMM.csv``, each with CRLF line ends.
+
+    Each meter file leaves out one reading of its last day and appends
+    it at the end with quoted cells, after a row with a blank watts
+    cell, so its last ROW_CHUNK block goes through the csv module.
+    """
+    rng = random.Random(27)
+    start = dt.datetime(2023, 3, 1)
+    stamps = [(start + dt.timedelta(minutes=5 * i)).strftime("%Y-%m-%d %H:%M")
+              for i in range(HOUSE_DAYS * 288)]
+    held_out = len(stamps) - 100
+    (root / "weather").mkdir(parents=True)
+    for name, low, high in (("grid", -900.0, 3000.0), ("solar", 0.0, 2500.0)):
+        rows = [f"{t},{rng.uniform(low, high)!r}" for t in stamps]
+        late = rows.pop(held_out).split(",")
+        rows += [f"{stamps[7]},", '"{}","{}"'.format(*late)]
+        (root / f"{name}.csv").write_bytes(
+            "".join(f"{line}\r\n" for line in ["timestamp,watts", *rows])
+            .encode("utf-8"))
+    months = {}
+    for day in range(HOUSE_DAYS):
+        date = start.date() + dt.timedelta(days=day)
+        cells = (rng.uniform(12, 38), rng.choice([0.0, rng.uniform(0, 20)]),
+                 rng.uniform(8, 25), rng.uniform(30, 95), rng.uniform(12, 36),
+                 rng.uniform(20, 90))
+        months.setdefault(date.strftime("%Y%m"), []).append(
+            ",".join([date.isoformat(), *map(repr, cells)]))
+    for month, rows in months.items():
+        (root / "weather" / f"{month}.csv").write_bytes(
+            "".join(f"{line}\r\n" for line in [WEATHER_HEADER, *rows])
+            .encode("utf-8"))
 
 
 def run_matrix(tree: Path, work: Path) -> list[str]:
@@ -76,6 +129,7 @@ def run_matrix(tree: Path, work: Path) -> list[str]:
     env.pop("GRIDCAST_OUT", None)
     for name, payload in CONFIGS.items():
         (work / name).write_text(json.dumps(payload), encoding="utf-8")
+    write_crlf_house(work / "crlf-house")
     (work / "stdout").mkdir()
     failures = []
     for name, argv in COMMANDS:
